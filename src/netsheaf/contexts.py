@@ -144,15 +144,22 @@ class ContextPoset(FinitePoset):
     def __init__(self, algebra: Partition):
         object.__setattr__(self, "algebra", algebra)
         elements = coarsenings(algebra)
-        index = {e: i for i, e in enumerate(elements)}
-        # p <= q iff p is a coarsening of q, so each column of the order is
-        # exactly coarsenings(q); building it that way beats the quadratic
-        # comparison sweep by orders of magnitude on large posets.
-        up = [0] * len(elements)
-        for j, q in enumerate(elements):
-            bit = 1 << j
-            for p in coarsenings(q):
-                up[index[p]] |= bit
+        # The order is built from its Hasse covers (Knuth, TAOCP 4A 7.2.1.5).
+        # Read at each block's first point, a context is a restricted-growth
+        # string over the algebra's blocks, and its lower covers are exactly
+        # the strings that merge two of its groups.  Taken by decreasing block
+        # count, q comes after all its upper covers, so up[q] = {j : q <= j}
+        # is complete when it is OR-ed into q's lower covers.
+        firsts = [block[0] for block in algebra.blocks]
+        keys = [tuple(e.rgs[f] for f in firsts) for e in elements]
+        index = {key: i for i, key in enumerate(keys)}
+        up = [1 << i for i in range(len(elements))]
+        for q in sorted(range(len(keys)), key=lambda i: -max(keys[i])):
+            key = keys[q]
+            for b in range(1, max(key) + 1):
+                for a in range(b):
+                    merged = tuple(a if v == b else v - (v > b) for v in key)
+                    up[index[merged]] |= up[q]
         super().__init__(elements, up_masks=up)
 
 

@@ -30,7 +30,7 @@ from .contexts import (
     left_adjoint,
     thickening_report,
 )
-from .errors import InputError, InternalConsistencyError
+from .errors import InputError, InternalConsistencyError, SizeGuardError
 from .independence import (
     AlgebraPair,
     cstar_independent,
@@ -38,7 +38,10 @@ from .independence import (
     strong_locality,
     unit_law,
 )
-from .partitions import Partition, common_refinement, is_coarser, overlap_join
+from .partitions import Partition, bell_number, common_refinement, is_coarser, overlap_join
+
+# Bound on the (E, C, D) triples the covering-stability sweep may test.
+MAX_STABILITY_TRIPLES = 10**6
 
 
 class FiberedContextProduct(FinitePoset):
@@ -50,11 +53,15 @@ class FiberedContextProduct(FinitePoset):
         object.__setattr__(self, "left_poset", left_poset)
         object.__setattr__(self, "right_poset", right_poset)
         object.__setattr__(self, "meet", meet)
+        # Group the right contexts by their restriction to M, so each left
+        # context meets only the right contexts it agrees with.
+        by_restriction: dict[Partition, list[Partition]] = {}
+        for c2 in right_poset.elements:
+            by_restriction.setdefault(overlap_join(c2, meet), []).append(c2)
         elements = [
             (c1, c2)
             for c1 in left_poset.elements
-            for c2 in right_poset.elements
-            if overlap_join(c1, meet) == overlap_join(c2, meet)
+            for c2 in by_restriction.get(overlap_join(c1, meet), ())
         ]
         elements.sort(key=lambda pair: (pair[0].rgs, pair[1].rgs))
         # Componentwise order, composed from the factor posets' masks: the
@@ -340,9 +347,23 @@ def covering_stability(
     pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL
 ) -> tuple[StabilityViolation, ...]:
     """Check the Grothendieck stability requirement E = (E n C) v (E n D) for
-    every E in C_{A v B} below a cover C v D; return every violating triple."""
+    every E in C_{A v B} below a cover C v D; return every violating triple.
+
+    The sweep tests |C_{A v B}|*|C_A|*|C_B| triples; more than
+    MAX_STABILITY_TRIPLES of them raise SizeGuardError before any is tested."""
     pair.require_partition_engine("the covering stability check")
-    source = enumerate_contexts(common_refinement(pair.left, pair.right), max_bell)
+    joined = common_refinement(pair.left, pair.right)
+    sizes = [bell_number(p.num_blocks) for p in (joined, pair.left, pair.right)]
+    triples = sizes[0] * sizes[1] * sizes[2]
+    if triples > MAX_STABILITY_TRIPLES:
+        raise SizeGuardError(
+            f"covering stability of {pair.left} | {pair.right} needs "
+            f"|C_(A v B)|*|C_A|*|C_B| = {sizes[0]}*{sizes[1]}*{sizes[2]} = {triples} "
+            f"triples, exceeding the guard of {MAX_STABILITY_TRIPLES}",
+            bound=MAX_STABILITY_TRIPLES,
+            requested=triples,
+        )
+    source = enumerate_contexts(joined, max_bell)
     left_contexts = enumerate_contexts(pair.left, max_bell).elements
     right_contexts = enumerate_contexts(pair.right, max_bell).elements
     violations = []

@@ -6,6 +6,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from netsheaf import AmbientSet, Partition, all_partitions
 
@@ -14,6 +15,19 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def ambient(n: int) -> AmbientSet:
     return AmbientSet([chr(ord("a") + i) for i in range(n)])
+
+
+def random_partitions(min_points: int, max_points: int):
+    """Hypothesis strategy: a partition of 'a', 'b', ... (between min_points and
+    max_points of them) from arbitrary point labels, canonicalised."""
+
+    @st.composite
+    def draw_partition(draw):
+        n = draw(st.integers(min_points, max_points))
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        return Partition(ambient(n), labels)
+
+    return draw_partition()
 
 
 @pytest.fixture(scope="session")

@@ -269,6 +269,24 @@ def test_check_pair_respects_max_bell_guard(capsys):
     assert "guard" in err
 
 
+def test_descent_refuses_the_six_point_stability_sweep(tmp_path, capsys):
+    points = list("abcdef")
+    path = tmp_path / "discrete6.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ambient": points,
+                "algebras": {"full": [[p] for p in points]},
+                "pair": {"left": "full", "right": "full"},
+            }
+        )
+    )
+    code, out, err = run(capsys, "descent", str(path), "--json")
+    assert code == 1
+    assert out == ""
+    assert f"{203**3} triples" in err and "guard" in err
+
+
 def test_matrix_pair_hierarchy(capsys):
     code, data, _ = run_json(capsys, "check-pair", PAULI)
     assert code == 0

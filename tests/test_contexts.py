@@ -1,7 +1,11 @@
+from math import comb
+
 import pytest
+from hypothesis import example, given, settings
 
 from netsheaf import (
     AlgebraPair,
+    ContextPoset,
     FinitePoset,
     InputError,
     MonotoneMap,
@@ -14,9 +18,9 @@ from netsheaf import (
     restrict_context,
     thickening_report,
 )
-from netsheaf.partitions import is_coarser, overlap_join
+from netsheaf.partitions import coarsenings, is_coarser, overlap_join
 
-from conftest import ambient, oracle_bell
+from conftest import ambient, oracle_bell, random_partitions
 
 
 def chain(n):
@@ -233,3 +237,40 @@ def test_dot_export_monotone_map(square_pair):
 def test_dot_export_rejects_other_types():
     with pytest.raises(InputError):
         dot_export(42)
+
+
+# -- the order built from Hasse covers ----------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(random_partitions(1, 7))
+@example(Partition.discrete(ambient(7)))
+def test_context_poset_masks_equal_the_comparison_sweep(a):
+    # the undecorated comparison, so the oracle leaves the shared cache alone
+    oracle = FinitePoset(coarsenings(a), leq=is_coarser.__wrapped__)
+    poset = ContextPoset(a)
+    assert poset.elements == oracle.elements
+    assert poset.up == oracle.up
+    assert poset.down == oracle.down
+
+
+def stirling2(n: int, k: int) -> int:
+    """Partitions of n points into k blocks, by the triangle recurrence."""
+    row = [1] + [0] * k
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+def test_context_poset_on_eight_points_counts_pairs_and_covers():
+    poset = ContextPoset(Partition.discrete(ambient(8)))
+    pairs = sum(stirling2(8, k) * oracle_bell(k) for k in range(1, 9))
+    covers = sum(stirling2(8, k) * comb(k, 2) for k in range(1, 9))
+    assert (pairs, covers) == (167894, 28337)
+    assert sum(bin(mask).count("1") for mask in poset.up) == pairs
+    hasse = poset.covers()
+    assert len(hasse) == covers
+    # a cover merges exactly two blocks
+    assert all(
+        poset.elements[i].num_blocks + 1 == poset.elements[j].num_blocks
+        for i, j in hasse
+    )

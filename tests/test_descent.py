@@ -1,10 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import netsheaf.descent
 from netsheaf import (
+    MAX_STABILITY_TRIPLES,
     AlgebraPair,
+    ContextPoset,
     EngineError,
+    FiberedContextProduct,
+    FinitePoset,
     InputError,
     Partition,
+    SizeGuardError,
     covering_stability,
     cstar_independent,
     descent_map,
@@ -15,7 +23,9 @@ from netsheaf import (
     sheaf_report,
     strong_locality,
 )
-from netsheaf.partitions import coarsenings, common_refinement
+from netsheaf.partitions import coarsenings, common_refinement, overlap_join
+
+from conftest import ambient, random_partitions
 
 
 def test_fibered_product_square_pair(square_pair):
@@ -238,3 +248,58 @@ def test_descent_report_json_shape(square_pair):
     assert data["sheaf"] is False
     assert len(data["ring_components"]) == 15
     assert data["adjunction"]["is_coreflector"] is True
+
+
+@st.composite
+def fibered_inputs(draw):
+    """(A, B, M) on one ambient set of at most four points, M <= A and B."""
+    a = draw(random_partitions(1, 4))
+    n = len(a.ambient)
+    b = draw(random_partitions(n, n))
+    meet = draw(st.sampled_from(coarsenings(overlap_join(a, b))))
+    return a, b, meet
+
+
+@settings(max_examples=80, deadline=None)
+@given(fibered_inputs())
+def test_hashed_fibered_product_equals_the_nested_scan(inputs):
+    a, b, meet = inputs
+    left, right = ContextPoset(a), ContextPoset(b)
+    scan = sorted(
+        (
+            (c1, c2)
+            for c1 in left.elements
+            for c2 in right.elements
+            if overlap_join(c1, meet) == overlap_join(c2, meet)
+        ),
+        key=lambda pair: (pair[0].rgs, pair[1].rgs),
+    )
+    oracle = FinitePoset(
+        scan, lambda x, y: left.leq(x[0], y[0]) and right.leq(x[1], y[1])
+    )
+    product = FiberedContextProduct(left, right, meet)
+    assert product.elements == oracle.elements
+    assert product.up == oracle.up
+
+
+def test_covering_stability_guard_refuses_before_enumerating(monkeypatch):
+    # 203^3 triples on the 6-point discrete self-pair: refused before any
+    # context poset is built, let alone a triple tested
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("contexts enumerated before the triple guard")
+
+    monkeypatch.setattr(netsheaf.descent, "enumerate_contexts", no_enumeration)
+    full = Partition.discrete(ambient(6))
+    with pytest.raises(SizeGuardError) as err:
+        covering_stability(AlgebraPair(full, full))
+    assert err.value.requested == 203**3
+    assert err.value.bound == MAX_STABILITY_TRIPLES
+    assert str(203**3) in str(err.value)
+    assert str(MAX_STABILITY_TRIPLES) in str(err.value)
+
+
+def test_covering_stability_guard_admits_five_points():
+    # 52^3 = 140,608 triples, the largest sweep the test inputs run
+    full = Partition.discrete(ambient(5))
+    assert 52**3 <= MAX_STABILITY_TRIPLES
+    assert isinstance(covering_stability(AlgebraPair(full, full)), tuple)
