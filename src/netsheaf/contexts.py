@@ -163,16 +163,23 @@ class ContextPoset(FinitePoset):
         super().__init__(elements, up_masks=up)
 
 
+def guard_contexts(max_bell: int, *algebras: Partition) -> None:
+    """Raise SizeGuardError for the first algebra with more than max_bell
+    contexts (Bell(#blocks) of them), before any is enumerated."""
+    for a in algebras:
+        count = bell_number(a.num_blocks)
+        if count > max_bell:
+            raise SizeGuardError(
+                f"context poset of {a} would have Bell({a.num_blocks}) = {count} "
+                f"elements, exceeding the guard of {max_bell}",
+                bound=max_bell,
+                requested=count,
+            )
+
+
 def enumerate_contexts(a: Partition, max_bell: int = DEFAULT_MAX_BELL) -> ContextPoset:
     """All unital subalgebras of S_a as a poset; exactly Bell(#blocks) of them."""
-    count = bell_number(a.num_blocks)
-    if count > max_bell:
-        raise SizeGuardError(
-            f"context poset of {a} would have Bell({a.num_blocks}) = {count} "
-            f"elements, exceeding the guard of {max_bell}",
-            bound=max_bell,
-            requested=count,
-        )
+    guard_contexts(max_bell, a)
     return ContextPoset(a)
 
 

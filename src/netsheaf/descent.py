@@ -27,6 +27,7 @@ from .contexts import (
     MonotoneMap,
     ThickeningReport,
     enumerate_contexts,
+    guard_contexts,
     left_adjoint,
     thickening_report,
 )
@@ -38,7 +39,14 @@ from .independence import (
     strong_locality,
     unit_law,
 )
-from .partitions import Partition, bell_number, common_refinement, is_coarser, overlap_join
+from .partitions import (
+    Partition,
+    bell_number,
+    coarsenings,
+    common_refinement,
+    is_coarser,
+    overlap_join,
+)
 
 # Bound on the (E, C, D) triples the covering-stability sweep may test.
 MAX_STABILITY_TRIPLES = 10**6
@@ -363,11 +371,12 @@ def covering_stability(
             bound=MAX_STABILITY_TRIPLES,
             requested=triples,
         )
-    source = enumerate_contexts(joined, max_bell)
-    left_contexts = enumerate_contexts(pair.left, max_bell).elements
-    right_contexts = enumerate_contexts(pair.right, max_bell).elements
+    guard_contexts(max_bell, joined, pair.left, pair.right)
+    source = coarsenings(joined)
+    left_contexts = coarsenings(pair.left)
+    right_contexts = coarsenings(pair.right)
     violations = []
-    for e in source.elements:
+    for e in source:
         for c in left_contexts:
             for d in right_contexts:
                 if not is_coarser(e, common_refinement(c, d)):

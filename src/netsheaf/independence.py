@@ -6,13 +6,15 @@ law, for two engines:
 
 * the partition engine (commutative function algebras on a finite set),
   where every condition is decided exactly;
-* the matrix engine (*-subalgebras of M_n over Q[i]), where Schlieder has no
-  finite-dimensional decision procedure and is reported as "undetermined"
-  unless the injectivity of the multiplication map settles it, and the
-  context-quantified conditions are not available at all.
+* the matrix engine (*-subalgebras of M_n over Q[i]), where Schlieder is
+  decided exactly for commuting pairs (it holds iff the multiplication map
+  A (x) B -> A v B is injective) and reported as "undetermined" for
+  non-commuting ones, and the context-quantified conditions are not
+  available at all.
 
-All failures come with witnesses, and every assembled report is checked
-against the implication chain
+The five context-free conditions of a pair are decided together, in one
+pass.  All failures come with witnesses, and every assembled report is
+checked against the implication chain
 
     product sense => C*-independent => strongly local
                   => extended locality => microcausality;
@@ -24,14 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
-from .contexts import DEFAULT_MAX_BELL
-from .errors import EngineError, InputError, InternalConsistencyError, SizeGuardError
+from .contexts import DEFAULT_MAX_BELL, guard_contexts
+from .errors import EngineError, InputError, InternalConsistencyError
 from .linalg import mat_str
 from .partitions import (
     Partition,
-    bell_number,
     coarsenings,
     common_refinement,
     is_coarser,
@@ -131,34 +132,26 @@ class AlgebraPair:
         }
 
 
-# -- individual conditions ----------------------------------------------------
+# -- the context-free conditions ---------------------------------------------
 
-def microcausality(pair: AlgebraPair) -> bool:
-    """[A, B] = {0}.  Automatic in the partition engine; basis-pair
-    commutators decide it exactly in the matrix engine."""
+class _PairFacts(NamedTuple):
+    """The five context-free conditions of one pair, decided together, and
+    the witnesses of their failures in report order."""
+
+    microcausality: bool
+    extended_locality: bool
+    schlieder: Verdict
+    cstar_independent: Verdict
+    product_sense: bool
+    witnesses: dict
+
+
+def _pair_facts(pair: AlgebraPair) -> _PairFacts:
     if pair.engine == PARTITION_ENGINE:
-        return True
-    return commuting_witness(pair.left, pair.right) is None
+        return _partition_facts(pair)
+    return _matrix_facts(pair)
 
 
-def microcausality_witness(pair: AlgebraPair) -> Optional[dict]:
-    if pair.engine == PARTITION_ENGINE:
-        return None
-    w = commuting_witness(pair.left, pair.right)
-    if w is None:
-        return None
-    i, j, c = w
-    return {"left_basis_index": i, "right_basis_index": j, "commutator": mat_str(c)}
-
-
-def extended_locality(pair: AlgebraPair) -> bool:
-    """Microcausality plus A n B = scalars."""
-    if pair.engine == PARTITION_ENGINE:
-        return overlap_join(pair.left, pair.right).num_blocks == 1
-    return microcausality(pair) and intersection_algebra(pair.left, pair.right).dim == 1
-
-
-@lru_cache(maxsize=None)
 def _schlieder_witness(a: Partition, b: Partition) -> Optional[tuple[int, int]]:
     """First (a-block, b-block) index pair with empty intersection, if any."""
     for i, pblock in enumerate(a.blocks):
@@ -169,38 +162,114 @@ def _schlieder_witness(a: Partition, b: Partition) -> Optional[tuple[int, int]]:
     return None
 
 
+def _partition_facts(pair: AlgebraPair) -> _PairFacts:
+    """Product sense (the join has a*b blocks) is the decision: block
+    indicator functions multiply to zero exactly when the blocks are
+    disjoint, so it is also Schlieder and C*-independence.  The
+    block-intersection scan is the second route and must agree."""
+    a, b = pair.left, pair.right
+    meet = overlap_join(a, b)
+    joined = common_refinement(a, b)
+    expected = a.num_blocks * b.num_blocks
+    product = joined.num_blocks == expected
+    disjoint = _schlieder_witness(a, b)
+    if (disjoint is None) != product:
+        raise InternalConsistencyError(
+            "block-intersection scan disagrees with the block count of the join",
+            dump={
+                "pair": pair.describe(),
+                "join_blocks": joined.num_blocks,
+                "expected_blocks": expected,
+                "disjoint_block_indices": disjoint,
+            },
+        )
+    ext = meet.num_blocks == 1
+    witnesses: dict = {}
+    if not ext:
+        witnesses["extended_locality"] = {"intersection": str(meet)}
+    if not product:
+        i, j = disjoint
+        witnesses["schlieder"] = {
+            "left_block": a.block_labels()[i],
+            "right_block": b.block_labels()[j],
+            "note": "the two block indicator functions multiply to zero",
+        }
+        witnesses["product_sense"] = {
+            "join_blocks": joined.num_blocks,
+            "expected_blocks": expected,
+        }
+    return _PairFacts(True, ext, product, product, product, witnesses)
+
+
+def _is_scalar_matrix(m) -> bool:
+    diag = m[0][0]
+    return all(
+        m[i][j] == (diag if i == j else type(diag)(0))
+        for i in range(len(m))
+        for j in range(len(m))
+    )
+
+
+def _matrix_facts(pair: AlgebraPair) -> _PairFacts:
+    """For commuting A, B the multiplication map A (x) B -> A v B is a
+    *-homomorphism, and its kernel is a sum of simple summands with units
+    p (x) q, p and q minimal central projections of A and B with pq = 0.
+    So Schlieder, product sense and C*-independence all mean kernel 0
+    (Roos, CMP 16 (1970) 238).  Without commutation Schlieder is left
+    undetermined."""
+    a, b = pair.left, pair.right
+    w = commuting_witness(a, b)
+    if w is not None:
+        i, j, c = w
+        witness = {"left_basis_index": i, "right_basis_index": j, "commutator": mat_str(c)}
+        return _PairFacts(
+            False, False, UNDETERMINED, False, False, {"microcausality": witness}
+        )
+    inter = intersection_algebra(a, b)
+    kernel = multiplication_kernel_dim(a, b)
+    witnesses: dict = {}
+    if inter.dim != 1:
+        nonscalar = next((m for m in inter.basis if not _is_scalar_matrix(m)), None)
+        witnesses["extended_locality"] = {
+            "intersection_dim": inter.dim,
+            "nonscalar_element": None if nonscalar is None else mat_str(nonscalar),
+        }
+    if kernel:
+        witnesses["schlieder"] = {"multiplication_kernel_dim": kernel}
+        witnesses["product_sense"] = {"multiplication_kernel_dim": kernel}
+    return _PairFacts(True, inter.dim == 1, kernel == 0, kernel == 0, kernel == 0, witnesses)
+
+
+def microcausality(pair: AlgebraPair) -> bool:
+    """[A, B] = {0}.  Automatic in the partition engine; basis-pair
+    commutators decide it exactly in the matrix engine."""
+    return _pair_facts(pair).microcausality
+
+
+def extended_locality(pair: AlgebraPair) -> bool:
+    """Microcausality plus A n B = scalars."""
+    return _pair_facts(pair).extended_locality
+
+
 def schlieder(pair: AlgebraPair) -> Verdict:
     """The Schlieder property: ab = 0 forces a = 0 or b = 0.
 
-    Partition engine: equivalent (by indicator-function supports) to every
-    block of A meeting every block of B.  Matrix engine: injectivity of the
-    multiplication map is a sufficient condition; otherwise undetermined.
+    Partition engine: every block of A meets every block of B.  Matrix
+    engine: exact for commuting pairs (the multiplication map is
+    injective), undetermined otherwise.
     """
-    if pair.engine == PARTITION_ENGINE:
-        return _schlieder_witness(pair.left, pair.right) is None
-    if not microcausality(pair):
-        return UNDETERMINED
-    if multiplication_kernel_dim(pair.left, pair.right) == 0:
-        return True
-    return UNDETERMINED
+    return _pair_facts(pair).schlieder
 
 
 def cstar_independent(pair: AlgebraPair) -> Verdict:
     """Microcausality together with the Schlieder property."""
-    if not microcausality(pair):
-        return False
-    return schlieder(pair)
+    return _pair_facts(pair).cstar_independent
 
 
 def product_sense(pair: AlgebraPair) -> bool:
     """Microcausality plus injectivity of the multiplication map
     a (x) b -> ab, i.e. A v B isomorphic to A (x) B."""
-    if pair.engine == PARTITION_ENGINE:
-        joined = common_refinement(pair.left, pair.right)
-        return joined.num_blocks == pair.left.num_blocks * pair.right.num_blocks
-    if not microcausality(pair):
-        return False
-    return multiplication_kernel_dim(pair.left, pair.right) == 0
+    return _pair_facts(pair).product_sense
 
 
 @lru_cache(maxsize=None)
@@ -222,7 +291,7 @@ def strong_locality(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> bool
     """Microcausality plus (C v D) n A = C and (C v D) n B = D for every
     context C of A and D of B."""
     pair.require_partition_engine("strong locality")
-    _guard_context_posets(pair, max_bell)
+    guard_contexts(max_bell, pair.left, pair.right)
     return _strong_locality_witness(pair.left, pair.right) is None
 
 
@@ -240,41 +309,8 @@ def _unit_law_witnesses(a: Partition, b: Partition) -> tuple[Partition, ...]:
 def unit_law(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> bool:
     """Every context of A v B is generated by its restrictions to A and B."""
     pair.require_partition_engine("the unit law")
-    _guard_join_contexts(pair, max_bell)
+    guard_contexts(max_bell, common_refinement(pair.left, pair.right))
     return not _unit_law_witnesses(pair.left, pair.right)
-
-
-def _is_scalar_matrix(m) -> bool:
-    diag = m[0][0]
-    return all(
-        m[i][j] == (diag if i == j else type(diag)(0))
-        for i in range(len(m))
-        for j in range(len(m))
-    )
-
-
-def _guard_context_posets(pair: AlgebraPair, max_bell: int):
-    for side in (pair.left, pair.right):
-        count = bell_number(side.num_blocks)
-        if count > max_bell:
-            raise SizeGuardError(
-                f"enumerating the contexts of {side} needs Bell({side.num_blocks}) "
-                f"= {count} elements, exceeding the guard of {max_bell}",
-                bound=max_bell,
-                requested=count,
-            )
-
-
-def _guard_join_contexts(pair: AlgebraPair, max_bell: int):
-    joined = common_refinement(pair.left, pair.right)
-    count = bell_number(joined.num_blocks)
-    if count > max_bell:
-        raise SizeGuardError(
-            f"enumerating the contexts of {joined} needs Bell({joined.num_blocks}) "
-            f"= {count} elements, exceeding the guard of {max_bell}",
-            bound=max_bell,
-            requested=count,
-        )
 
 
 # -- the assembled report -----------------------------------------------------
@@ -328,32 +364,10 @@ def _verify_chain(report: HierarchyReport, pair: AlgebraPair):
 
 def hierarchy_report(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> HierarchyReport:
     """Run every condition, attach witnesses, and trap implication-chain bugs."""
-    witnesses: dict = {}
-    micro = microcausality(pair)
-    if micro is False:
-        witnesses["microcausality"] = microcausality_witness(pair)
-    ext = extended_locality(pair)
-    schl = schlieder(pair)
-    cstar = cstar_independent(pair)
-    prod = product_sense(pair)
-
+    facts = _pair_facts(pair)._asdict()
+    witnesses = facts["witnesses"]
     if pair.engine == PARTITION_ENGINE:
         a, b = pair.left, pair.right
-        if ext is False:
-            witnesses["extended_locality"] = {"intersection": str(overlap_join(a, b))}
-        if schl is False:
-            i, j = _schlieder_witness(a, b)
-            witnesses["schlieder"] = {
-                "left_block": a.block_labels()[i],
-                "right_block": b.block_labels()[j],
-                "note": "the two block indicator functions multiply to zero",
-            }
-        if prod is False:
-            joined = common_refinement(a, b)
-            witnesses["product_sense"] = {
-                "join_blocks": joined.num_blocks,
-                "expected_blocks": a.num_blocks * b.num_blocks,
-            }
         strong = strong_locality(pair, max_bell)
         if strong is False:
             c, d, side, actual = _strong_locality_witness(a, b)
@@ -372,21 +386,6 @@ def hierarchy_report(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> Hie
                 "truncated": len(failing) > WITNESS_LIMIT,
             }
     else:
-        if ext is False and micro is True:
-            inter = intersection_algebra(pair.left, pair.right)
-            nonscalar = next(
-                (m for m in inter.basis if not _is_scalar_matrix(m)), None
-            )
-            witnesses["extended_locality"] = {
-                "intersection_dim": inter.dim,
-                "nonscalar_element": None if nonscalar is None else mat_str(nonscalar),
-            }
-        if prod is False and micro is True:
-            witnesses["product_sense"] = {
-                "multiplication_kernel_dim": multiplication_kernel_dim(
-                    pair.left, pair.right
-                )
-            }
         strong = UNDETERMINED
         unit = UNDETERMINED
         witnesses["note"] = (
@@ -395,15 +394,7 @@ def hierarchy_report(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> Hie
         )
 
     report = HierarchyReport(
-        engine=pair.engine,
-        microcausality=micro,
-        extended_locality=ext,
-        schlieder=schl,
-        cstar_independent=cstar,
-        product_sense=prod,
-        strong_locality=strong,
-        unit_law=unit,
-        witnesses=witnesses,
+        engine=pair.engine, strong_locality=strong, unit_law=unit, **facts
     )
     _verify_chain(report, pair)
     return report

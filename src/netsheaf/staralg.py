@@ -127,12 +127,10 @@ def indicator_algebra(p: Partition) -> StarAlgebra:
     return StarAlgebra(n, basis)
 
 
-def commutant(s: StarAlgebra, within_n: Optional[int] = None) -> StarAlgebra:
+def commutant(s: StarAlgebra) -> StarAlgebra:
     """All n x n matrices commuting with every basis element of s, computed as
     the exact kernel of the stacked commutator system."""
     n = s.n
-    if within_n is not None and within_n != n:
-        raise InputError(f"algebra lives in dimension {n}, not {within_n}")
     # Equations in the unknown X: (XB - BX)[i][j] = 0 for each basis element B.
     equations = []
     for b in s.basis:

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .contexts import DEFAULT_MAX_BELL
-from .errors import InputError, InternalConsistencyError, SizeGuardError
+from .contexts import DEFAULT_MAX_BELL, guard_contexts
+from .errors import InputError, InternalConsistencyError
 from .independence import AlgebraPair, cstar_independent
-from .partitions import Partition, bell_number, coarsenings, common_refinement, is_coarser
+from .partitions import Partition, coarsenings, common_refinement, is_coarser
 
 
 @dataclass(frozen=True)
@@ -240,15 +240,7 @@ def valuation_independence_test(
     C*-independence decision of the independence module.
     """
     pair.require_partition_engine("the valuation independence test")
-    for side in (pair.left, pair.right):
-        count = bell_number(side.num_blocks)
-        if count > max_bell:
-            raise SizeGuardError(
-                f"enumerating the contexts of {side} needs Bell({side.num_blocks}) "
-                f"= {count} elements, exceeding the guard of {max_bell}",
-                bound=max_bell,
-                requested=count,
-            )
+    guard_contexts(max_bell, pair.left, pair.right)
     rng = random.Random(seed)
     result = True
     for c in coarsenings(pair.left):

@@ -11,12 +11,16 @@ from netsheaf import (
     MonotoneMap,
     Partition,
     SizeGuardError,
+    covering_stability,
     descent_map,
     dot_export,
     enumerate_contexts,
     left_adjoint,
     restrict_context,
+    strong_locality,
     thickening_report,
+    unit_law,
+    valuation_independence_test,
 )
 from netsheaf.partitions import coarsenings, is_coarser, overlap_join
 
@@ -52,12 +56,21 @@ def test_enumerate_has_bottom_and_top(square_pair):
 
 
 def test_size_guard_names_the_bound():
-    amb = ambient(5)
-    with pytest.raises(SizeGuardError) as err:
-        enumerate_contexts(Partition.discrete(amb), max_bell=10)
-    assert err.value.bound == 10
-    assert err.value.requested == 52
-    assert "10" in str(err.value)
+    # every entry point that enumerates contexts shares one guard
+    full = Partition.discrete(ambient(5))
+    pair = AlgebraPair(full, full)
+    for guarded in (
+        lambda: enumerate_contexts(full, max_bell=10),
+        lambda: strong_locality(pair, max_bell=10),
+        lambda: unit_law(pair, max_bell=10),
+        lambda: valuation_independence_test(pair, max_bell=10),
+        lambda: covering_stability(pair, max_bell=10),
+    ):
+        with pytest.raises(SizeGuardError) as err:
+            guarded()
+        assert err.value.bound == 10
+        assert err.value.requested == 52
+        assert "10" in str(err.value)
 
 
 def test_restrict_context_examples(square_pair, amb4):

@@ -298,6 +298,16 @@ def test_covering_stability_guard_refuses_before_enumerating(monkeypatch):
     assert str(MAX_STABILITY_TRIPLES) in str(err.value)
 
 
+def test_covering_stability_builds_no_context_poset(monkeypatch, square_pair):
+    # the sweep reads only the contexts themselves, never their order
+    def no_poset(*args, **kwargs):
+        raise AssertionError("context poset built for the stability sweep")
+
+    monkeypatch.setattr(netsheaf.descent, "enumerate_contexts", no_poset)
+    a, b = square_pair
+    assert covering_stability(AlgebraPair(a, b))
+
+
 def test_covering_stability_guard_admits_five_points():
     # 52^3 = 140,608 triples, the largest sweep the test inputs run
     full = Partition.discrete(ambient(5))

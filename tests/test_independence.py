@@ -1,12 +1,18 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import netsheaf.independence
+import netsheaf.staralg
 from netsheaf import (
+    CONDITIONS,
     UNDETERMINED,
     AlgebraPair,
     EngineError,
     InputError,
+    InternalConsistencyError,
     Partition,
     cstar_independent,
     extended_locality,
@@ -21,12 +27,28 @@ from netsheaf import (
 )
 from netsheaf.staralg import commutant
 
+from conftest import ambient
+
 SZ = [[1, 0], [0, -1]]
 SX = [[0, 1], [1, 0]]
 
 
 def pauli_pair():
     return AlgebraPair(generated_star_algebra(2, [SZ]), generated_star_algebra(2, [SX]))
+
+
+def block_diagonal_pair():
+    """Inside M2 + M2: A acts on the first summand, B on the second; they
+    commute but share the two-dimensional center of the block decomposition."""
+
+    def unit(i, j):
+        m = [[0] * 4 for _ in range(4)]
+        m[i][j] = 1
+        return m
+
+    upper = generated_star_algebra(4, [unit(0, 0), unit(0, 1), unit(1, 0), unit(1, 1)])
+    lower = generated_star_algebra(4, [unit(2, 2), unit(2, 3), unit(3, 2), unit(3, 3)])
+    return AlgebraPair(upper, lower)
 
 
 def test_pair_validation(amb3, amb4):
@@ -199,23 +221,17 @@ def test_hierarchy_matrix_engine():
 
 
 def test_hierarchy_block_diagonal_matrix_pair():
-    # inside M2 + M2: A acts on the first summand, B on the second; they
-    # commute but share the two-dimensional center of the block decomposition
-    def unit(i, j):
-        m = [[0] * 4 for _ in range(4)]
-        m[i][j] = 1
-        return m
-
-    upper = generated_star_algebra(4, [unit(0, 0), unit(0, 1), unit(1, 0), unit(1, 1)])
-    lower = generated_star_algebra(4, [unit(2, 2), unit(2, 3), unit(3, 2), unit(3, 3)])
-    report = hierarchy_report(AlgebraPair(upper, lower))
+    report = hierarchy_report(block_diagonal_pair())
     assert report.microcausality is True
     assert report.extended_locality is False
     assert report.witnesses["extended_locality"]["intersection_dim"] == 2
     assert report.witnesses["extended_locality"]["nonscalar_element"] is not None
-    assert report.schlieder == UNDETERMINED  # E00 * E22 = 0 is invisible to the rank route
+    # E00 * E22 = 0 with both factors nonzero: M2 + C and C + M2 (dimension 5
+    # each) generate M2 + M2, so the multiplication kernel has 25 - 8 = 17
+    assert report.schlieder is False
+    assert report.witnesses["schlieder"]["multiplication_kernel_dim"] == 17
     assert report.product_sense is False
-    assert report.cstar_independent == UNDETERMINED
+    assert report.cstar_independent is False
 
 
 def test_report_json_field_names(square_pair):
@@ -285,3 +301,58 @@ def test_cstar_iff_all_context_pairs_product(partitions_by_size):
                     for d in coarsenings(b)
                 )
                 assert lhs == rhs
+
+
+# -- the context-free conditions, decided once ---------------------------------
+
+CONTEXT_FREE = CONDITIONS[:5]
+
+
+@st.composite
+def partition_pairs(draw):
+    """Two partitions of one ambient set of at most four points."""
+    n = draw(st.integers(1, 4))
+    labels = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return Partition(ambient(n), draw(labels)), Partition(ambient(n), draw(labels))
+
+
+@settings(max_examples=40, deadline=None)
+@given(partition_pairs())
+@example((Partition(ambient(3), [0, 0, 1]), Partition(ambient(3), [0, 1, 1])))
+def test_matrix_engine_agrees_with_partition_engine_on_indicator_algebras(pair):
+    a, b = pair
+    by_partition = hierarchy_report(AlgebraPair(a, b))
+    by_matrix = hierarchy_report(AlgebraPair(indicator_algebra(a), indicator_algebra(b)))
+    for name in CONTEXT_FREE:
+        assert by_matrix.value(name) == by_partition.value(name), name
+    if by_partition.product_sense is False:
+        w = by_partition.witnesses["product_sense"]
+        missing = w["expected_blocks"] - w["join_blocks"]
+        assert by_matrix.witnesses["schlieder"]["multiplication_kernel_dim"] == missing
+
+
+def test_matrix_report_sweeps_commutators_at_most_twice(monkeypatch, square_pair):
+    calls = []
+    sweep = netsheaf.staralg.commuting_witness
+
+    def counted(a, b):
+        calls.append((a, b))
+        return sweep(a, b)
+
+    monkeypatch.setattr(netsheaf.staralg, "commuting_witness", counted)
+    monkeypatch.setattr(netsheaf.independence, "commuting_witness", counted)
+    a, b = square_pair
+    for pair in (block_diagonal_pair(), AlgebraPair(indicator_algebra(a), indicator_algebra(b))):
+        calls.clear()
+        assert hierarchy_report(pair).microcausality is True
+        assert 1 <= len(calls) <= 2
+
+
+def test_disagreeing_block_scan_is_trapped(monkeypatch, square_pair, halves_pair):
+    # the scan is the second route for the partition engine's product-sense
+    # decision; a wrong answer from it in either direction must be trapped
+    for (a, b), wrong in ((square_pair, (0, 0)), (halves_pair, None)):
+        monkeypatch.setattr(netsheaf.independence, "_schlieder_witness", lambda *_: wrong)
+        with pytest.raises(InternalConsistencyError) as err:
+            hierarchy_report(AlgebraPair(a, b))
+        assert err.value.dump["disjoint_block_indices"] == wrong
