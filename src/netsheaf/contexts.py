@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
-from .errors import InputError, SizeGuardError
+from .errors import Immutable, InputError, InternalConsistencyError, SizeGuardError
 from .partitions import Partition, bell_number, coarsenings, is_coarser, overlap_join
 
 DEFAULT_MAX_BELL = 115975  # Bell(10)
 
 
-class FinitePoset:
+class FinitePoset(Immutable):
     """An immutable finite poset with canonical element order.
 
     The order is materialised as bitmask rows: ``up[i]`` has bit j set iff
@@ -68,9 +68,6 @@ class FinitePoset:
         object.__setattr__(self, "up", tuple(up))
         object.__setattr__(self, "down", tuple(down))
         self._validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinitePoset is immutable")
 
     def _validate(self):
         for i in range(len(self.elements)):
@@ -163,6 +160,16 @@ class ContextPoset(FinitePoset):
         super().__init__(elements, up_masks=up)
 
 
+def _comparable_pairs(n: int) -> int:
+    """Comparable pairs of the context poset of an n-block algebra: the
+    S(n, k) contexts with k blocks have Bell(k) coarsenings each."""
+    row = [1]  # S(m, k) for k = 0..m, by S(m + 1, k) = k S(m, k) + S(m, k - 1)
+    for _ in range(n):
+        padded = row + [0]
+        row = [0] + [k * padded[k] + padded[k - 1] for k in range(1, len(padded))]
+    return sum(s * bell_number(k) for k, s in enumerate(row))
+
+
 def guard_contexts(max_bell: int, *algebras: Partition) -> None:
     """Raise SizeGuardError for the first algebra with more than max_bell
     contexts (Bell(#blocks) of them), before any is enumerated."""
@@ -171,7 +178,8 @@ def guard_contexts(max_bell: int, *algebras: Partition) -> None:
         if count > max_bell:
             raise SizeGuardError(
                 f"context poset of {a} would have Bell({a.num_blocks}) = {count} "
-                f"elements, exceeding the guard of {max_bell}",
+                f"elements and {_comparable_pairs(a.num_blocks)} comparable pairs, "
+                f"exceeding the guard of {max_bell}",
                 bound=max_bell,
                 requested=count,
             )
@@ -188,7 +196,23 @@ def restrict_context(c: Partition, a: Partition) -> Partition:
     return overlap_join(c, a)
 
 
-class MonotoneMap:
+def _order_violation(
+    source: FinitePoset, target: FinitePoset, table: Sequence[int]
+) -> Optional[tuple[int, int]]:
+    """The first comparable pair i <= j of source whose images table[i],
+    table[j] are not ordered in target; None when the table is monotone.
+    Only the comparable pairs, read off the up masks, are visited."""
+    for i in range(len(source)):
+        m = source.up[i]
+        while m:
+            j = (m & -m).bit_length() - 1
+            m &= m - 1
+            if not target.leq_idx(table[i], table[j]):
+                return i, j
+    return None
+
+
+class MonotoneMap(Immutable):
     """An order-preserving map between finite posets, stored as an index table."""
 
     __slots__ = ("source", "target", "table")
@@ -197,22 +221,16 @@ class MonotoneMap:
         table = tuple(table)
         if len(table) != len(source):
             raise InputError("monotone map table must cover every source element")
-        for i in range(len(source)):
-            m = source.up[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                if not target.leq_idx(table[i], table[j]):
-                    raise InputError(
-                        f"map is not order-preserving: {source.elements[i]} <= "
-                        f"{source.elements[j]} but images are not ordered"
-                    )
+        violation = _order_violation(source, target, table)
+        if violation is not None:
+            i, j = violation
+            raise InputError(
+                f"map is not order-preserving: {source.elements[i]} <= "
+                f"{source.elements[j]} but images are not ordered"
+            )
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "table", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonotoneMap is immutable")
 
     @classmethod
     def from_function(cls, source: FinitePoset, target: FinitePoset, f) -> "MonotoneMap":
@@ -244,7 +262,6 @@ class AdjunctionReport:
     counit_strict: Optional[tuple[bool, ...]]
     is_coreflector: bool
     is_iso: bool
-    fiber_minima: tuple[Optional[int], ...]
     missing_least: tuple[int, ...]  # target indices whose upper preimage has no least element
 
 
@@ -259,16 +276,8 @@ def left_adjoint(f: MonotoneMap) -> AdjunctionReport:
             q = (m & -m).bit_length() - 1
             m &= m - 1
             upper_preimage[q] |= 1 << i
-    adjoint_table = []
-    missing = []
-    for q in range(len(tgt)):
-        least = src.least_of(upper_preimage[q])
-        if least is None:
-            missing.append(q)
-        adjoint_table.append(least)
-
-    fiber_minima = _fiber_minima(f)
-
+    adjoint_table = [src.least_of(m) for m in upper_preimage]
+    missing = [q for q, least in enumerate(adjoint_table) if least is None]
     if missing:
         return AdjunctionReport(
             adjoint_exists=False,
@@ -277,7 +286,6 @@ def left_adjoint(f: MonotoneMap) -> AdjunctionReport:
             counit_strict=None,
             is_coreflector=False,
             is_iso=False,
-            fiber_minima=fiber_minima,
             missing_least=tuple(missing),
         )
 
@@ -293,14 +301,11 @@ def left_adjoint(f: MonotoneMap) -> AdjunctionReport:
         counit_strict=counit_strict,
         is_coreflector=is_coreflector,
         is_iso=is_coreflector and not any(unit_strict),
-        fiber_minima=fiber_minima,
         missing_least=(),
     )
 
 
 def _assert_adjunction_law(f: MonotoneMap, g: MonotoneMap):
-    from .errors import InternalConsistencyError
-
     src, tgt = f.source, f.target
     for q in range(len(tgt)):
         for p in range(len(src)):
@@ -316,73 +321,55 @@ def _assert_adjunction_law(f: MonotoneMap, g: MonotoneMap):
                 )
 
 
-def _fiber_minima(f: MonotoneMap) -> tuple[Optional[int], ...]:
-    src, tgt = f.source, f.target
-    fibers = [0] * len(tgt)
-    for i, ti in enumerate(f.table):
-        fibers[ti] |= 1 << i
-    return tuple(src.least_of(m) for m in fibers)
-
-
 @dataclass(frozen=True)
 class ThickeningReport:
     """Finite-poset reading of an infinitesimal thickening: a surjection all
     of whose fibers have minima, the minima forming a monotone section."""
 
     surjective: bool
-    fiber_nonempty: tuple[bool, ...]
     fiber_has_minimum: tuple[bool, ...]
     section_monotone: Optional[bool]
     overall: bool
 
 
-def thickening_report(f: MonotoneMap) -> ThickeningReport:
+def thickening_report(f: MonotoneMap, adjunction: AdjunctionReport) -> ThickeningReport:
+    """Decide whether f is a thickening from its fibers alone.
+
+    ``adjunction`` is ``left_adjoint(f)``.  f is a thickening exactly when it
+    is a coreflector, and then the fiber-minimum section is its left adjoint:
+    the section is checked against that report as an independent second
+    route, and any disagreement is a bug.
+    """
     src, tgt = f.source, f.target
     fibers = [0] * len(tgt)
     for i, ti in enumerate(f.table):
         fibers[ti] |= 1 << i
-    nonempty = tuple(bool(m) for m in fibers)
-    minima = [src.least_of(m) if m else None for m in fibers]
+    minima = tuple(src.least_of(m) for m in fibers)  # None on an empty fiber
     has_min = tuple(m is not None for m in minima)
-    surjective = all(nonempty)
     section_monotone: Optional[bool] = None
-    overall = surjective and all(has_min)
-    if overall:
-        section_monotone = all(
-            src.leq_idx(minima[q], minima[t])
-            for q in range(len(tgt))
-            for t in range(len(tgt))
-            if tgt.leq_idx(q, t)
+    if all(has_min):
+        section_monotone = _order_violation(tgt, src, minima) is None
+    overall = section_monotone is True
+    if overall != adjunction.is_coreflector or (
+        overall and adjunction.adjoint.table != minima
+    ):
+        raise InternalConsistencyError(
+            "thickening section disagrees with the computed left adjoint",
+            dump={
+                "section": [None if i is None else str(src.elements[i]) for i in minima],
+                "adjoint_exists": adjunction.adjoint_exists,
+                "is_coreflector": adjunction.is_coreflector,
+                "adjoint": None
+                if adjunction.adjoint is None
+                else [str(src.elements[i]) for i in adjunction.adjoint.table],
+            },
         )
-        overall = section_monotone
-        if overall:
-            _cross_check_section(f, tuple(minima))
     return ThickeningReport(
-        surjective=surjective,
-        fiber_nonempty=nonempty,
+        surjective=all(fibers),
         fiber_has_minimum=has_min,
         section_monotone=section_monotone,
         overall=overall,
     )
-
-
-def _cross_check_section(f: MonotoneMap, minima: tuple[int, ...]):
-    """A monotone fiber-minimum section forces the left adjoint to exist and
-    equal it; anything else is a bug."""
-    from .errors import InternalConsistencyError
-
-    report = left_adjoint(f)
-    if not report.adjoint_exists or report.adjoint.table != minima:
-        raise InternalConsistencyError(
-            "thickening section disagrees with the computed left adjoint",
-            dump={
-                "section": [str(f.source.elements[i]) for i in minima],
-                "adjoint_exists": report.adjoint_exists,
-                "adjoint": None
-                if report.adjoint is None
-                else [str(f.source.elements[i]) for i in report.adjoint.table],
-            },
-        )
 
 
 # -- DOT export ---------------------------------------------------------------

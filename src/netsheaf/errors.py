@@ -1,10 +1,20 @@
-"""Exception hierarchy shared by all netsheaf modules.
+"""Exception hierarchy and immutable value-holder base shared by all modules.
 
 The CLI maps these onto its exit-code contract: input problems exit 1,
 failed requirements/validations exit 2, internal-consistency traps exit 3.
 """
 
 from __future__ import annotations
+
+
+class Immutable:
+    """Base of the slotted value holders: attributes are set once in
+    ``__init__`` through ``object.__setattr__`` and never assigned again."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class NetsheafError(Exception):

@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 from .contexts import DEFAULT_MAX_BELL, guard_contexts
-from .errors import EngineError, InputError, InternalConsistencyError
+from .errors import EngineError, Immutable, InputError, InternalConsistencyError
 from .linalg import mat_str
 from .partitions import (
     Partition,
@@ -64,7 +64,7 @@ CONDITIONS = (
 WITNESS_LIMIT = 50  # reports list at most this many failing contexts
 
 
-class AlgebraPair:
+class AlgebraPair(Immutable):
     """Two subalgebras of a common ambient algebra, plus the meet algebra used
     by the descent machinery (defaults to the intersection A n B)."""
 
@@ -98,9 +98,6 @@ class AlgebraPair:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "meet_algebra", meet_algebra)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraPair is immutable")
 
     def __eq__(self, other):
         return (

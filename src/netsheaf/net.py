@@ -15,12 +15,12 @@ from typing import Iterable, Mapping, Optional
 
 from .contexts import DEFAULT_MAX_BELL
 from .descent import DescentReport, sheaf_report
-from .errors import InputError
+from .errors import Immutable, InputError
 from .independence import AlgebraPair, HierarchyReport, hierarchy_report
 from .partitions import Partition, is_coarser, overlap_join
 
 
-class SpacetimePoset:
+class SpacetimePoset(Immutable):
     """Labeled regions with an order relation and a spacelike relation.
 
     The given order pairs are closed reflexively and transitively here;
@@ -78,9 +78,6 @@ class SpacetimePoset:
         object.__setattr__(self, "leq", tuple(up))
         object.__setattr__(self, "spacelike", sym)
         object.__setattr__(self, "raw_spacelike", raw)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpacetimePoset is immutable")
 
     def is_leq(self, a: str, b: str) -> bool:
         return bool((self.leq[self.index[a]] >> self.index[b]) & 1)

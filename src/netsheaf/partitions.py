@@ -18,10 +18,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError
+from .errors import Immutable, InputError
 
 
-class AmbientSet:
+class AmbientSet(Immutable):
     """An ordered finite set of distinct point labels."""
 
     __slots__ = ("points", "index", "_hash")
@@ -40,9 +40,6 @@ class AmbientSet:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "index", {p: i for i, p in enumerate(pts)})
         object.__setattr__(self, "_hash", hash(pts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AmbientSet is immutable")
 
     def __len__(self):
         return len(self.points)
@@ -76,7 +73,7 @@ def _blocks_from_rgs(rgs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(b) for b in blocks)
 
 
-class Partition:
+class Partition(Immutable):
     """A partition of an ambient set in canonical form."""
 
     __slots__ = ("ambient", "rgs", "blocks", "_hash")
@@ -89,9 +86,6 @@ class Partition:
         object.__setattr__(self, "rgs", rgs)
         object.__setattr__(self, "blocks", _blocks_from_rgs(rgs))
         object.__setattr__(self, "_hash", hash((ambient, rgs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     @classmethod
     def from_blocks(cls, ambient: AmbientSet, blocks: Iterable[Iterable[str]]) -> "Partition":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import Immutable, InputError
 
 _RationalLike = (int, Fraction)
 
@@ -22,7 +22,7 @@ def _as_fraction(x) -> Fraction:
     raise InputError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
-class GaussianRational:
+class GaussianRational(Immutable):
     """An element of Q[i], immutable and hashable."""
 
     __slots__ = ("re", "im", "_hash")
@@ -31,9 +31,6 @@ class GaussianRational:
         object.__setattr__(self, "re", _as_fraction(re))
         object.__setattr__(self, "im", _as_fraction(im))
         object.__setattr__(self, "_hash", hash((self.re, self.im)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import Immutable, InputError, PreconditionError
 from .linalg import (
     Matrix,
     Span,
@@ -31,7 +31,7 @@ from .partitions import Partition
 from .scalars import ONE, ZERO, GaussianRational
 
 
-class StarAlgebra:
+class StarAlgebra(Immutable):
     """A unital *-closed span of n x n matrices in canonical basis form."""
 
     __slots__ = ("n", "basis", "_span")
@@ -43,9 +43,6 @@ class StarAlgebra:
         object.__setattr__(self, "_span", Span(rows, n * n))
         if not _verified:
             self.verify()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StarAlgebra is immutable")
 
     @property
     def dim(self) -> int:
@@ -187,7 +184,7 @@ def multiplication_kernel_dim(a: StarAlgebra, b: StarAlgebra) -> int:
     return a.dim * b.dim - rank(products)
 
 
-class StarHom:
+class StarHom(Immutable):
     """A unit-preserving *-homomorphism given by images of the domain basis.
 
     Verified exactly on construction: linear well-definedness is automatic
@@ -212,9 +209,6 @@ class StarHom:
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "matrix", tuple(coord_rows))
         self._verify()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StarHom is immutable")
 
     def apply(self, m: Matrix) -> Matrix:
         coords = self.domain.coords(m)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .contexts import DEFAULT_MAX_BELL, guard_contexts
-from .errors import InputError, InternalConsistencyError
+from .errors import Immutable, InputError, InternalConsistencyError
 from .independence import AlgebraPair, cstar_independent
 from .partitions import Partition, coarsenings, common_refinement, is_coarser
 
@@ -38,7 +38,7 @@ class Spectrum:
         return self.context.num_blocks
 
 
-class RestrictionMap:
+class RestrictionMap(Immutable):
     """Spectrum map of an inclusion of contexts: finer block -> coarser block."""
 
     __slots__ = ("source", "target", "table")
@@ -56,9 +56,6 @@ class RestrictionMap:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "table", table)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RestrictionMap is immutable")
-
     @classmethod
     def from_contexts(cls, finer: Partition, coarser: Partition) -> "RestrictionMap":
         return cls(Spectrum(finer), Spectrum(coarser))
@@ -72,7 +69,7 @@ def _as_weight(x) -> Fraction:
     raise InputError(f"valuation weights must be exact rationals, got {x!r}")
 
 
-class Valuation:
+class Valuation(Immutable):
     """A rational probability distribution on a spectrum."""
 
     __slots__ = ("spectrum", "weights")
@@ -91,9 +88,6 @@ class Valuation:
             raise InputError(f"valuation weights must sum to 1, got {total}")
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "weights", weights)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Valuation is immutable")
 
     @classmethod
     def point(cls, spectrum: Spectrum, index: int) -> "Valuation":

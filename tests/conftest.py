@@ -138,3 +138,23 @@ def oracle_all_partitions(amb: AmbientSet) -> set[Partition]:
         Partition.from_blocks(amb, [[amb.points[i] for i in block] for block in blocks])
         for blocks in rec(n)
     }
+
+
+def all_pairs_section_monotone(f):
+    """The fiber-minimum section, found by comparing every two members of a
+    fiber, tested for monotonicity on every pair of target elements; None
+    when some fiber is empty or has no minimum."""
+    src, tgt = f.source, f.target
+    minima = []
+    for q in range(len(tgt)):
+        fiber = [p for p, t in enumerate(f.table) if t == q]
+        least = [p for p in fiber if all(src.leq_idx(p, x) for x in fiber)]
+        if not least:
+            return None
+        minima.append(least[0])
+    return all(
+        src.leq_idx(minima[q], minima[t])
+        for q in range(len(tgt))
+        for t in range(len(tgt))
+        if tgt.leq_idx(q, t)
+    )

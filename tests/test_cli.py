@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import netsheaf
 from netsheaf.cli import main
 
 from conftest import FIXTURES
@@ -287,6 +290,33 @@ def test_descent_refuses_the_six_point_stability_sweep(tmp_path, capsys):
     assert f"{203**3} triples" in err and "guard" in err
 
 
+def test_check_net_refuses_two_full_regions_over_the_scalars(tmp_path, capsys):
+    # the fibered product of two full 6-point algebras over the scalars has
+    # 203^2 = 41,209 elements
+    points = list("abcdef")
+    path = tmp_path / "full_over_scalars.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ambient": points,
+                "algebras": {"full": [[p] for p in points], "scalars": [points]},
+                "net": {
+                    "regions": ["bottom", "O1", "O2", "top"],
+                    "leq": [["bottom", "O1"], ["bottom", "O2"], ["O1", "top"], ["O2", "top"]],
+                    "spacelike": [["O1", "O2"]],
+                    "assignment": {
+                        "bottom": "scalars", "O1": "full", "O2": "full", "top": "full"
+                    },
+                },
+            }
+        )
+    )
+    code, out, err = run(capsys, "check-net", str(path), "--json")
+    assert code == 1
+    assert out == ""
+    assert f"{203**2} elements" in err and "guard" in err
+
+
 def test_matrix_pair_hierarchy(capsys):
     code, data, _ = run_json(capsys, "check-pair", PAULI)
     assert code == 0
@@ -343,10 +373,15 @@ def test_internal_consistency_failures_exit_3(capsys):
 
 
 def test_installed_entry_point_round_trip():
+    # the child imports the same netsheaf as this process, installed or not
+    package_root = str(Path(netsheaf.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "netsheaf.cli", "check-pair", SQUARE, "--json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
@@ -355,5 +390,6 @@ def test_installed_entry_point_round_trip():
         [sys.executable, "-m", "netsheaf.cli", "check-pair", SQUARE, "--json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.stdout == proc2.stdout  # byte-identical across processes

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netsheaf import (
     AlgebraPair,
@@ -15,6 +16,7 @@ from netsheaf import (
     descent_map,
     dot_export,
     enumerate_contexts,
+    fibered_context_product,
     left_adjoint,
     restrict_context,
     strong_locality,
@@ -24,7 +26,7 @@ from netsheaf import (
 )
 from netsheaf.partitions import coarsenings, is_coarser, overlap_join
 
-from conftest import ambient, oracle_bell, random_partitions
+from conftest import all_pairs_section_monotone, ambient, oracle_bell, random_partitions
 
 
 def chain(n):
@@ -65,12 +67,23 @@ def test_size_guard_names_the_bound():
         lambda: unit_law(pair, max_bell=10),
         lambda: valuation_independence_test(pair, max_bell=10),
         lambda: covering_stability(pair, max_bell=10),
+        lambda: fibered_context_product(pair, max_bell=10),
+        lambda: descent_map(pair, max_bell=10),
     ):
         with pytest.raises(SizeGuardError) as err:
             guarded()
         assert err.value.bound == 10
         assert err.value.requested == 52
         assert "10" in str(err.value)
+        assert "358 comparable pairs" in str(err.value)
+    # the message states the comparable pairs sum_k S(n, k) * Bell(k) as well
+    for n, pairs in ((8, 167894), (10, 16733779)):
+        assert sum(stirling2(n, k) * oracle_bell(k) for k in range(1, n + 1)) == pairs
+        with pytest.raises(SizeGuardError) as err:
+            enumerate_contexts(Partition.discrete(ambient(n)), max_bell=10)
+        assert f"Bell({n}) = {oracle_bell(n)} elements and {pairs} comparable pairs" in str(
+            err.value
+        )
 
 
 def test_restrict_context_examples(square_pair, amb4):
@@ -177,11 +190,11 @@ def test_thickening_of_square_descent(square_pair):
 def test_thickening_identity_and_non_surjective():
     p = chain(2)
     ident = MonotoneMap(p, p, [0, 1])
-    rep = thickening_report(ident)
+    rep = thickening_report(ident, left_adjoint(ident))
     assert rep.overall and rep.surjective
     one = chain(1)
     into = MonotoneMap(one, p, [0])
-    rep = thickening_report(into)
+    rep = thickening_report(into, left_adjoint(into))
     assert not rep.surjective
     assert not rep.overall
 
@@ -197,8 +210,42 @@ def test_coreflector_iff_thickening_on_assorted_maps():
     maps.append(MonotoneMap(chain(1), chain(1), [0]))
     for f in maps:
         adj = left_adjoint(f)
-        th = thickening_report(f)
+        th = thickening_report(f, adj)
         assert th.overall == adj.is_coreflector
+
+
+@st.composite
+def maps_onto_chains(draw):
+    """A monotone map from a context poset (at most four points) to a chain
+    of at most four elements: p |-> max of random labels at or below p."""
+    poset = ContextPoset(draw(random_partitions(1, 4)))
+    k = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=len(poset), max_size=len(poset)))
+    table = [
+        max(labels[s] for s in range(len(poset)) if poset.leq_idx(s, i))
+        for i in range(len(poset))
+    ]
+    return MonotoneMap(poset, chain(k), table)
+
+
+def section_not_monotone():
+    """Pi_3 onto 0 < 1 < 2 with the minima over 1 and 2 two incomparable
+    two-block contexts: every fiber has a minimum, the section is not monotone."""
+    poset = ContextPoset(Partition.discrete(ambient(3)))
+    a, b, d = (e for e in poset.elements if e.num_blocks == 2)
+    level = {a: 1, b: 2, d: 0, poset.elements[poset.bottom_idx()]: 0}
+    return MonotoneMap.from_function(poset, chain(3), lambda e: level.get(e, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_onto_chains())
+@example(section_not_monotone())
+def test_thickening_section_agrees_with_all_pairs_oracle_on_chain_maps(f):
+    # unlike descent maps, these reach sections that exist but are not monotone
+    adj = left_adjoint(f)
+    th = thickening_report(f, adj)
+    assert th.section_monotone == all_pairs_section_monotone(f)
+    assert th.overall == adj.is_coreflector
 
 
 def test_cover_counts_match_stirling_oracle():

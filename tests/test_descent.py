@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netsheaf.contexts
 import netsheaf.descent
 from netsheaf import (
+    MAX_FIBERED_ELEMENTS,
     MAX_STABILITY_TRIPLES,
     AlgebraPair,
     ContextPoset,
@@ -11,6 +15,8 @@ from netsheaf import (
     FiberedContextProduct,
     FinitePoset,
     InputError,
+    InternalConsistencyError,
+    MonotoneMap,
     Partition,
     SizeGuardError,
     covering_stability,
@@ -19,13 +25,15 @@ from netsheaf import (
     extended_locality,
     fibered_context_product,
     generated_star_algebra,
+    left_adjoint,
     ring_component,
     sheaf_report,
     strong_locality,
+    thickening_report,
 )
 from netsheaf.partitions import coarsenings, common_refinement, overlap_join
 
-from conftest import ambient, random_partitions
+from conftest import all_pairs_section_monotone, ambient, random_partitions
 
 
 def test_fibered_product_square_pair(square_pair):
@@ -251,9 +259,9 @@ def test_descent_report_json_shape(square_pair):
 
 
 @st.composite
-def fibered_inputs(draw):
-    """(A, B, M) on one ambient set of at most four points, M <= A and B."""
-    a = draw(random_partitions(1, 4))
+def fibered_inputs(draw, max_points=4):
+    """(A, B, M) on one ambient set of at most max_points points, M <= A and B."""
+    a = draw(random_partitions(1, max_points))
     n = len(a.ambient)
     b = draw(random_partitions(n, n))
     meet = draw(st.sampled_from(coarsenings(overlap_join(a, b))))
@@ -313,3 +321,101 @@ def test_covering_stability_guard_admits_five_points():
     full = Partition.discrete(ambient(5))
     assert 52**3 <= MAX_STABILITY_TRIPLES
     assert isinstance(covering_stability(AlgebraPair(full, full)), tuple)
+
+
+# -- one left adjoint per descent map ----------------------------------------------
+
+def test_left_adjoint_runs_once_per_descent_map(monkeypatch, square_pair):
+    calls = []
+    original = netsheaf.contexts.left_adjoint
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    for module in (netsheaf.contexts, netsheaf.descent):
+        monkeypatch.setattr(module, "left_adjoint", counting)
+    pair = AlgebraPair(*square_pair)
+    descent_map(pair)
+    assert len(calls) == 1
+    sheaf_report(pair)
+    assert len(calls) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(fibered_inputs(max_points=5))
+def test_thickening_section_agrees_with_all_pairs_oracle(inputs):
+    a, b, meet = inputs
+    report = descent_map(AlgebraPair(a, b, meet_algebra=meet))
+    assert report.thickening.section_monotone == all_pairs_section_monotone(report.h)
+    assert report.thickening.overall == report.adjunction.is_coreflector
+
+
+def constant_to_top(f):
+    """A wrong adjoint for f: every target element to the top of the source."""
+    top = f.source.index[max(f.source.elements, key=lambda c: c.num_blocks)]
+    return MonotoneMap(f.target, f.source, [top] * len(f.target))
+
+
+def test_thickening_trap_fires_on_a_sabotaged_adjoint(square_pair):
+    report = descent_map(AlgebraPair(*square_pair))
+    h, adjunction = report.h, report.adjunction
+    assert thickening_report(h, adjunction).overall
+    for sabotaged in (
+        replace(adjunction, adjoint=constant_to_top(h)),  # a wrong section
+        replace(adjunction, is_coreflector=False),  # a wrong verdict
+    ):
+        with pytest.raises(InternalConsistencyError) as err:
+            thickening_report(h, sabotaged)
+        assert "thickening section" in str(err.value)
+    # a coreflector verdict on a map that is not even surjective
+    one, two = (FinitePoset(tuple(range(n)), lambda x, y: x <= y) for n in (1, 2))
+    into = MonotoneMap(one, two, [0])
+    assert not thickening_report(into, left_adjoint(into)).overall
+    with pytest.raises(InternalConsistencyError):
+        thickening_report(into, replace(left_adjoint(into), is_coreflector=True))
+
+
+def test_adjoint_join_trap_fires_on_a_sabotaged_adjoint(monkeypatch, square_pair):
+    original = netsheaf.contexts.left_adjoint
+
+    def sabotaged(f):
+        return replace(original(f), adjoint=constant_to_top(f))
+
+    monkeypatch.setattr(netsheaf.descent, "left_adjoint", sabotaged)
+    with pytest.raises(InternalConsistencyError) as err:
+        descent_map(AlgebraPair(*square_pair))
+    assert "algebraic join" in str(err.value)
+
+
+def test_adjunction_law_trap_fires_on_a_wrong_adjoint(square_pair):
+    h = descent_map(AlgebraPair(*square_pair)).h
+    with pytest.raises(InternalConsistencyError) as err:
+        netsheaf.contexts._assert_adjunction_law(h, constant_to_top(h))
+    assert "adjunction law" in str(err.value)
+
+
+# -- the fibered-product guard -----------------------------------------------------
+
+def test_fibered_product_guard_refuses_before_any_poset(monkeypatch):
+    # two full algebras on 6 points over the scalars: 203^2 = 41,209 pairs
+    def no_poset(*args, **kwargs):
+        raise AssertionError("poset built before the fibered-product guard")
+
+    monkeypatch.setattr(netsheaf.contexts.FinitePoset, "__init__", no_poset)
+    full = Partition.discrete(ambient(6))
+    pair = AlgebraPair(full, full, meet_algebra=Partition.trivial(full.ambient))
+    for build in (fibered_context_product, descent_map, sheaf_report):
+        with pytest.raises(SizeGuardError) as err:
+            build(pair)
+        assert err.value.requested == 203**2
+        assert err.value.bound == MAX_FIBERED_ELEMENTS
+        assert str(203**2) in str(err.value)
+        assert str(MAX_FIBERED_ELEMENTS) in str(err.value)
+
+
+def test_fibered_product_guard_admits_the_constant_seven_point_net():
+    # the diagonal of C_A x C_A over M = A: Bell(7) = 877 elements
+    full = Partition.discrete(ambient(7))
+    product = fibered_context_product(AlgebraPair(full, full, meet_algebra=full))
+    assert len(product) == 877 <= MAX_FIBERED_ELEMENTS
