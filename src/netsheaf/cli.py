@@ -18,8 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .contexts import dot_export, enumerate_contexts
-from .descent import covering_stability, sheaf_report
+from .contexts import Contexts, dot_export, guard_contexts
+from .descent import covering_stability, guard_descent, sheaf_report
 from .documents import InputDocument, parse_input_document
 from .errors import (
     InputError,
@@ -160,6 +160,7 @@ def cmd_descent(args) -> int:
     doc, digest = _load(args.input, args)
     pair = doc.build_pair()
     max_bell = doc.options.max_bell
+    guard_descent(pair, max_bell=max_bell)
     report = sheaf_report(pair, max_bell=max_bell)
     violations = covering_stability(pair, max_bell=max_bell)
     result = {
@@ -314,14 +315,15 @@ def cmd_contexts(args) -> int:
             f"(defined: {sorted(doc.algebras)})"
         )
     algebra = doc.partition(name)
-    poset = enumerate_contexts(algebra, max_bell=doc.options.max_bell)
+    guard_contexts(doc.options.max_bell, algebra)
+    poset = Contexts(algebra)
     result = {
         "algebra": name,
         "partition": str(algebra),
         "count": len(poset),
         "bell": bell_number(algebra.num_blocks),
         "contexts": [str(p) for p in poset.elements],
-        "hasse_edges": len(poset.covers()),
+        "hasse_edges": sum(1 for _ in poset.cover_walk()),
     }
     if args.dot:
         Path(args.dot).write_text(dot_export(poset), encoding="utf-8")

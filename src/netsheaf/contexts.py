@@ -2,20 +2,25 @@
 
 The context poset of a partition A is the set of all partitions coarser than
 A (equivalently, all unital subalgebras of S_A) ordered by subalgebra
-inclusion.  Everything a monotone map can be asked here - left adjoints,
-unit/counit strictness, coreflector and thickening diagnostics - is computed
-by exhaustive scans over the finite order, never by algebra-specific
-formulas, so the algebraic constructions elsewhere can be cross-checked
-against these generic answers.
+inclusion.  Its Hasse covers come from one walk over restricted-growth
+strings: a context's lower covers merge two of its blocks.  ``Contexts``
+keeps the contexts and that walk; ``ContextPoset`` also stores the order as
+bitmasks.
+
+For a generic monotone map between finite posets, ``left_adjoint`` and
+``thickening_report`` decide adjoints, unit/counit strictness, coreflectors
+and thickenings by exhaustive scans over the order.  The descent map does
+not use them: its adjoint is the join, decided in closed form and certified
+in ``descent.py``, and these scans are kept as its test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .errors import Immutable, InputError, InternalConsistencyError, SizeGuardError
-from .partitions import Partition, bell_number, coarsenings, is_coarser, overlap_join
+from .partitions import Partition, bell_number, coarsenings, overlap_join
 
 DEFAULT_MAX_BELL = 115975  # Bell(10)
 
@@ -133,6 +138,25 @@ class FinitePoset(Immutable):
         return cand if (self.up[cand] & member_mask) == member_mask else None
 
 
+def _merge_walk(algebra: Partition, elements: Sequence[Partition]) -> Iterator[tuple[int, int]]:
+    """Every Hasse cover (i, j), j covering i, of the contexts of algebra,
+    given as ``elements = coarsenings(algebra)``.
+
+    Read at each block's first point, a context is a restricted-growth string
+    over the algebra's blocks, and its lower covers are exactly the strings
+    that merge two of its groups (Knuth, TAOCP 4A 7.2.1.5).  The finer
+    context j is taken by decreasing block count, so j comes after all its
+    upper covers."""
+    firsts = [block[0] for block in algebra.blocks]
+    keys = [tuple(e.rgs[f] for f in firsts) for e in elements]
+    index = {key: i for i, key in enumerate(keys)}
+    for j in sorted(range(len(keys)), key=lambda i: -max(keys[i])):
+        key = keys[j]
+        for b in range(1, max(key) + 1):
+            for a in range(b):
+                yield index[tuple(a if v == b else v - (v > b) for v in key)], j
+
+
 class ContextPoset(FinitePoset):
     """The poset of all contexts (coarsenings) of a partition, bottom = C*1."""
 
@@ -141,23 +165,35 @@ class ContextPoset(FinitePoset):
     def __init__(self, algebra: Partition):
         object.__setattr__(self, "algebra", algebra)
         elements = coarsenings(algebra)
-        # The order is built from its Hasse covers (Knuth, TAOCP 4A 7.2.1.5).
-        # Read at each block's first point, a context is a restricted-growth
-        # string over the algebra's blocks, and its lower covers are exactly
-        # the strings that merge two of its groups.  Taken by decreasing block
-        # count, q comes after all its upper covers, so up[q] = {j : q <= j}
-        # is complete when it is OR-ed into q's lower covers.
-        firsts = [block[0] for block in algebra.blocks]
-        keys = [tuple(e.rgs[f] for f in firsts) for e in elements]
-        index = {key: i for i, key in enumerate(keys)}
+        # The walk yields j after all its upper covers, so up[j] = {k : j <= k}
+        # is complete when it is OR-ed into j's lower covers.
         up = [1 << i for i in range(len(elements))]
-        for q in sorted(range(len(keys)), key=lambda i: -max(keys[i])):
-            key = keys[q]
-            for b in range(1, max(key) + 1):
-                for a in range(b):
-                    merged = tuple(a if v == b else v - (v > b) for v in key)
-                    up[index[merged]] |= up[q]
+        for i, j in _merge_walk(algebra, elements):
+            up[i] |= up[j]
         super().__init__(elements, up_masks=up)
+
+
+class Contexts(Immutable):
+    """The contexts of a partition in canonical order, with the Hasse covers
+    of their order from the merge walk; no order masks are built."""
+
+    __slots__ = ("algebra", "elements", "index")
+
+    def __init__(self, algebra: Partition):
+        elements = coarsenings(algebra)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "index", {e: i for i, e in enumerate(elements)})
+
+    def __len__(self):
+        return len(self.elements)
+
+    def cover_walk(self) -> Iterator[tuple[int, int]]:
+        return _merge_walk(self.algebra, self.elements)
+
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Transitive reduction, in FinitePoset.covers() order."""
+        return tuple(sorted(self.cover_walk()))
 
 
 def _comparable_pairs(n: int) -> int:
@@ -231,6 +267,15 @@ class MonotoneMap(Immutable):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "table", table)
+
+    @classmethod
+    def certified(cls, source, target, table: Sequence[int]) -> "MonotoneMap":
+        """A map whose monotonicity the caller has already proved, between
+        any posets with ``elements`` and ``covers()``; nothing is re-checked."""
+        f = object.__new__(cls)
+        for name, value in (("source", source), ("target", target), ("table", tuple(table))):
+            object.__setattr__(f, name, value)
+        return f
 
     @classmethod
     def from_function(cls, source: FinitePoset, target: FinitePoset, f) -> "MonotoneMap":
@@ -380,7 +425,7 @@ def _node_label(e) -> str:
     return str(e).replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _hasse_lines(p: FinitePoset, prefix: str, indent: str) -> list[str]:
+def _hasse_lines(p, prefix: str, indent: str) -> list[str]:
     lines = [
         f'{indent}{prefix}{i} [label="{_node_label(e)}"];' for i, e in enumerate(p.elements)
     ]
@@ -389,13 +434,9 @@ def _hasse_lines(p: FinitePoset, prefix: str, indent: str) -> list[str]:
 
 
 def dot_export(obj) -> str:
-    """Deterministic DOT text: Hasse diagram of a poset, or two clustered
-    Hasse diagrams with dashed cross-edges for a monotone map."""
-    if isinstance(obj, FinitePoset):
-        lines = ["digraph poset {", "  rankdir=BT;", '  node [shape=box, fontsize=10];']
-        lines += _hasse_lines(obj, "n", "  ")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+    """Deterministic DOT text: Hasse diagram of a poset (anything with
+    ``elements`` and ``covers()``), or two clustered Hasse diagrams with
+    dashed cross-edges for a monotone map."""
     if isinstance(obj, MonotoneMap):
         lines = ["digraph monotone_map {", "  rankdir=BT;", '  node [shape=box, fontsize=10];']
         lines.append("  subgraph cluster_source {")
@@ -410,6 +451,11 @@ def dot_export(obj) -> str:
             f"  s{i} -> t{j} [style=dashed, constraint=false];"
             for i, j in enumerate(obj.table)
         ]
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+    if hasattr(obj, "covers") and hasattr(obj, "elements"):
+        lines = ["digraph poset {", "  rankdir=BT;", '  node [shape=box, fontsize=10];']
+        lines += _hasse_lines(obj, "n", "  ")
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise InputError(f"cannot export {type(obj).__name__} as DOT")

@@ -5,9 +5,14 @@ For a pair (A, B) with meet algebra M (contained in both), the descent map
 
     h : C_{A v B} -> C_A x_M C_B,   C |-> (C n A, C n B)
 
-lands in the poset of context pairs agreeing after restriction to M.  The
-sheaf condition holds iff h is a poset isomorphism and, at every context C,
-the multiplication map (C n A) (x)_E (C n B) -> C is an isomorphism, where
+lands in the poset of context pairs agreeing after restriction to M.  It
+always has the join g(C1, C2) = C1 v C2 as its left adjoint: C1 <= A and
+C2 <= B give C1 v C2 <= C iff C1 <= C n A and C2 <= C n B.  So h and g are
+computed as two tables, every adjunction and thickening verdict is read off
+them by equality, and a linear certificate proves g -| h on each input.
+
+The sheaf condition holds iff h is a poset isomorphism and, at every context
+C, the multiplication map (C n A) (x)_E (C n B) -> C is an isomorphism, where
 E is the amalgam C n M.  Ring components are decided on spectra: by finite
 Gelfand duality the amalgamated tensor product of function algebras is the
 function algebra on the fibered product of block sets, and the algebra map
@@ -23,15 +28,14 @@ from .contexts import (
     DEFAULT_MAX_BELL,
     AdjunctionReport,
     ContextPoset,
+    Contexts,
     FinitePoset,
     MonotoneMap,
     ThickeningReport,
     enumerate_contexts,
     guard_contexts,
-    left_adjoint,
-    thickening_report,
 )
-from .errors import InputError, InternalConsistencyError, SizeGuardError
+from .errors import Immutable, InputError, InternalConsistencyError, SizeGuardError
 from .independence import (
     AlgebraPair,
     cstar_independent,
@@ -51,21 +55,22 @@ from .partitions import (
 # Bound on the (E, C, D) triples the covering-stability sweep may test.
 MAX_STABILITY_TRIPLES = 10**6
 
-# Bound on the elements of a fibered context product C_A x_M C_B, against the
-# 60 s budget per command: on 2 vCPUs `check-net` took 7.5 s for 10,556 over
-# the 203 contexts of C_{A v B}, 37 s for 8,280 and 56 s for 11,543 over 4140.
+# Bound on the elements of a fibered context product C_A x_M C_B.  The descent
+# map is linear in it, but its factor posets carry order masks: with the guard
+# lifted, `check-net` on 2 vCPUs took 0.27 s for 10,556 elements over the 203
+# contexts of C_{A v B}, 1.4 s for 8,280 and 1.7 s for 11,543 over 4,140, and
+# 25 s (307 MB) for 42,294 with the 21,147-element context poset of a full
+# 9-point algebra as a factor.  10^4 keeps every factor at Bell(8) or less.
 MAX_FIBERED_ELEMENTS = 10**4
 
 
-class FiberedContextProduct(FinitePoset):
-    """Pairs (C1, C2) of contexts with C1 n M = C2 n M, ordered componentwise."""
+class FiberedContextProduct(Immutable):
+    """Pairs (C1, C2) of contexts with C1 n M = C2 n M, ordered componentwise
+    through the factor posets' masks; the product has no masks of its own."""
 
-    __slots__ = ("left_poset", "right_poset", "meet")
+    __slots__ = ("left_poset", "right_poset", "meet", "elements", "index", "_left", "_right")
 
     def __init__(self, left_poset: ContextPoset, right_poset: ContextPoset, meet: Partition):
-        object.__setattr__(self, "left_poset", left_poset)
-        object.__setattr__(self, "right_poset", right_poset)
-        object.__setattr__(self, "meet", meet)
         # Group the right contexts by their restriction to M, so each left
         # context meets only the right contexts it agrees with.
         by_restriction = _restriction_groups(right_poset.elements, meet)
@@ -75,24 +80,35 @@ class FiberedContextProduct(FinitePoset):
             for c2 in by_restriction.get(overlap_join(c1, meet), ())
         ]
         elements.sort(key=lambda pair: (pair[0].rgs, pair[1].rgs))
-        # Componentwise order, composed from the factor posets' masks: the
-        # product can be large, so avoid a quadratic sweep of comparisons.
-        left_above = _above(left_poset, [c1 for c1, _ in elements])
-        right_above = _above(right_poset, [c2 for _, c2 in elements])
-        up_masks = [
-            left_above[left_poset.index[c1]] & right_above[right_poset.index[c2]]
-            for c1, c2 in elements
-        ]
-        super().__init__(elements, up_masks=up_masks)
+        fields = {
+            "left_poset": left_poset,
+            "right_poset": right_poset,
+            "meet": meet,
+            "elements": tuple(elements),
+            "index": {e: i for i, e in enumerate(elements)},
+            "_left": tuple(left_poset.index[c1] for c1, _ in elements),
+            "_right": tuple(right_poset.index[c2] for _, c2 in elements),
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
-    def projection_left(self) -> MonotoneMap:
-        return MonotoneMap.from_function(self, self.left_poset, lambda e: e[0])
+    def __len__(self):
+        return len(self.elements)
 
-    def projection_right(self) -> MonotoneMap:
-        return MonotoneMap.from_function(self, self.right_poset, lambda e: e[1])
+    def leq_idx(self, i: int, j: int) -> bool:
+        left, right = self._left, self._right
+        return bool(
+            (self.left_poset.up[left[i]] >> left[j]) & 1
+            and (self.right_poset.up[right[i]] >> right[j]) & 1
+        )
 
-    def is_full_product(self) -> bool:
-        return len(self) == len(self.left_poset) * len(self.right_poset)
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Transitive reduction, for the DOT export only: a cover in one
+        coordinate can leave the fiber, so the order is materialised here."""
+        left = _above(self.left_poset, self._left)
+        right = _above(self.right_poset, self._right)
+        up = [left[i] & right[j] for i, j in zip(self._left, self._right)]
+        return FinitePoset(self.elements, up_masks=up).covers()
 
 
 def _restriction_groups(
@@ -105,12 +121,12 @@ def _restriction_groups(
     return groups
 
 
-def _above(poset: FinitePoset, components: list[Partition]) -> list[int]:
+def _above(poset: FinitePoset, components: Sequence[int]) -> list[int]:
     """Per element i of a factor poset, the mask of the product positions
-    whose component (one per position) lies at or above element i."""
+    whose component (a factor index, one per position) lies at or above i."""
     bits = [0] * len(poset)
     for pos, c in enumerate(components):
-        bits[poset.index[c]] |= 1 << pos
+        bits[c] |= 1 << pos
     above = [0] * len(poset)
     for i in range(len(poset)):
         m = poset.up[i]
@@ -121,12 +137,9 @@ def _above(poset: FinitePoset, components: list[Partition]) -> list[int]:
     return above
 
 
-def fibered_context_product(
-    pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL
-) -> FiberedContextProduct:
-    """C_A x_M C_B.  Its size is counted from the contexts' restrictions to M
-    before any poset is built; more than MAX_FIBERED_ELEMENTS raise SizeGuardError."""
-    pair.require_partition_engine("the fibered context product")
+def _guard_fibered_product(pair: AlgebraPair, max_bell: int) -> None:
+    """The Bell guards of both sides, then the size of C_A x_M C_B counted
+    from the contexts' restrictions to M, before any poset is built."""
     guard_contexts(max_bell, pair.left, pair.right)
     meet = pair.meet_algebra
     left = _restriction_groups(coarsenings(pair.left), meet)
@@ -139,10 +152,19 @@ def fibered_context_product(
             bound=MAX_FIBERED_ELEMENTS,
             requested=count,
         )
+
+
+def fibered_context_product(
+    pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL
+) -> FiberedContextProduct:
+    """C_A x_M C_B.  More than MAX_FIBERED_ELEMENTS elements raise
+    SizeGuardError before any poset is built."""
+    pair.require_partition_engine("the fibered context product")
+    _guard_fibered_product(pair, max_bell)
     return FiberedContextProduct(
         enumerate_contexts(pair.left, max_bell),
         enumerate_contexts(pair.right, max_bell),
-        meet,
+        pair.meet_algebra,
     )
 
 
@@ -210,7 +232,7 @@ class DescentReport:
     """The descent morphism of a pair, in poset and (optionally) ring form."""
 
     pair: AlgebraPair
-    source: ContextPoset
+    source: Contexts
     target: FiberedContextProduct
     h: MonotoneMap
     adjunction: AdjunctionReport
@@ -222,43 +244,26 @@ class DescentReport:
     sheaf_by_characterization: Optional[bool] = None
 
     def to_json(self) -> dict:
+        src, tgt, adjunction = self.source.elements, self.target.elements, self.adjunction
+        pairs = [f"({c1}, {c2})" for c1, c2 in tgt]
         out = {
             "pair": self.pair.describe(),
             "h": {
-                "source_size": len(self.source),
-                "target_size": len(self.target),
+                "source_size": len(src),
+                "target_size": len(tgt),
                 "injective": self.h.is_injective(),
                 "surjective": self.h.is_surjective(),
                 "table": {
-                    str(c): [str(t[0]), str(t[1])]
-                    for c, t in zip(
-                        self.source.elements,
-                        (self.target.elements[i] for i in self.h.table),
-                    )
+                    str(c): [str(tgt[i][0]), str(tgt[i][1])] for c, i in zip(src, self.h.table)
                 },
             },
             "adjunction": {
-                "adjoint_exists": self.adjunction.adjoint_exists,
-                "is_coreflector": self.adjunction.is_coreflector,
-                "is_iso": self.adjunction.is_iso,
-                "adjoint": None
-                if self.adjunction.adjoint is None
-                else {
-                    f"({t[0]}, {t[1]})": str(self.source.elements[i])
-                    for t, i in zip(self.target.elements, self.adjunction.adjoint.table)
-                },
-                "unit_strict": None
-                if self.adjunction.unit_strict is None
-                else {
-                    str(c): strict
-                    for c, strict in zip(self.source.elements, self.adjunction.unit_strict)
-                },
-                "counit_strict": None
-                if self.adjunction.counit_strict is None
-                else {
-                    f"({t[0]}, {t[1]})": strict
-                    for t, strict in zip(self.target.elements, self.adjunction.counit_strict)
-                },
+                "adjoint_exists": adjunction.adjoint_exists,
+                "is_coreflector": adjunction.is_coreflector,
+                "is_iso": adjunction.is_iso,
+                "adjoint": {q: str(src[i]) for q, i in zip(pairs, adjunction.adjoint.table)},
+                "unit_strict": {str(c): strict for c, strict in zip(src, adjunction.unit_strict)},
+                "counit_strict": dict(zip(pairs, adjunction.counit_strict)),
             },
             "thickening": {
                 "surjective": self.thickening.surjective,
@@ -279,49 +284,105 @@ class DescentReport:
 
 
 def descent_map(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> DescentReport:
-    """Build h on the pair's fibered product and run the generic adjunction
-    and thickening diagnostics.
+    """h and its left adjoint g(C1, C2) = C1 v C2 as two tables, every
+    verdict read off them by equality, and g -| h certified on each input.
 
-    The left adjoint is computed once.  It is cross-checked against the
-    algebraic join (C1, C2) |-> C1 v C2 here and against the fiber-minimum
-    section in thickening_report; a mismatch is an internal bug, not input
-    error.
+    With g -| h, a fiber of h over q is nonempty iff it contains g(q), which
+    is then its least element: h is a thickening iff a coreflector iff
+    surjective, and an isomorphism iff moreover g(h(C)) = C for every C (the
+    unit law).  The certificate (Davey & Priestley, Introduction to Lattices
+    and Order, ch. 7): h is monotone along the Hasse covers of C_{A v B},
+    whose transitive closure is the order; q <= h(g(q)) and g(h(C)) <= C
+    everywhere; and g is monotone because each g(q) is the least upper bound
+    of q1 and q2 in C_{A v B} (it refines both, with as many blocks as there
+    are nonempty q1-block/q2-block intersections) and a join is monotone.
+    Covers of C_A x_M C_B could not replace that last check: a cover in one
+    coordinate can leave the fiber, and a cover of the product can move both
+    coordinates by several covers.  A failed check, or a verdict that
+    contradicts these theorems, raises InternalConsistencyError.
     """
     pair.require_partition_engine("the descent map")
     joined = common_refinement(pair.left, pair.right)
-    # C_{A v B} has the most contexts of the three posets, so its Bell guard
-    # runs first; the product's guard runs next, before any poset is built.
+    # C_{A v B} has the most contexts of the three, so its Bell guard runs
+    # first; the product's guard runs next, before any poset is built.
     guard_contexts(max_bell, joined)
     target = fibered_context_product(pair, max_bell)
-    source = enumerate_contexts(joined, max_bell)
-    h = MonotoneMap.from_function(
-        source,
-        target,
-        lambda c: (overlap_join(c, pair.left), overlap_join(c, pair.right)),
+    source = Contexts(joined)
+    h, g = _h_table(pair, source, target), _g_table(source, target)
+    src, tgt = source.elements, target.elements
+
+    def trap(message: str, **dump):
+        dump = {"pair": pair.describe(), **{k: str(v) for k, v in dump.items()}}
+        raise InternalConsistencyError(message, dump=dump)
+
+    no_adjoint = "descent map has no left adjoint: "
+    for i, j in source.cover_walk():
+        if not target.leq_idx(h[i], h[j]):
+            trap(no_adjoint + "h is not monotone", context=src[i], cover=src[j])
+    for q, p in enumerate(g):
+        if not target.leq_idx(q, h[p]):
+            trap(no_adjoint + "q <= h(g(q)) fails", target_element=tgt[q], g=src[p])
+    for p, q in enumerate(h):
+        if not is_coarser(src[g[q]], src[p]):
+            trap(no_adjoint + "g(h(C)) <= C fails", context=src[p], g_of_h=src[g[q]])
+    for (c1, c2), z in zip(tgt, (src[p] for p in g)):
+        if not (is_coarser(c1, z) and is_coarser(c2, z)
+                and z.num_blocks == len(set(zip(c1.rgs, c2.rgs)))):
+            trap("computed left adjoint differs from the algebraic join",
+                 target_element=(c1, c2), computed=z, join=common_refinement(c1, c2))
+    unit_strict = tuple(g[t] != s for s, t in enumerate(h))
+    counit_strict = tuple(h[s] != t for t, s in enumerate(g))
+    coreflector = not any(counit_strict)
+    adjunction = AdjunctionReport(
+        adjoint_exists=True, adjoint=MonotoneMap.certified(target, source, g),
+        unit_strict=unit_strict, counit_strict=counit_strict, is_coreflector=coreflector,
+        is_iso=coreflector and not any(unit_strict), missing_least=(),
     )
-    adjunction = left_adjoint(h)
-    if adjunction.adjoint_exists:
-        for (c1, c2), i in zip(target.elements, adjunction.adjoint.table):
-            algebraic = common_refinement(c1, c2)
-            if source.elements[i] != algebraic:
-                raise InternalConsistencyError(
-                    "computed left adjoint differs from the algebraic join",
-                    dump={
-                        "pair": pair.describe(),
-                        "target_element": f"({c1}, {c2})",
-                        "computed": str(source.elements[i]),
-                        "join": str(algebraic),
-                    },
-                )
-    return DescentReport(
-        pair=pair,
-        source=source,
-        target=target,
-        h=h,
-        adjunction=adjunction,
-        thickening=thickening_report(h, adjunction),
-        strong_locality=strong_locality(pair, max_bell),
-        unit_law=unit_law(pair, max_bell),
+    h_map = MonotoneMap.certified(source, target, h)
+    report = DescentReport(
+        pair=pair, source=source, target=target, h=h_map, adjunction=adjunction,
+        thickening=_thickening(h_map, adjunction),
+        strong_locality=strong_locality(pair, max_bell), unit_law=unit_law(pair, max_bell),
+    )
+    # The unit law is "g(h(C)) = C for every C"; pair-level strong locality
+    # quantifies over all of C_A x C_B, a superset of the fibered pairs.
+    if report.unit_law == any(unit_strict):
+        trap("unit law disagrees with the unit of the descent adjunction",
+             unit_law=report.unit_law)
+    if report.strong_locality and not coreflector:
+        trap("pair-level strong locality holds but the descent map is not a coreflector")
+    return report
+
+
+def _h_table(pair: AlgebraPair, source: Contexts, target: FiberedContextProduct) -> list[int]:
+    """h(C) = (C n A, C n B) for every context C of A v B, as target indices."""
+    a, b = pair.left, pair.right
+    return [target.index[(overlap_join(c, a), overlap_join(c, b))] for c in source.elements]
+
+
+def _g_table(source: Contexts, target: FiberedContextProduct) -> list[int]:
+    """g(C1, C2) = C1 v C2 for every element of the product, as source indices."""
+    return [source.index[common_refinement(c1, c2)] for c1, c2 in target.elements]
+
+
+def _thickening(h: MonotoneMap, adjunction: AdjunctionReport) -> ThickeningReport:
+    """h's fibers, hashed by image: nonempty exactly at the q with
+    h(g(q)) = q, where g(q) is their minimum, so the fiber-minimum section
+    exists iff h is surjective, and is g.  A disagreement with the
+    adjunction's coreflector verdict or its table is a bug."""
+    image = set(h.table)
+    nonempty = tuple(q in image for q in range(len(h.target)))
+    surjective = all(nonempty)
+    if surjective != adjunction.is_coreflector or (
+        surjective and any(h.table[p] != q for q, p in enumerate(adjunction.adjoint.table))
+    ):
+        raise InternalConsistencyError(
+            "thickening section disagrees with the computed left adjoint",
+            dump={"surjective": surjective, "is_coreflector": adjunction.is_coreflector},
+        )
+    return ThickeningReport(
+        surjective=surjective, fiber_has_minimum=nonempty,
+        section_monotone=True if surjective else None, overall=surjective,
     )
 
 
@@ -375,15 +436,16 @@ class StabilityViolation:
         }
 
 
-def covering_stability(
-    pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL
-) -> tuple[StabilityViolation, ...]:
-    """Check the Grothendieck stability requirement E = (E n C) v (E n D) for
-    every E in C_{A v B} below a cover C v D; return every violating triple.
+def guard_descent(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> None:
+    """Every guard of sheaf_report and then of covering_stability, in the
+    order they raise, so the `descent` command refuses before any work."""
+    pair.require_partition_engine("the descent map")
+    guard_contexts(max_bell, common_refinement(pair.left, pair.right))
+    _guard_fibered_product(pair, max_bell)
+    _guard_stability(pair)
 
-    The sweep tests |C_{A v B}|*|C_A|*|C_B| triples; more than
-    MAX_STABILITY_TRIPLES of them raise SizeGuardError before any is tested."""
-    pair.require_partition_engine("the covering stability check")
+
+def _guard_stability(pair: AlgebraPair) -> None:
     joined = common_refinement(pair.left, pair.right)
     sizes = [bell_number(p.num_blocks) for p in (joined, pair.left, pair.right)]
     triples = sizes[0] * sizes[1] * sizes[2]
@@ -395,6 +457,19 @@ def covering_stability(
             bound=MAX_STABILITY_TRIPLES,
             requested=triples,
         )
+
+
+def covering_stability(
+    pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL
+) -> tuple[StabilityViolation, ...]:
+    """Check the Grothendieck stability requirement E = (E n C) v (E n D) for
+    every E in C_{A v B} below a cover C v D; return every violating triple.
+
+    The sweep tests |C_{A v B}|*|C_A|*|C_B| triples; more than
+    MAX_STABILITY_TRIPLES of them raise SizeGuardError before any is tested."""
+    pair.require_partition_engine("the covering stability check")
+    _guard_stability(pair)
+    joined = common_refinement(pair.left, pair.right)
     guard_contexts(max_bell, joined, pair.left, pair.right)
     source = coarsenings(joined)
     left_contexts = coarsenings(pair.left)

@@ -76,7 +76,7 @@ def _blocks_from_rgs(rgs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 class Partition(Immutable):
     """A partition of an ambient set in canonical form."""
 
-    __slots__ = ("ambient", "rgs", "blocks", "_hash")
+    __slots__ = ("ambient", "rgs", "blocks", "_hash", "_str")
 
     def __init__(self, ambient: AmbientSet, rgs: Sequence[int]):
         rgs = _canonical_rgs(tuple(rgs))
@@ -161,7 +161,9 @@ class Partition(Immutable):
         return overlap_join(self, other)
 
     def __str__(self):
-        return "".join(self.block_labels())
+        if not hasattr(self, "_str"):  # rendered once, on first use
+            object.__setattr__(self, "_str", "".join(self.block_labels()))
+        return self._str
 
     def __repr__(self):
         return f"Partition({self})"

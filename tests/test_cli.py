@@ -290,6 +290,41 @@ def test_descent_refuses_the_six_point_stability_sweep(tmp_path, capsys):
     assert f"{203**3} triples" in err and "guard" in err
 
 
+def test_descent_runs_every_guard_before_any_work(tmp_path, capsys, monkeypatch):
+    # the full 7-point algebra against a 3-block one over the scalars: the
+    # descent map is admitted (877 * 5 = 4,385 fibered pairs), the stability
+    # sweep is not (877 * 877 * 5 = 3,845,645 triples), so nothing may run
+    import netsheaf.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("descent work started before the stability guard")
+
+    monkeypatch.setattr(cli, "sheaf_report", no_work)
+    points = [f"p{i}" for i in range(7)]
+    path = tmp_path / "full7_vs_3.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ambient": points,
+                "algebras": {
+                    "full": [[p] for p in points],
+                    "K": [points[i::3] for i in range(3)],
+                    "scalars": [points],
+                },
+                "pair": {"left": "full", "right": "K", "meet_algebra": "scalars"},
+            }
+        )
+    )
+    code, out, err = run(capsys, "descent", str(path), "--json")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: covering stability of {p0}{p1}{p2}{p3}{p4}{p5}{p6} | {p0,p3,p6}{p1,p4}{p2,p5} "
+        "needs |C_(A v B)|*|C_A|*|C_B| = 877*877*5 = 3845645 triples, "
+        "exceeding the guard of 1000000\n"
+    )
+
+
 def test_check_net_refuses_two_full_regions_over_the_scalars(tmp_path, capsys):
     # the fibered product of two full 6-point algebras over the scalars has
     # 203^2 = 41,209 elements

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from netsheaf import (
     AlgebraPair,
     ContextPoset,
+    Contexts,
     FinitePoset,
     InputError,
     MonotoneMap,
@@ -313,6 +314,19 @@ def test_context_poset_masks_equal_the_comparison_sweep(a):
     assert poset.down == oracle.down
 
 
+@settings(max_examples=60, deadline=None)
+@given(random_partitions(1, 7))
+@example(Partition.discrete(ambient(7)))
+def test_context_cover_walk_equals_the_mask_covers(a):
+    # the merge walk, sorted, is the transitive reduction of the comparison
+    # sweep, in the same order
+    oracle = FinitePoset(coarsenings(a), leq=is_coarser.__wrapped__)
+    contexts = Contexts(a)
+    assert contexts.elements == oracle.elements
+    assert contexts.covers() == oracle.covers()
+    assert dot_export(contexts) == dot_export(oracle)
+
+
 def stirling2(n: int, k: int) -> int:
     """Partitions of n points into k blocks, by the triangle recurrence."""
     row = [1] + [0] * k
@@ -329,6 +343,7 @@ def test_context_poset_on_eight_points_counts_pairs_and_covers():
     assert sum(bin(mask).count("1") for mask in poset.up) == pairs
     hasse = poset.covers()
     assert len(hasse) == covers
+    assert Contexts(poset.algebra).covers() == hasse
     # a cover merges exactly two blocks
     assert all(
         poset.elements[i].num_blocks + 1 == poset.elements[j].num_blocks

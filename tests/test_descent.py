@@ -1,7 +1,8 @@
+import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import netsheaf.contexts
@@ -31,7 +32,14 @@ from netsheaf import (
     strong_locality,
     thickening_report,
 )
-from netsheaf.partitions import coarsenings, common_refinement, overlap_join
+from netsheaf.cli import main
+from netsheaf.partitions import (
+    all_partitions,
+    coarsenings,
+    common_refinement,
+    is_coarser,
+    overlap_join,
+)
 
 from conftest import all_pairs_section_monotone, ambient, random_partitions
 
@@ -40,9 +48,8 @@ def test_fibered_product_square_pair(square_pair):
     a, b = square_pair
     fp = fibered_context_product(AlgebraPair(a, b))
     assert len(fp) == 4  # 2 x 2, matching condition trivial
-    assert fp.is_full_product()
-    left, right = fp.projection_left(), fp.projection_right()
-    assert all(left(e) == e[0] and right(e) == e[1] for e in fp.elements)
+    assert set(fp.elements) == {(c1, c2) for c1 in coarsenings(a) for c2 in coarsenings(b)}
+    assert (fp.left_poset.algebra, fp.right_poset.algebra) == (a, b)
 
 
 def test_fibered_product_diagonal(square_pair):
@@ -66,7 +73,7 @@ def test_fibered_product_equals_full_product_under_extended_locality(partitions_
                 pair = AlgebraPair(a, b)
                 fp = fibered_context_product(pair)
                 if extended_locality(pair):
-                    assert fp.is_full_product()
+                    assert len(fp) == len(coarsenings(a)) * len(coarsenings(b))
 
 
 def test_descent_map_square_pair(square_pair):
@@ -287,7 +294,11 @@ def test_hashed_fibered_product_equals_the_nested_scan(inputs):
     )
     product = FiberedContextProduct(left, right, meet)
     assert product.elements == oracle.elements
-    assert product.up == oracle.up
+    k = len(product)
+    assert all(
+        product.leq_idx(i, j) == oracle.leq_idx(i, j) for i in range(k) for j in range(k)
+    )
+    assert product.covers() == oracle.covers()
 
 
 def test_covering_stability_guard_refuses_before_enumerating(monkeypatch):
@@ -323,52 +334,208 @@ def test_covering_stability_guard_admits_five_points():
     assert isinstance(covering_stability(AlgebraPair(full, full)), tuple)
 
 
-# -- one left adjoint per descent map ----------------------------------------------
+# -- the descent map in closed form --------------------------------------------
 
-def test_left_adjoint_runs_once_per_descent_map(monkeypatch, square_pair):
-    calls = []
-    original = netsheaf.contexts.left_adjoint
+def generic_descent(pair):
+    """The generic route: h as a MonotoneMap between mask-built posets, its
+    left adjoint by the least-element scan, then the fiber-minimum section."""
+    source = ContextPoset(common_refinement(pair.left, pair.right))
+    product = fibered_context_product(pair)
+    left, right = product.left_poset, product.right_poset
+    target = FinitePoset(
+        product.elements, lambda x, y: left.leq(x[0], y[0]) and right.leq(x[1], y[1])
+    )
+    h = MonotoneMap.from_function(
+        source, target, lambda c: (overlap_join(c, pair.left), overlap_join(c, pair.right))
+    )
+    adjunction = left_adjoint(h)
+    return source, target, h, adjunction, thickening_report(h, adjunction)
 
-    def counting(f):
-        calls.append(f)
-        return original(f)
 
-    for module in (netsheaf.contexts, netsheaf.descent):
-        monkeypatch.setattr(module, "left_adjoint", counting)
-    pair = AlgebraPair(*square_pair)
-    descent_map(pair)
-    assert len(calls) == 1
-    sheaf_report(pair)
-    assert len(calls) == 2
-
-
-@settings(max_examples=60, deadline=None)
-@given(fibered_inputs(max_points=5))
-def test_thickening_section_agrees_with_all_pairs_oracle(inputs):
+@settings(max_examples=200, deadline=None)
+@given(fibered_inputs(max_points=6))
+def test_closed_form_equals_the_generic_route(inputs):
     a, b, meet = inputs
-    report = descent_map(AlgebraPair(a, b, meet_algebra=meet))
-    assert report.thickening.section_monotone == all_pairs_section_monotone(report.h)
-    assert report.thickening.overall == report.adjunction.is_coreflector
+    pair = AlgebraPair(a, b, meet_algebra=meet)
+    try:
+        report = descent_map(pair)
+    except SizeGuardError:
+        assume(False)
+    assume(len(report.target) <= 400)  # the generic route is quadratic in it
+    source, target, h, adjunction, thickening = generic_descent(pair)
+    assert report.source.elements == source.elements
+    assert report.target.elements == target.elements
+    assert report.h.table == h.table
+    assert report.source.covers() == source.covers()
+    assert report.target.covers() == target.covers()
+    closed = report.adjunction
+    assert closed.adjoint.table == adjunction.adjoint.table
+    for field in ("adjoint_exists", "unit_strict", "counit_strict", "is_coreflector",
+                  "is_iso", "missing_least"):
+        assert getattr(closed, field) == getattr(adjunction, field), field
+    assert report.thickening == thickening
+    assert report.thickening.section_monotone == all_pairs_section_monotone(h)
+    assert report.thickening.overall == closed.is_coreflector
+
+
+def test_a_fibered_product_cover_can_move_both_coordinates_by_several_covers():
+    # why g's monotonicity is not checked along covers: with M = {0,1}{2,3}{4,5}{6,7}
+    # and A = B = the full algebra, x = (x1, x2) is covered by the all-singletons
+    # pair y, although each coordinate moves up three covers: a refinement of
+    # x1 and one of x2 strictly between never restrict to the same context of M
+    amb = ambient(8)
+    meet = Partition(amb, (0, 0, 1, 1, 2, 2, 3, 3))
+    x1 = Partition(amb, (0, 1, 0, 2, 2, 3, 3, 4))  # {0,2}{1}{3,4}{5,6}{7}
+    x2 = Partition(amb, (0, 1, 2, 3, 1, 4, 2, 0))  # {0,7}{1,4}{2,6}{3}{5}
+    top = Partition.discrete(amb)
+    assert overlap_join(x1, meet) == overlap_join(x2, meet) == Partition.trivial(amb)
+
+    def between(x):
+        return [c for c in all_partitions(amb) if is_coarser(x, c)]
+
+    interval = [
+        (e, f)
+        for e in between(x1)
+        for f in between(x2)
+        if overlap_join(e, meet) == overlap_join(f, meet)
+    ]
+    assert sorted(interval, key=str) == sorted([(x1, x2), (top, top)], key=str)
+    assert top.num_blocks - x1.num_blocks == top.num_blocks - x2.num_blocks == 3
+
+
+def test_descent_map_builds_no_join_poset_product_masks_or_adjoint_scan(
+    monkeypatch, square_pair
+):
+    built = []
+    original = FinitePoset.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append((type(self), getattr(self, "algebra", None)))
+        original(self, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("generic adjunction scan on the descent path")
+
+    monkeypatch.setattr(FinitePoset, "__init__", recording)
+    for module in (netsheaf.contexts, netsheaf.descent):
+        for name in ("left_adjoint", "_assert_adjunction_law"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    a, b = square_pair
+    report = sheaf_report(AlgebraPair(a, b))
+    assert report.adjunction.adjoint_exists
+    # only the two factor posets carry masks: none for C_{A v B}, none for the product
+    assert sorted(built, key=str) == [(ContextPoset, a), (ContextPoset, b)]
+
+
+def run_net(tmp_path, capsys, left, right, meet):
+    """`check-net --json` on the four-region net O1 = left, O2 = right over
+    the bottom region meet: it runs the descent map of that pair."""
+    names = {"bottom": meet, "O1": left, "O2": right, "top": common_refinement(left, right)}
+    doc = {
+        "ambient": list(left.ambient.points),
+        "algebras": {name: p.to_json() for name, p in names.items()},
+        "net": {
+            "regions": list(names),
+            "leq": [["bottom", "O1"], ["bottom", "O2"], ["O1", "top"], ["O2", "top"]],
+            "spacelike": [["O1", "O2"]],
+            "assignment": {name: name for name in names},
+        },
+    }
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check-net", str(path), "--json"])
+    return code, capsys.readouterr().err
+
+
+def square_net(square_pair):
+    a, b = square_pair
+    return a, b, Partition.trivial(a.ambient)
+
+
+def full_self_pair_over_scalars():
+    # C_A x C_A over the scalars: h(C) = (C, C) misses every pair (C, D), C != D
+    full = Partition.discrete(ambient(3))
+    return full, full, Partition.trivial(full.ambient)
+
+
+def sabotage_table(monkeypatch, name, change):
+    original = getattr(netsheaf.descent, name)
+
+    def sabotaged(*args):
+        *_, source, target = args
+        table = original(*args)
+        change(table, source, target)
+        return table
+
+    monkeypatch.setattr(netsheaf.descent, name, sabotaged)
+
+
+def test_certificate_traps_a_non_monotone_h(monkeypatch, tmp_path, capsys, square_pair):
+    # h({a}{b}{c,d}) := (trivial, trivial): the unit and counit checks still
+    # hold there (that context is no join g(q)), but h({a,b}{c,d}) is larger
+    def change(table, source, target):
+        table[source.index[Partition(square_pair[0].ambient, (0, 1, 2, 2))]] = 0
+
+    sabotage_table(monkeypatch, "_h_table", change)
+    code, err = run_net(tmp_path, capsys, *square_net(square_pair))
+    assert code == 3
+    assert "descent map has no left adjoint: h is not monotone" in err
+
+
+def test_certificate_traps_a_failed_unit(monkeypatch, tmp_path, capsys, square_pair):
+    # g(A, B) := trivial, so h(g(A, B)) = (trivial, trivial) lies below (A, B)
+    sabotage_table(monkeypatch, "_g_table", lambda table, source, target: table.__setitem__(-1, 0))
+    code, err = run_net(tmp_path, capsys, *square_net(square_pair))
+    assert code == 3
+    assert "descent map has no left adjoint: q <= h(g(q)) fails" in err
+
+
+def test_certificate_traps_a_failed_counit(monkeypatch, tmp_path, capsys, square_pair):
+    # g(trivial, trivial) := the top context, which is not below h^-1 of it
+    def change(table, source, target):
+        table[0] = len(source) - 1
+
+    sabotage_table(monkeypatch, "_g_table", change)
+    code, err = run_net(tmp_path, capsys, *square_net(square_pair))
+    assert code == 3
+    assert "descent map has no left adjoint: g(h(C)) <= C fails" in err
+
+
+def test_unit_law_trap_fires_on_a_forced_mismatch(monkeypatch, tmp_path, capsys, square_pair):
+    real = netsheaf.descent.unit_law
+    monkeypatch.setattr(
+        netsheaf.descent, "unit_law", lambda pair, max_bell: not real(pair, max_bell)
+    )
+    code, err = run_net(tmp_path, capsys, *square_net(square_pair))
+    assert code == 3
+    assert "unit law disagrees with the unit of the descent adjunction" in err
+
+
+def test_strong_locality_trap_fires_without_a_coreflector(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(netsheaf.descent, "strong_locality", lambda pair, max_bell: True)
+    code, err = run_net(tmp_path, capsys, *full_self_pair_over_scalars())
+    assert code == 3
+    assert "strong locality holds but the descent map is not a coreflector" in err
 
 
 def constant_to_top(f):
     """A wrong adjoint for f: every target element to the top of the source."""
     top = f.source.index[max(f.source.elements, key=lambda c: c.num_blocks)]
-    return MonotoneMap(f.target, f.source, [top] * len(f.target))
+    return MonotoneMap.certified(f.target, f.source, [top] * len(f.target))
 
 
 def test_thickening_trap_fires_on_a_sabotaged_adjoint(square_pair):
     report = descent_map(AlgebraPair(*square_pair))
     h, adjunction = report.h, report.adjunction
-    assert thickening_report(h, adjunction).overall
+    assert netsheaf.descent._thickening(h, adjunction).overall
     for sabotaged in (
         replace(adjunction, adjoint=constant_to_top(h)),  # a wrong section
         replace(adjunction, is_coreflector=False),  # a wrong verdict
     ):
         with pytest.raises(InternalConsistencyError) as err:
-            thickening_report(h, sabotaged)
+            netsheaf.descent._thickening(h, sabotaged)
         assert "thickening section" in str(err.value)
-    # a coreflector verdict on a map that is not even surjective
+    # the generic route: a coreflector verdict on a map that is not even surjective
     one, two = (FinitePoset(tuple(range(n)), lambda x, y: x <= y) for n in (1, 2))
     into = MonotoneMap(one, two, [0])
     assert not thickening_report(into, left_adjoint(into)).overall
@@ -376,22 +543,27 @@ def test_thickening_trap_fires_on_a_sabotaged_adjoint(square_pair):
         thickening_report(into, replace(left_adjoint(into), is_coreflector=True))
 
 
-def test_adjoint_join_trap_fires_on_a_sabotaged_adjoint(monkeypatch, square_pair):
-    original = netsheaf.contexts.left_adjoint
+def test_adjoint_join_trap_fires_on_a_sabotaged_adjoint(monkeypatch, tmp_path, capsys):
+    # g(trivial, {a,b}{c}) := the top context passes both unit and counit
+    # (that pair is outside h's image), but ({a,b}{c}, {a,b}{c}) lies above
+    # it with a smaller join: only the monotonicity of g catches it
+    left, right, meet = full_self_pair_over_scalars()
+    ab_c = Partition(left.ambient, (0, 0, 1))
 
-    def sabotaged(f):
-        return replace(original(f), adjoint=constant_to_top(f))
+    def change(table, source, target):
+        table[target.index[(meet, ab_c)]] = len(source) - 1
 
-    monkeypatch.setattr(netsheaf.descent, "left_adjoint", sabotaged)
-    with pytest.raises(InternalConsistencyError) as err:
-        descent_map(AlgebraPair(*square_pair))
-    assert "algebraic join" in str(err.value)
+    sabotage_table(monkeypatch, "_g_table", change)
+    code, err = run_net(tmp_path, capsys, left, right, meet)
+    assert code == 3
+    assert "computed left adjoint differs from the algebraic join" in err
 
 
 def test_adjunction_law_trap_fires_on_a_wrong_adjoint(square_pair):
-    h = descent_map(AlgebraPair(*square_pair)).h
+    _, _, h, _, _ = generic_descent(AlgebraPair(*square_pair))
+    wrong = MonotoneMap(h.target, h.source, constant_to_top(h).table)
     with pytest.raises(InternalConsistencyError) as err:
-        netsheaf.contexts._assert_adjunction_law(h, constant_to_top(h))
+        netsheaf.contexts._assert_adjunction_law(h, wrong)
     assert "adjunction law" in str(err.value)
 
 

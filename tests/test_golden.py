@@ -1,0 +1,113 @@
+"""Golden CLI outputs: stdout, stderr and exit status of every command on
+every fixture, text and --json, plus the DOT files of `descent --dot` and
+`contexts --dot`, compared byte for byte with the recorded files in
+tests/fixtures/golden/.
+
+Regenerate (only when an output is meant to change) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from netsheaf.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "golden"
+OUTPUTS = GOLDEN / "cli.json"
+
+COMMANDS = ("check-pair", "descent", "check-net", "valuations", "contexts")
+FIXTURE_NAMES = ("square_pair", "overlapping_halves", "trivial_pair", "pauli_pair")
+PARTITION_FIXTURES = FIXTURE_NAMES[:3]
+# Each fixture defines several algebras, so `contexts` also runs on one by name.
+LEFT_ALGEBRA = {"square_pair": "A", "overlapping_halves": "L", "trivial_pair": "full",
+                "pauli_pair": "Z"}
+
+
+def _cases() -> dict[str, dict]:
+    """Case name -> the argv after the fixture path, and the DOT file it writes."""
+    cases = {}
+    for fixture in FIXTURE_NAMES:
+        for suffix, extra in (("", []), (".json", ["--json"])):
+            for command in COMMANDS:
+                cases[f"{fixture}.{command}{suffix}"] = {
+                    "fixture": fixture, "argv": [command, *extra], "dot": None,
+                }
+            cases[f"{fixture}.contexts-left{suffix}"] = {
+                "fixture": fixture,
+                "argv": ["contexts", "--algebra", LEFT_ALGEBRA[fixture], *extra],
+                "dot": None,
+            }
+    for fixture in PARTITION_FIXTURES:
+        cases[f"{fixture}.descent.dot"] = {
+            "fixture": fixture, "argv": ["descent", "--dot", "out.dot"],
+            "dot": f"{fixture}.descent.dot",
+        }
+        cases[f"{fixture}.contexts.dot"] = {
+            "fixture": fixture, "argv": ["contexts", "--algebra", "full", "--dot", "out.dot"],
+            "dot": f"{fixture}.contexts.dot",
+        }
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(case: dict, workdir: Path) -> tuple[dict, str | None]:
+    """Run one case in workdir (where a DOT file is written as out.dot)."""
+    command, *rest = case["argv"]
+    argv = [command, str(FIXTURES / f"{case['fixture']}.json"), *rest]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        dot = (workdir / "out.dot").read_text(encoding="utf-8") if case["dot"] else None
+    finally:
+        os.chdir(cwd)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}, dot
+
+
+@pytest.fixture(scope="module")
+def recorded() -> dict:
+    return json.loads(OUTPUTS.read_text(encoding="utf-8"))
+
+
+def test_every_case_is_recorded(recorded):
+    assert sorted(recorded) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_the_golden_record(name, recorded, tmp_path):
+    actual, dot = run_case(CASES[name], tmp_path)
+    assert actual == recorded[name]
+    if CASES[name]["dot"]:
+        expected = (GOLDEN / CASES[name]["dot"]).read_bytes()
+        assert dot.encode("utf-8") == expected
+
+
+def record():
+    import tempfile
+
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    outputs = {}
+    for name, case in CASES.items():
+        with tempfile.TemporaryDirectory() as work:
+            outputs[name], dot = run_case(case, Path(work))
+        if case["dot"]:
+            (GOLDEN / case["dot"]).write_bytes(dot.encode("utf-8"))
+    OUTPUTS.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    sys.exit(record())

@@ -35,6 +35,13 @@ def test_construction_canonical_form(amb4):
     assert p == Partition.from_blocks(amb4, [["a", "b"], ["c", "d"]])
 
 
+def test_str_is_rendered_once_per_instance(amb4):
+    p = Partition.from_blocks(amb4, [["d", "c"], ["b", "a"]])
+    assert str(p) is str(p)
+    twin = Partition.from_blocks(amb4, [["a", "b"], ["c", "d"]])
+    assert twin == p and str(twin) == str(p) and str(twin) is not str(p)  # no shared cache
+
+
 def test_construction_rejects_bad_blocks(amb4):
     with pytest.raises(InputError):
         Partition.from_blocks(amb4, [["a", "b"], ["b", "c", "d"]])
