@@ -83,11 +83,8 @@ from .partitions import (
 from .scalars import GaussianRational
 from .staralg import (
     StarAlgebra,
-    StarHom,
-    center,
     commutant,
     generated_star_algebra,
-    hom_kernel_trivial,
     indicator_algebra,
     intersection_algebra,
     multiplication_kernel_dim,
@@ -162,11 +159,8 @@ __all__ = [
     "overlap_join",
     "GaussianRational",
     "StarAlgebra",
-    "StarHom",
-    "center",
     "commutant",
     "generated_star_algebra",
-    "hom_kernel_trivial",
     "indicator_algebra",
     "intersection_algebra",
     "multiplication_kernel_dim",

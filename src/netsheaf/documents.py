@@ -18,7 +18,10 @@ from .partitions import AmbientSet, Partition
 from .scalars import scalar_from_json
 from .staralg import StarAlgebra, generated_star_algebra
 
-DEFAULT_MAX_DIM = 6
+# The largest n whose slowest measured `check-pair` fits 60 s / 2 GB: a dense
+# conjugate of full M_7 against the scalars took 31.7 s / 39 MB, of M_8 over
+# 100 s; full M_10 in matrix units took 4.8 s / 38 MB.
+DEFAULT_MAX_DIM = 7
 
 
 @dataclass

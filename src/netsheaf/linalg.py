@@ -4,6 +4,11 @@ Matrices and vectors are immutable tuples of GaussianRational.  Row
 reduction always produces the reduced echelon form with unit pivots, which
 doubles as the canonical form for spans (two spans are equal iff their
 reduced bases are equal tuples).
+
+The kernels do arithmetic only on nonzero entries: a product visits the
+nonzero entries of each row, and a row update only the columns where the
+pivot row is nonzero.  In Q[i] a zero term leaves a sum unchanged, so every
+value, and the canonical basis, is the same as with full dense loops.
 """
 
 from __future__ import annotations
@@ -40,31 +45,20 @@ def identity(n: int) -> Matrix:
     )
 
 
-def zero_matrix(n: int, m: Optional[int] = None) -> Matrix:
-    m = n if m is None else m
-    return tuple(tuple(ZERO for _ in range(m)) for _ in range(n))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = _entry(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
+    if a and len(a[0]) != len(b):
         raise InputError(f"matrix shape mismatch: {len(a[0])} columns vs {len(b)} rows")
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt)
-        for row in a
-    )
+    ncols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [ZERO] * ncols
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[k]):
+                    if y:
+                        acc[j] = acc[j] + x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def adjoint(a: Matrix) -> Matrix:
@@ -73,7 +67,10 @@ def adjoint(a: Matrix) -> Matrix:
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    return tuple(
+        tuple(x - y if y else x for x, y in zip(ra, rb))
+        for ra, rb in zip(mat_mul(a, b), mat_mul(b, a))
+    )
 
 
 def is_zero_matrix(a: Matrix) -> bool:
@@ -112,11 +109,13 @@ def rref(rows: Sequence[Vector]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
         pv = work[r][c]
         if pv != ONE:
             inv = ONE / pv
-            work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+            work[r] = [inv * x if x else x for x in work[r]]
+        support = [(j, y) for j, y in enumerate(work[r]) if y]
+        for i, row in enumerate(work):
+            f = row[c]
+            if f and i != r:
+                for j, y in support:
+                    row[j] = row[j] - f * y
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -137,8 +136,9 @@ def kernel_basis(rows: Sequence[Vector], ncols: int) -> tuple[Vector, ...]:
     for f in free:
         v = [ZERO] * ncols
         v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
+        for row, p in zip(reduced, pivots):
+            if row[f]:
+                v[p] = -row[f]
         basis.append(tuple(v))
     return tuple(basis)
 
@@ -168,7 +168,9 @@ class Span:
             c = res[p]
             coeffs.append(c)
             if c:
-                res = [x - c * y for x, y in zip(res, row)]
+                for j, y in enumerate(row):
+                    if y:
+                        res[j] = res[j] - c * y
         return tuple(res), tuple(coeffs)
 
     def contains(self, v: Vector) -> bool:
@@ -181,9 +183,6 @@ class Span:
 
     def contains_span(self, other: "Span") -> bool:
         return all(self.contains(r) for r in other.rows)
-
-    def extended(self, vectors: Sequence[Vector]) -> "Span":
-        return Span(tuple(self.rows) + tuple(vectors), self.ncols)
 
     def __eq__(self, other):
         return isinstance(other, Span) and self.rows == other.rows and self.ncols == other.ncols
@@ -208,8 +207,10 @@ def span_intersection(a: Sequence[Vector], b: Sequence[Vector], ncols: int) -> t
     vectors = []
     for sol in kernel_basis(eqs, na + nb):
         vec = [ZERO] * ncols
-        for i in range(na):
-            if sol[i]:
-                vec = [x + sol[i] * y for x, y in zip(vec, a[i])]
+        for s, v in zip(sol, a):
+            if s:
+                for j, y in enumerate(v):
+                    if y:
+                        vec[j] = vec[j] + s * y
         vectors.append(tuple(vec))
     return rref(vectors)[0]

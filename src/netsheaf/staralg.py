@@ -128,23 +128,22 @@ def commutant(s: StarAlgebra) -> StarAlgebra:
     """All n x n matrices commuting with every basis element of s, computed as
     the exact kernel of the stacked commutator system."""
     n = s.n
-    # Equations in the unknown X: (XB - BX)[i][j] = 0 for each basis element B.
+    # Equations in the unknown X: (XB - BX)[i][j] = 0 for each basis element B,
+    # the equation for (i, j) at index i*n + j.  Each nonzero entry B[p][q]
+    # enters as X[i][p] B[p][q] in equation (i, q) and as -B[p][q] X[q][j] in
+    # equation (p, j).
     equations = []
     for b in s.basis:
-        for i in range(n):
-            for j in range(n):
-                row = [ZERO] * (n * n)
-                for k in range(n):
-                    row[i * n + k] = row[i * n + k] + b[k][j]      # X[i][k] B[k][j]
-                    row[k * n + j] = row[k * n + j] - b[i][k]      # B[i][k] X[k][j]
-                equations.append(tuple(row))
+        rows = [[ZERO] * (n * n) for _ in range(n * n)]
+        for p in range(n):
+            for q, x in enumerate(b[p]):
+                if x:
+                    for i in range(n):
+                        rows[i * n + q][i * n + p] = rows[i * n + q][i * n + p] + x
+                        rows[p * n + i][q * n + i] = rows[p * n + i][q * n + i] - x
+        equations.extend(tuple(row) for row in rows)
     solutions = kernel_basis(equations, n * n)
     return StarAlgebra(n, [unflatten(v, n) for v in solutions])
-
-
-def center(s: StarAlgebra) -> StarAlgebra:
-    """S n commutant(S), via exact span intersection."""
-    return intersection_algebra(s, commutant(s))
 
 
 def intersection_algebra(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
@@ -182,58 +181,3 @@ def multiplication_kernel_dim(a: StarAlgebra, b: StarAlgebra) -> int:
         )
     products = [flatten(mat_mul(x, y)) for x in a.basis for y in b.basis]
     return a.dim * b.dim - rank(products)
-
-
-class StarHom(Immutable):
-    """A unit-preserving *-homomorphism given by images of the domain basis.
-
-    Verified exactly on construction: linear well-definedness is automatic
-    (images are given on a basis), multiplicativity and adjoint/unit
-    preservation are checked on basis products.
-    """
-
-    __slots__ = ("domain", "codomain", "images", "matrix")
-
-    def __init__(self, domain: StarAlgebra, codomain: StarAlgebra, images: Sequence):
-        images = tuple(as_matrix(m) for m in images)
-        if len(images) != domain.dim:
-            raise InputError("need exactly one image per domain basis element")
-        coord_rows = []
-        for m in images:
-            c = codomain.coords(m)
-            if c is None:
-                raise InputError(f"image {mat_str(m)} lies outside the codomain")
-            coord_rows.append(c)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "matrix", tuple(coord_rows))
-        self._verify()
-
-    def apply(self, m: Matrix) -> Matrix:
-        coords = self.domain.coords(m)
-        if coords is None:
-            raise InputError("element lies outside the domain")
-        out = [[ZERO] * self.codomain.n for _ in range(self.codomain.n)]
-        for c, img in zip(coords, self.images):
-            if c:
-                for i in range(self.codomain.n):
-                    for j in range(self.codomain.n):
-                        out[i][j] = out[i][j] + c * img[i][j]
-        return tuple(tuple(row) for row in out)
-
-    def _verify(self):
-        if self.apply(identity(self.domain.n)) != identity(self.codomain.n):
-            raise InputError("not unit-preserving")
-        for i, x in enumerate(self.domain.basis):
-            if self.apply(adjoint(x)) != adjoint(self.images[i]):
-                raise InputError(f"not adjoint-preserving at basis element {i}")
-            for j, y in enumerate(self.domain.basis):
-                if self.apply(mat_mul(x, y)) != mat_mul(self.images[i], self.images[j]):
-                    raise InputError(f"not multiplicative at basis pair ({i}, {j})")
-
-
-def hom_kernel_trivial(f: StarHom) -> bool:
-    """True iff ker(f) = {0}; a True result certifies that f reflects
-    commutativity.  False means reflection is undetermined, not refuted."""
-    return rank(f.matrix) == f.domain.dim

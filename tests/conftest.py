@@ -3,12 +3,15 @@ independent oracles used to freeze expected values."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from netsheaf import AmbientSet, Partition, all_partitions
+from netsheaf.linalg import as_matrix, flatten, identity, adjoint, unflatten
+from netsheaf.scalars import ONE, ZERO, GaussianRational
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -158,3 +161,122 @@ def all_pairs_section_monotone(f):
         for t in range(len(tgt))
         if tgt.leq_idx(q, t)
     )
+
+
+# -- dense exact linear algebra over Q[i] ---------------------------------------
+#
+# The library's kernels skip zero entries.  These references touch every
+# entry, as the kernels once did; in Q[i] adding a zero term changes nothing,
+# so both must give the same values.
+
+def oracle_mat_mul(a, b):
+    """Every entry the full sum over the inner index."""
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt)
+        for row in a
+    )
+
+
+def oracle_rref(rows):
+    """Reduced row echelon form, each row update across every column."""
+    work = [list(r) for r in rows]
+    if not work:
+        return (), ()
+    pivots = []
+    r = 0
+    for c in range(len(work[0])):
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        pv = work[r][c]
+        if pv != ONE:
+            inv = ONE / pv
+            work[r] = [inv * x for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def oracle_reduce(rows, pivots, v):
+    """(residual, coefficients) of v against reduced rows, every entry updated."""
+    res = list(v)
+    coeffs = []
+    for row, p in zip(rows, pivots):
+        c = res[p]
+        coeffs.append(c)
+        if c:
+            res = [x - c * y for x, y in zip(res, row)]
+    return tuple(res), tuple(coeffs)
+
+
+def oracle_kernel_basis(rows, ncols):
+    reduced, pivots = oracle_rref(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def oracle_span_intersection(a, b, ncols):
+    if not a or not b:
+        return ()
+    eqs = [tuple(v[c] for v in a) + tuple(-v[c] for v in b) for c in range(ncols)]
+    vectors = []
+    for sol in oracle_kernel_basis(eqs, len(a) + len(b)):
+        vec = [ZERO] * ncols
+        for s, v in zip(sol, a):
+            if s:
+                vec = [x + s * y for x, y in zip(vec, v)]
+        vectors.append(tuple(vec))
+    return oracle_rref(vectors)[0]
+
+
+def oracle_star_closure(n, generators):
+    """Flattened canonical basis of the *-algebra generated in M_n: the
+    identity, the generators and their adjoints, closed under products by
+    dense products and dense row reduction until the dimension is stable."""
+    seed = [identity(n)]
+    for g in generators:
+        seed += [g, adjoint(g)]
+    rows, _ = oracle_rref([flatten(m) for m in seed])
+    while True:
+        mats = [unflatten(v, n) for v in rows]
+        products = [flatten(oracle_mat_mul(x, y)) for x in mats for y in mats]
+        grown, _ = oracle_rref(list(rows) + products)
+        if len(grown) == len(rows):
+            return rows
+        rows = grown
+
+
+def gaussian_matrices(rows, cols):
+    """Hypothesis strategy: a rows x cols matrix over Q[i], sparse (about one
+    entry in four nonzero) or dense, with complex entries and denominators,
+    so pivots are rarely 1, and sometimes with a zero row."""
+    part = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    entry = st.builds(GaussianRational, part, st.one_of(st.just(0), part))
+
+    @st.composite
+    def draw_matrix(draw):
+        nrows = draw(rows) if isinstance(rows, st.SearchStrategy) else rows
+        ncols = draw(cols) if isinstance(cols, st.SearchStrategy) else cols
+        cell = entry if draw(st.booleans()) else st.one_of(
+            st.just(ZERO), st.just(ZERO), st.just(ZERO), entry
+        )
+        m = [[draw(cell) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows and draw(st.booleans()):
+            m[draw(st.integers(0, nrows - 1))] = [ZERO] * ncols
+        return as_matrix(m)
+
+    return draw_matrix()

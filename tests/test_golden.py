@@ -1,7 +1,7 @@
 """Golden CLI outputs: stdout, stderr and exit status of every command on
 every fixture, text and --json, plus the DOT files of `descent --dot` and
-`contexts --dot`, compared byte for byte with the recorded files in
-tests/fixtures/golden/.
+`contexts --dot`, and `check-pair` on three more matrix pairs, compared byte
+for byte with the recorded files in tests/fixtures/golden/.
 
 Regenerate (only when an output is meant to change) with
 
@@ -31,6 +31,9 @@ PARTITION_FIXTURES = FIXTURE_NAMES[:3]
 # Each fixture defines several algebras, so `contexts` also runs on one by name.
 LEFT_ALGEBRA = {"square_pair": "A", "overlapping_halves": "L", "trivial_pair": "full",
                 "pauli_pair": "Z"}
+# Full M_4 against the scalars, M_2 (x) 1 against 1 (x) M_2, and M_2 on each
+# summand of M_2 (+) M_2: the pairs of the benchmark's `matrix` workload.
+MATRIX_FIXTURES = ("full_vs_scalars_pair", "tensor_pair", "block_diagonal_pair")
 
 
 def _cases() -> dict[str, dict]:
@@ -56,6 +59,11 @@ def _cases() -> dict[str, dict]:
             "fixture": fixture, "argv": ["contexts", "--algebra", "full", "--dot", "out.dot"],
             "dot": f"{fixture}.contexts.dot",
         }
+    for fixture in MATRIX_FIXTURES:
+        for suffix, extra in (("", []), (".json", ["--json"])):
+            cases[f"{fixture}.check-pair{suffix}"] = {
+                "fixture": fixture, "argv": ["check-pair", *extra], "dot": None,
+            }
     return cases
 
 

@@ -11,7 +11,6 @@ from netsheaf import (
     Partition,
     RestrictionMap,
     SpacetimePoset,
-    StarHom,
     Valuation,
     generated_star_algebra,
 )
@@ -51,7 +50,6 @@ HOLDERS = {
     "SpacetimePoset": lambda: SpacetimePoset(["O"], [], []),
     "GaussianRational": lambda: GaussianRational(1, 2),
     "StarAlgebra": _algebra,
-    "StarHom": lambda: StarHom(_algebra(), _algebra(), _algebra().basis),
     "RestrictionMap": lambda: RestrictionMap.from_contexts(
         Partition.discrete(ambient(2)), Partition.trivial(ambient(2))
     ),

@@ -1,10 +1,14 @@
 from fractions import Fraction
 from itertools import permutations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from netsheaf.linalg import (
     Span,
     adjoint,
     as_matrix,
+    commutator,
     flatten,
     identity,
     kernel_basis,
@@ -14,7 +18,16 @@ from netsheaf.linalg import (
     span_intersection,
     unflatten,
 )
-from netsheaf.scalars import GaussianRational, I, ZERO
+from netsheaf.scalars import GaussianRational, I, ONE, ZERO
+
+from conftest import (
+    gaussian_matrices,
+    oracle_kernel_basis,
+    oracle_mat_mul,
+    oracle_reduce,
+    oracle_rref,
+    oracle_span_intersection,
+)
 
 
 def gr(re, im=0):
@@ -103,3 +116,91 @@ def test_flatten_round_trip_and_identity():
     assert unflatten(flatten(m), 2) == m
     assert mat_mul(m, identity(2)) == m
     assert mat_mul(identity(2), m) == m
+
+
+# -- the skip-zero kernels against the dense references ---------------------------
+
+SIZES = st.integers(1, 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mat_mul_and_commutator_equal_the_dense_reference(data):
+    r, k, c = data.draw(SIZES), data.draw(SIZES), data.draw(SIZES)
+    a = data.draw(gaussian_matrices(r, k))
+    b = data.draw(gaussian_matrices(k, c))
+    assert mat_mul(a, b) == oracle_mat_mul(a, b)
+    square = data.draw(gaussian_matrices(k, k))
+    other = data.draw(gaussian_matrices(k, k))
+    ab, ba = oracle_mat_mul(square, other), oracle_mat_mul(other, square)
+    assert commutator(square, other) == tuple(
+        tuple(x - y for x, y in zip(u, v)) for u, v in zip(ab, ba)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(gaussian_matrices(st.integers(0, 5), st.integers(1, 5)))
+def test_rref_and_kernel_basis_equal_the_dense_reference(m):
+    assert rref(m) == oracle_rref(m)
+    ncols = len(m[0]) if m else 3
+    assert kernel_basis(m, ncols) == oracle_kernel_basis(m, ncols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_span_reduce_equals_the_dense_reference(data):
+    ncols = data.draw(SIZES)
+    rows = data.draw(gaussian_matrices(data.draw(SIZES), ncols))
+    span = Span(rows, ncols)
+    outside = data.draw(gaussian_matrices(1, ncols))[0]
+    coeffs = data.draw(gaussian_matrices(1, len(rows)))
+    inside = oracle_mat_mul(coeffs, rows)[0]
+    for v in (outside, inside):
+        assert span.reduce(v) == oracle_reduce(span.rows, span.pivots, v)
+    assert span.contains(inside)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_span_intersection_equals_the_dense_reference(data):
+    ncols = data.draw(st.integers(1, 5))
+    shared = data.draw(gaussian_matrices(st.integers(0, 2), ncols))
+    a = shared + data.draw(gaussian_matrices(st.integers(0, 3), ncols))
+    b = data.draw(gaussian_matrices(st.integers(0, 3), ncols)) + shared
+    assert span_intersection(a, b, ncols) == oracle_span_intersection(a, b, ncols)
+
+
+# -- only nonzero entries cost a scalar multiplication ---------------------------
+
+def _count_scalar_products(monkeypatch):
+    calls = []
+    product = GaussianRational.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return product(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", counted)
+    return calls
+
+
+def _unit(n, i, j):
+    return as_matrix([[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+
+
+def test_product_of_matrix_units_costs_one_scalar_multiplication(monkeypatch):
+    a, b = _unit(6, 0, 1), _unit(6, 1, 2)
+    calls = _count_scalar_products(monkeypatch)
+    product = mat_mul(a, b)
+    assert len(calls) == 1  # a dense product makes 6^3 = 216
+    assert product == _unit(6, 0, 2)
+
+
+def test_elimination_on_a_unit_pivot_row_costs_one_scalar_multiplication(monkeypatch):
+    e0 = (ONE,) + (ZERO,) * 5
+    ones = (ONE,) * 6
+    calls = _count_scalar_products(monkeypatch)
+    reduced, pivots = rref([e0, ones])
+    assert len(calls) == 1  # a dense row update makes 6
+    assert reduced == (e0, (ZERO,) + (ONE,) * 5)
+    assert pivots == (0, 1)

@@ -1,23 +1,32 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsheaf import (
     InputError,
     Partition,
     PreconditionError,
     StarAlgebra,
-    StarHom,
-    center,
     commutant,
     generated_star_algebra,
-    hom_kernel_trivial,
     indicator_algebra,
     intersection_algebra,
     multiplication_kernel_dim,
 )
-from netsheaf.linalg import adjoint, as_matrix, commutator, identity, is_zero_matrix, mat_mul
-from netsheaf.scalars import GaussianRational
+from netsheaf.linalg import (
+    adjoint,
+    as_matrix,
+    commutator,
+    flatten,
+    identity,
+    is_zero_matrix,
+    mat_mul,
+)
+from netsheaf.scalars import ZERO, GaussianRational
+
+from conftest import gaussian_matrices, oracle_kernel_basis, oracle_rref, oracle_star_closure
 
 SZ = [[1, 0], [0, -1]]
 SX = [[0, 1], [1, 0]]
@@ -95,7 +104,7 @@ def test_commutant_dimension_formula_for_indicator_algebras(partitions_by_size):
 def test_center_of_indicator_algebra_is_itself(amb3):
     p = Partition.from_blocks(amb3, [["0", "1"], ["2"]])
     s = indicator_algebra(p)
-    assert center(s) == s
+    assert intersection_algebra(s, commutant(s)) == s
 
 
 def test_multiplication_kernel_square_pair(square_pair):
@@ -155,46 +164,6 @@ def test_star_algebra_rejects_non_closed_basis():
         StarAlgebra(2, [as_matrix([[1, 0], [0, 1]]), as_matrix(E01)])
 
 
-def test_hom_identity_has_trivial_kernel():
-    full = generated_star_algebra(2, [SZ, SX])
-    f = StarHom(full, full, full.basis)
-    assert hom_kernel_trivial(f)
-
-
-def test_hom_projection_onto_first_summand():
-    # C + C -> C, (x, y) |-> x: kernel is the second summand
-    diag = generated_star_algebra(2, [SZ])  # basis: E00, E11
-    scalars = generated_star_algebra(1, [])
-    images = [identity(1), as_matrix([[0]])]
-    f = StarHom(diag, scalars, images)
-    assert not hom_kernel_trivial(f)
-
-
-def test_hom_inclusion_of_diagonal():
-    diag = generated_star_algebra(2, [SZ])
-    full = generated_star_algebra(2, [SZ, SX])
-    f = StarHom(diag, full, diag.basis)
-    assert hom_kernel_trivial(f)
-
-
-def test_hom_verification_rejects_non_multiplicative():
-    diag = generated_star_algebra(2, [SZ])  # basis: E00, E11
-    scalars = generated_star_algebra(1, [])
-    # E00 |-> 1 and E11 |-> 1 is linear and unit-preserving on I = E00 + E11?
-    # I |-> 2, so unit preservation already fails
-    with pytest.raises(InputError):
-        StarHom(diag, scalars, [identity(1), identity(1)])
-    # E00 |-> 1, E11 |-> -1 preserves the unit? I |-> 0, no; catches too
-    with pytest.raises(InputError):
-        StarHom(diag, scalars, [identity(1), as_matrix([[-1]])])
-
-
-def test_hom_image_must_lie_in_codomain():
-    diag = generated_star_algebra(2, [SZ])
-    with pytest.raises(InputError):
-        StarHom(diag, diag, [identity(2), as_matrix(SX)])
-
-
 def test_exactness_all_entries_are_gaussian_rationals():
     s = generated_star_algebra(2, [[[Fraction(1, 3), 0], [0, Fraction(-1, 7)]]])
     for m in s.basis:
@@ -211,3 +180,24 @@ def test_pauli_y_generates_commutative_subalgebra():
     for a in s.basis:
         for b in s.basis:
             assert mat_mul(a, b) == mat_mul(b, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_closure_and_commutant_equal_the_dense_references(data):
+    n = data.draw(st.integers(1, 3))
+    gens = data.draw(st.lists(gaussian_matrices(n, n), max_size=2))
+    s = generated_star_algebra(n, gens)
+    assert tuple(flatten(m) for m in s.basis) == oracle_star_closure(n, gens)
+    # X commutes with B: (XB - BX)[i][j] = 0, one dense equation per (B, i, j)
+    equations = []
+    for b in s.basis:
+        for i in range(n):
+            for j in range(n):
+                row = [ZERO] * (n * n)
+                for k in range(n):
+                    row[i * n + k] = row[i * n + k] + b[k][j]
+                    row[k * n + j] = row[k * n + j] - b[i][k]
+                equations.append(tuple(row))
+    expected = oracle_rref(oracle_kernel_basis(equations, n * n))[0]
+    assert tuple(flatten(m) for m in commutant(s).basis) == expected
