@@ -186,8 +186,8 @@ def cmd_descent(args) -> int:
         f"(equals the refinement join)",
         f"  coreflector:          {_show(report.adjunction.is_coreflector)}",
         f"  infinitesimal thickening: {_show(report.thickening.overall)}",
-        f"  strong locality:      {_show(report.strong_locality)}",
-        f"  unit law:             {_show(report.unit_law)}",
+        f"  strong locality:      {_show(report.hierarchy.strong_locality)}",
+        f"  unit law:             {_show(report.hierarchy.unit_law)}",
         f"  ring components:      {iso_count} of {len(comps)} are isomorphisms",
         f"  sheaf:                {_show(report.sheaf)} "
         f"(characterization agrees: {_show(report.sheaf == report.sheaf_by_characterization)})",
@@ -228,7 +228,7 @@ def cmd_check_net(args) -> int:
         )
         lines.append(
             f"    strongly local {_show(p.descent.adjunction.is_coreflector)}, "
-            f"unit law {_show(p.descent.unit_law)}, sheaf {_show(p.descent.sheaf)}"
+            f"unit law {_show(p.hierarchy.unit_law)}, sheaf {_show(p.descent.sheaf)}"
         )
     lines.append("")
     lines.append(

@@ -36,13 +36,7 @@ from .contexts import (
     guard_contexts,
 )
 from .errors import Immutable, InputError, InternalConsistencyError, SizeGuardError
-from .independence import (
-    AlgebraPair,
-    cstar_independent,
-    extended_locality,
-    strong_locality,
-    unit_law,
-)
+from .independence import AlgebraPair, HierarchyReport, hierarchy_report
 from .partitions import (
     Partition,
     bell_number,
@@ -229,7 +223,8 @@ def ring_component(c: Partition, pair: AlgebraPair) -> RingComponent:
 
 @dataclass(frozen=True)
 class DescentReport:
-    """The descent morphism of a pair, in poset and (optionally) ring form."""
+    """The descent morphism of a pair, in poset and (optionally) ring form,
+    with the pair's hierarchy report, decided once for every later stage."""
 
     pair: AlgebraPair
     source: Contexts
@@ -237,8 +232,7 @@ class DescentReport:
     h: MonotoneMap
     adjunction: AdjunctionReport
     thickening: ThickeningReport
-    strong_locality: bool
-    unit_law: bool
+    hierarchy: HierarchyReport
     ring_components: Optional[tuple[RingComponent, ...]] = None
     sheaf: Optional[bool] = None
     sheaf_by_characterization: Optional[bool] = None
@@ -271,8 +265,8 @@ class DescentReport:
                 "section_monotone": self.thickening.section_monotone,
                 "overall": self.thickening.overall,
             },
-            "strong_locality": self.strong_locality,
-            "unit_law": self.unit_law,
+            "strong_locality": self.hierarchy.strong_locality,
+            "unit_law": self.hierarchy.unit_law,
         }
         if self.ring_components is not None:
             out["ring_components"] = {
@@ -303,10 +297,11 @@ def descent_map(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> DescentR
     """
     pair.require_partition_engine("the descent map")
     joined = common_refinement(pair.left, pair.right)
-    # C_{A v B} has the most contexts of the three, so its Bell guard runs
-    # first; the product's guard runs next, before any poset is built.
-    guard_contexts(max_bell, joined)
+    # Every size guard, the product's before any poset is built, runs before
+    # the hierarchy's two context sweeps.
+    guard_contexts(max_bell, pair.left, pair.right, joined)
     target = fibered_context_product(pair, max_bell)
+    hierarchy = hierarchy_report(pair, max_bell)
     source = Contexts(joined)
     h, g = _h_table(pair, source, target), _g_table(source, target)
     src, tgt = source.elements, target.elements
@@ -341,15 +336,14 @@ def descent_map(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> DescentR
     h_map = MonotoneMap.certified(source, target, h)
     report = DescentReport(
         pair=pair, source=source, target=target, h=h_map, adjunction=adjunction,
-        thickening=_thickening(h_map, adjunction),
-        strong_locality=strong_locality(pair, max_bell), unit_law=unit_law(pair, max_bell),
+        thickening=_thickening(h_map, adjunction), hierarchy=hierarchy,
     )
     # The unit law is "g(h(C)) = C for every C"; pair-level strong locality
     # quantifies over all of C_A x C_B, a superset of the fibered pairs.
-    if report.unit_law == any(unit_strict):
+    if hierarchy.unit_law == any(unit_strict):
         trap("unit law disagrees with the unit of the descent adjunction",
-             unit_law=report.unit_law)
-    if report.strong_locality and not coreflector:
+             unit_law=hierarchy.unit_law)
+    if hierarchy.strong_locality and not coreflector:
         trap("pair-level strong locality holds but the descent map is not a coreflector")
     return report
 
@@ -394,10 +388,11 @@ def sheaf_report(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> Descent
     extended locality): C*-independence together with the unit law.
     """
     base = descent_map(pair, max_bell)
+    hierarchy = base.hierarchy
     components = tuple(ring_component(c, pair) for c in base.source.elements)
     direct = base.adjunction.is_iso and all(rc.is_isomorphism for rc in components)
-    characterized = (cstar_independent(pair) is True) and base.unit_law
-    if extended_locality(pair) and direct != characterized:
+    characterized = (hierarchy.cstar_independent is True) and hierarchy.unit_law
+    if hierarchy.extended_locality and direct != characterized:
         raise InternalConsistencyError(
             "sheaf decision routes disagree under extended locality",
             dump={

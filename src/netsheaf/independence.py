@@ -25,7 +25,6 @@ a violation is a bug in this package, never a property of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 from .contexts import DEFAULT_MAX_BELL, guard_contexts
@@ -269,7 +268,6 @@ def product_sense(pair: AlgebraPair) -> bool:
     return _pair_facts(pair).product_sense
 
 
-@lru_cache(maxsize=None)
 def _strong_locality_witness(a: Partition, b: Partition) -> Optional[tuple]:
     """First (C, D, side, actual) with (C v D) n side-algebra != that context."""
     for c in coarsenings(a):
@@ -292,7 +290,6 @@ def strong_locality(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> bool
     return _strong_locality_witness(pair.left, pair.right) is None
 
 
-@lru_cache(maxsize=None)
 def _unit_law_witnesses(a: Partition, b: Partition) -> tuple[Partition, ...]:
     """All contexts C of A v B with (C n A) v (C n B) != C, in canonical order."""
     joined = common_refinement(a, b)
@@ -360,28 +357,30 @@ def _verify_chain(report: HierarchyReport, pair: AlgebraPair):
 
 
 def hierarchy_report(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> HierarchyReport:
-    """Run every condition, attach witnesses, and trap implication-chain bugs."""
+    """Run every condition, attach witnesses, and trap implication-chain bugs.
+    Each context sweep runs once, after the Bell guards of A, B and A v B."""
     facts = _pair_facts(pair)._asdict()
     witnesses = facts["witnesses"]
     if pair.engine == PARTITION_ENGINE:
         a, b = pair.left, pair.right
-        strong = strong_locality(pair, max_bell)
-        if strong is False:
-            c, d, side, actual = _strong_locality_witness(a, b)
+        guard_contexts(max_bell, a, b, common_refinement(a, b))
+        strong_failure = _strong_locality_witness(a, b)
+        if strong_failure is not None:
+            c, d, side, actual = strong_failure
             witnesses["strong_locality"] = {
                 "context_of_left": str(c),
                 "context_of_right": str(d),
                 "failing_side": side,
                 "restriction_of_join": str(actual),
             }
-        unit = unit_law(pair, max_bell)
-        if unit is False:
-            failing = _unit_law_witnesses(a, b)
+        failing = _unit_law_witnesses(a, b)
+        if failing:
             witnesses["unit_law"] = {
                 "count": len(failing),
                 "contexts": [str(c) for c in failing[:WITNESS_LIMIT]],
                 "truncated": len(failing) > WITNESS_LIMIT,
             }
+        strong, unit = strong_failure is None, not failing
     else:
         strong = UNDETERMINED
         unit = UNDETERMINED

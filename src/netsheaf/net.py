@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional
 from .contexts import DEFAULT_MAX_BELL
 from .descent import DescentReport, sheaf_report
 from .errors import Immutable, InputError
-from .independence import AlgebraPair, HierarchyReport, hierarchy_report
+from .independence import AlgebraPair, HierarchyReport
 from .partitions import Partition, is_coarser, overlap_join
 
 
@@ -193,8 +193,11 @@ class PairAnalysis:
     meet_region: str
     meet_algebra: Partition
     intersection: Partition
-    hierarchy: HierarchyReport
     descent: DescentReport
+
+    @property
+    def hierarchy(self) -> HierarchyReport:
+        return self.descent.hierarchy
 
     @property
     def meet_differs(self) -> bool:
@@ -267,7 +270,6 @@ def analyze_net(spec: NetSpec, max_bell: int = DEFAULT_MAX_BELL) -> NetReport:
                 meet_region=meet_region,
                 meet_algebra=meet_algebra,
                 intersection=overlap_join(left, right),
-                hierarchy=hierarchy_report(pair, max_bell),
                 descent=sheaf_report(pair, max_bell),
             )
         )

@@ -28,7 +28,7 @@ from .linalg import (
     unflatten,
 )
 from .partitions import Partition
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ONE, ZERO
 
 
 class StarAlgebra(Immutable):
@@ -36,13 +36,12 @@ class StarAlgebra(Immutable):
 
     __slots__ = ("n", "basis", "_span")
 
-    def __init__(self, n: int, basis: Sequence[Matrix], *, _verified: bool = False):
+    def __init__(self, n: int, basis: Sequence[Matrix]):
+        span = Span([flatten(m) for m in basis], n * n)
         object.__setattr__(self, "n", n)
-        rows, _ = rref([flatten(m) for m in basis])
-        object.__setattr__(self, "basis", tuple(unflatten(v, n) for v in rows))
-        object.__setattr__(self, "_span", Span(rows, n * n))
-        if not _verified:
-            self.verify()
+        object.__setattr__(self, "basis", tuple(unflatten(v, n) for v in span.rows))
+        object.__setattr__(self, "_span", span)
+        self.verify()
 
     @property
     def dim(self) -> int:
@@ -50,10 +49,6 @@ class StarAlgebra(Immutable):
 
     def contains(self, m: Matrix) -> bool:
         return self._span.contains(flatten(m))
-
-    def coords(self, m: Matrix) -> Optional[tuple[GaussianRational, ...]]:
-        """Coefficients of m w.r.t. self.basis, or None if m is outside the span."""
-        return self._span.coords(flatten(m))
 
     def verify(self):
         """Recheck the *-algebra invariants by exact row reduction."""

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import netsheaf
@@ -325,9 +326,14 @@ def test_descent_runs_every_guard_before_any_work(tmp_path, capsys, monkeypatch)
     )
 
 
-def test_check_net_refuses_two_full_regions_over_the_scalars(tmp_path, capsys):
+def test_check_net_refuses_two_full_regions_over_the_scalars(monkeypatch, tmp_path, capsys):
     # the fibered product of two full 6-point algebras over the scalars has
-    # 203^2 = 41,209 elements
+    # 203^2 = 41,209 elements; its guard refuses before either context sweep
+    def no_sweep(*_):
+        raise AssertionError("a context sweep ran before the product guard")
+
+    monkeypatch.setattr(netsheaf.independence, "_strong_locality_witness", no_sweep)
+    monkeypatch.setattr(netsheaf.independence, "_unit_law_witnesses", no_sweep)
     points = list("abcdef")
     path = tmp_path / "full_over_scalars.json"
     path.write_text(
@@ -350,6 +356,53 @@ def test_check_net_refuses_two_full_regions_over_the_scalars(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert f"{203**2} elements" in err and "guard" in err
+
+
+def test_each_pair_is_decided_once(monkeypatch, tmp_path, capsys):
+    # one context-free pass, one strong-locality sweep and one unit-law sweep
+    # per partition pair, whichever command asks
+    calls = Counter()
+    for name in ("_pair_facts", "_strong_locality_witness", "_unit_law_witnesses"):
+        def counted(*args, _name=name, _fn=getattr(netsheaf.independence, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(netsheaf.independence, name, counted)
+    path = tmp_path / "two_pairs.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ambient": list("abcd"),
+                "algebras": {
+                    "scalars": [list("abcd")],
+                    "L": [["a", "b"], ["c", "d"]],
+                    "R": [["a", "c"], ["b", "d"]],
+                    "S": [["a", "c"], ["b"], ["d"]],
+                    "full": [[p] for p in "abcd"],
+                },
+                "net": {
+                    "regions": ["bottom", "O1", "O2", "O3", "top"],
+                    "leq": [["bottom", o] for o in ("O1", "O2", "O3")]
+                    + [[o, "top"] for o in ("O1", "O2", "O3")],
+                    "spacelike": [["O1", "O2"], ["O1", "O3"]],
+                    "assignment": {
+                        "bottom": "scalars", "O1": "L", "O2": "R", "O3": "S", "top": "full"
+                    },
+                },
+            }
+        )
+    )
+    for argv, pairs in (
+        (("check-pair", SQUARE), 1),
+        (("descent", SQUARE), 1),
+        (("check-net", str(path)), 2),
+    ):
+        calls.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert calls == {
+            "_pair_facts": pairs, "_strong_locality_witness": pairs, "_unit_law_witnesses": pairs
+        }
 
 
 def test_matrix_pair_hierarchy(capsys):

@@ -139,7 +139,8 @@ def test_analyze_square_net(amb4):
     assert pa.meet_region == "bottom"
     assert not pa.meet_differs
     assert pa.hierarchy.product_sense is True
-    assert pa.descent.unit_law is False
+    assert pa.hierarchy is pa.descent.hierarchy
+    assert pa.hierarchy.unit_law is False
     assert report.strongly_local_net is True
     assert report.sheaf_net is False
     assert report.cstar_independent_net is True
