@@ -94,9 +94,6 @@ class FinitePoset(Immutable):
     def __len__(self):
         return len(self.elements)
 
-    def __contains__(self, x):
-        return x in self.index
-
     def leq(self, x, y) -> bool:
         return bool((self.up[self.index[x]] >> self.index[y]) & 1)
 
@@ -280,9 +277,6 @@ class MonotoneMap(Immutable):
     @classmethod
     def from_function(cls, source: FinitePoset, target: FinitePoset, f) -> "MonotoneMap":
         return cls(source, target, [target.index[f(e)] for e in source.elements])
-
-    def __call__(self, x):
-        return self.target.elements[self.table[self.source.index[x]]]
 
     def is_surjective(self) -> bool:
         return len(set(self.table)) == len(self.target)

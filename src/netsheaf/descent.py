@@ -36,7 +36,7 @@ from .contexts import (
     guard_contexts,
 )
 from .errors import Immutable, InputError, InternalConsistencyError, SizeGuardError
-from .independence import AlgebraPair, HierarchyReport, hierarchy_report
+from .independence import AlgebraPair, HierarchyReport, _unit_law_witnesses, hierarchy_report
 from .partitions import (
     Partition,
     bell_number,
@@ -46,7 +46,7 @@ from .partitions import (
     overlap_join,
 )
 
-# Bound on the (E, C, D) triples the covering-stability sweep may test.
+# Bound on |C_{A v B}|*|C_A|*|C_B|, which bounds the covering-stability sweep.
 MAX_STABILITY_TRIPLES = 10**6
 
 # Bound on the elements of a fibered context product C_A x_M C_B.  The descent
@@ -184,27 +184,25 @@ class RingComponent:
 
 
 def ring_component(c: Partition, pair: AlgebraPair) -> RingComponent:
-    """Decide the multiplication map at context C on spectra.
-
-    blocks(C) maps into the fibered product of blocks(C n A) and blocks(C n B)
-    over blocks(C n M); surjectivity of that spectrum map is injectivity of
-    the algebra map, and injectivity is its surjectivity.
-    """
+    """Decide the multiplication map at context C of A v B on spectra."""
     pair.require_partition_engine("ring components")
     joined = common_refinement(pair.left, pair.right)
     if not is_coarser(c, joined):
         raise InputError(f"{c} is not a context of the join {joined}")
-    c1 = overlap_join(c, pair.left)
-    c2 = overlap_join(c, pair.right)
-    amalgam = overlap_join(c, pair.meet_algebra)
+    c1, c2, amalgam = (overlap_join(c, p) for p in (pair.left, pair.right, pair.meet_algebra))
+    return _ring_component(c, c1, c2, amalgam)
 
+
+def _ring_component(
+    c: Partition, c1: Partition, c2: Partition, amalgam: Partition
+) -> RingComponent:
+    """The multiplication map at C, from C1 = C n A, C2 = C n B and the
+    amalgam C n M.  blocks(C) maps into the fibered product of blocks(C1)
+    and blocks(C2) over blocks(C n M); surjectivity of that spectrum map is
+    injectivity of the algebra map, and injectivity is its surjectivity."""
     # Containing-block maps: C refines C1, C2 and the amalgam, and C1, C2
     # refine the amalgam, so representatives determine the block indices.
-    def spectrum_point(block: tuple[int, ...]) -> tuple[int, int]:
-        rep = block[0]
-        return (c1.block_of(rep), c2.block_of(rep))
-
-    image = {spectrum_point(b) for b in c.blocks}
+    image = {(c1.block_of(b[0]), c2.block_of(b[0])) for b in c.blocks}
     fibered = {
         (i, j)
         for i, bi in enumerate(c1.blocks)
@@ -215,9 +213,7 @@ def ring_component(c: Partition, pair: AlgebraPair) -> RingComponent:
     spectrum_injective = len(image) == c.num_blocks
     spectrum_surjective = image == fibered
     return RingComponent(
-        context=c,
-        injective=spectrum_surjective,
-        surjective=spectrum_injective,
+        context=c, injective=spectrum_surjective, surjective=spectrum_injective
     )
 
 
@@ -389,7 +385,13 @@ def sheaf_report(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> Descent
     """
     base = descent_map(pair, max_bell)
     hierarchy = base.hierarchy
-    components = tuple(ring_component(c, pair) for c in base.source.elements)
+    # h's table holds (C n A, C n B); since M <= A the amalgam C n M is
+    # (C n A) n M, which the product build has already computed.
+    tgt, meet = base.target.elements, pair.meet_algebra
+    components = tuple(
+        _ring_component(c, c1, c2, overlap_join(c1, meet))
+        for c, (c1, c2) in zip(base.source.elements, (tgt[q] for q in base.h.table))
+    )
     direct = base.adjunction.is_iso and all(rc.is_isomorphism for rc in components)
     characterized = (hierarchy.cstar_independent is True) and hierarchy.unit_law
     if hierarchy.extended_locality and direct != characterized:
@@ -458,31 +460,31 @@ def covering_stability(
     pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL
 ) -> tuple[StabilityViolation, ...]:
     """Check the Grothendieck stability requirement E = (E n C) v (E n D) for
-    every E in C_{A v B} below a cover C v D; return every violating triple.
+    every E in C_{A v B} below a cover C v D; return every violating triple,
+    ordered by E, then C, then D.
 
-    The sweep tests |C_{A v B}|*|C_A|*|C_B| triples; more than
-    MAX_STABILITY_TRIPLES of them raise SizeGuardError before any is tested."""
+    That requirement is the unit law of the pair (C, D): C <= A and D <= B
+    give C v D <= A v B, so the E below C v D are the contexts of C v D.
+    The sweep visits sum over (C, D) of Bell(|C v D|) contexts, at most
+    |C_{A v B}|*|C_A|*|C_B|; more than MAX_STABILITY_TRIPLES of those
+    triples raise SizeGuardError before any context is visited."""
     pair.require_partition_engine("the covering stability check")
     _guard_stability(pair)
     joined = common_refinement(pair.left, pair.right)
     guard_contexts(max_bell, joined, pair.left, pair.right)
     source = coarsenings(joined)
+    position = {e: k for k, e in enumerate(source)}
     left_contexts = coarsenings(pair.left)
     right_contexts = coarsenings(pair.right)
+    found = sorted(
+        (position[e], i, j)
+        for i, c in enumerate(left_contexts)
+        for j, d in enumerate(right_contexts)
+        for e in _unit_law_witnesses(c, d)
+    )
     violations = []
-    for e in source:
-        for c in left_contexts:
-            for d in right_contexts:
-                if not is_coarser(e, common_refinement(c, d)):
-                    continue
-                generated = common_refinement(overlap_join(e, c), overlap_join(e, d))
-                if generated != e:
-                    violations.append(
-                        StabilityViolation(
-                            covered=e,
-                            left_context=c,
-                            right_context=d,
-                            generated=generated,
-                        )
-                    )
+    for k, i, j in found:
+        e, c, d = source[k], left_contexts[i], right_contexts[j]
+        generated = common_refinement(overlap_join(e, c), overlap_join(e, d))
+        violations.append(StabilityViolation(e, c, d, generated))
     return tuple(violations)

@@ -177,10 +177,6 @@ class Span:
         res, _ = self.reduce(v)
         return not any(res)
 
-    def coords(self, v: Vector) -> Optional[Vector]:
-        res, coeffs = self.reduce(v)
-        return None if any(res) else coeffs
-
     def contains_span(self, other: "Span") -> bool:
         return all(self.contains(r) for r in other.rows)
 

@@ -207,8 +207,6 @@ def _positive_samples(
 ) -> list[tuple[Fraction, ...]]:
     """Strictly positive rational distributions on k points with a common
     denominator <= max_denominator."""
-    if k > max_denominator:
-        return []
     out = []
     for _ in range(count):
         den = rng.randint(k, max_denominator)
@@ -234,6 +232,15 @@ def valuation_independence_test(
     C*-independence decision of the independence module.
     """
     pair.require_partition_engine("the valuation independence test")
+    # Every context pair must be sampled, or a faulty product_extension goes unseen.
+    if samples < 1:
+        raise InputError(f"option 'samples' must be at least 1, got {samples}")
+    blocks = max(pair.left.num_blocks, pair.right.num_blocks)
+    if max_denominator < blocks:
+        raise InputError(
+            f"option 'max_denominator' must be at least {blocks}, the larger block "
+            f"count of the pair, got {max_denominator}"
+        )
     guard_contexts(max_bell, pair.left, pair.right)
     rng = random.Random(seed)
     result = True

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import strategies as st
 
 from netsheaf import AmbientSet, Partition, all_partitions
+from netsheaf.descent import StabilityViolation
 from netsheaf.linalg import as_matrix, flatten, identity, adjoint, unflatten
+from netsheaf.partitions import coarsenings, common_refinement, is_coarser, overlap_join
 from netsheaf.scalars import ONE, ZERO, GaussianRational
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -161,6 +163,21 @@ def all_pairs_section_monotone(f):
         for t in range(len(tgt))
         if tgt.leq_idx(q, t)
     )
+
+
+def oracle_covering_stability(pair):
+    """Every (E, C, D) in C_{A v B} x C_A x C_B with E <= C v D and
+    E != (E n C) v (E n D), by testing every triple in that order."""
+    violations = []
+    for e in coarsenings(common_refinement(pair.left, pair.right)):
+        for c in coarsenings(pair.left):
+            for d in coarsenings(pair.right):
+                if not is_coarser(e, common_refinement(c, d)):
+                    continue
+                generated = common_refinement(overlap_join(e, c), overlap_join(e, d))
+                if generated != e:
+                    violations.append(StabilityViolation(e, c, d, generated))
+    return tuple(violations)
 
 
 # -- dense exact linear algebra over Q[i] ---------------------------------------

@@ -360,14 +360,23 @@ def test_check_net_refuses_two_full_regions_over_the_scalars(monkeypatch, tmp_pa
 
 def test_each_pair_is_decided_once(monkeypatch, tmp_path, capsys):
     # one context-free pass, one strong-locality sweep and one unit-law sweep
-    # per partition pair, whichever command asks
+    # per partition pair, whichever command asks; covering stability, which
+    # only `descent` runs, adds one unit-law sweep per cover (C, D) in
+    # C_A x C_B through descent's own binding of the sweep
     calls = Counter()
-    for name in ("_pair_facts", "_strong_locality_witness", "_unit_law_witnesses"):
-        def counted(*args, _name=name, _fn=getattr(netsheaf.independence, name)):
-            calls[_name] += 1
+    for module, name in (
+        (netsheaf.independence, "_pair_facts"),
+        (netsheaf.independence, "_strong_locality_witness"),
+        (netsheaf.independence, "_unit_law_witnesses"),
+        (netsheaf.descent, "_unit_law_witnesses"),
+    ):
+        key = f"{module.__name__}.{name}"
+
+        def counted(*args, _key=key, _fn=getattr(module, name)):
+            calls[_key] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(netsheaf.independence, name, counted)
+        monkeypatch.setattr(module, name, counted)
     path = tmp_path / "two_pairs.json"
     path.write_text(
         json.dumps(
@@ -392,17 +401,60 @@ def test_each_pair_is_decided_once(monkeypatch, tmp_path, capsys):
             }
         )
     )
-    for argv, pairs in (
-        (("check-pair", SQUARE), 1),
-        (("descent", SQUARE), 1),
-        (("check-net", str(path)), 2),
+    for argv, pairs, covers in (
+        (("check-pair", SQUARE), 1, 0),
+        (("descent", SQUARE), 1, 2 * 2),
+        (("check-net", str(path)), 2, 0),
     ):
         calls.clear()
         code, _, _ = run(capsys, *argv)
         assert code == 0
-        assert calls == {
-            "_pair_facts": pairs, "_strong_locality_witness": pairs, "_unit_law_witnesses": pairs
-        }
+        assert calls == Counter({
+            "netsheaf.independence._pair_facts": pairs,
+            "netsheaf.independence._strong_locality_witness": pairs,
+            "netsheaf.independence._unit_law_witnesses": pairs,
+            "netsheaf.descent._unit_law_witnesses": covers,
+        })
+
+
+def test_check_net_reads_ring_components_off_the_descent_tables(monkeypatch, capsys):
+    # sheaf_report takes C n A and C n B from h's table, not from the public
+    # ring_component, which recomputes them
+    def no_component(*_):
+        raise AssertionError("ring_component called by the descent path")
+
+    monkeypatch.setattr(netsheaf.descent, "ring_component", no_component)
+    code, out, _ = run(capsys, "check-net", SQUARE)
+    assert code == 0
+    assert out
+
+
+def test_valuations_refuses_zero_samples(tmp_path, capsys):
+    # with no samples product_extension would never be spot-checked
+    doc = json.loads(Path(HALVES).read_text())
+    doc["options"] = {"samples": 0}
+    path = tmp_path / "no_samples.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "valuations", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: option 'samples' must be at least 1, got 0\n"
+
+
+def test_valuations_refuses_a_denominator_below_the_block_count(tmp_path, capsys):
+    # both halves have 2 blocks; no positive distribution on 2 points has a
+    # common denominator of 1
+    doc = json.loads(Path(HALVES).read_text())
+    doc["options"] = {"max_denominator": 1}
+    path = tmp_path / "small_denominator.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "valuations", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: option 'max_denominator' must be at least 2, the larger block count "
+        "of the pair, got 1\n"
+    )
 
 
 def test_matrix_pair_hierarchy(capsys):

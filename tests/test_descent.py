@@ -2,7 +2,7 @@ import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import netsheaf.contexts
@@ -42,7 +42,12 @@ from netsheaf.partitions import (
     overlap_join,
 )
 
-from conftest import all_pairs_section_monotone, ambient, random_partitions
+from conftest import (
+    all_pairs_section_monotone,
+    ambient,
+    oracle_covering_stability,
+    random_partitions,
+)
 
 
 def test_fibered_product_square_pair(square_pair):
@@ -326,6 +331,28 @@ def test_covering_stability_builds_no_context_poset(monkeypatch, square_pair):
     monkeypatch.setattr(netsheaf.descent, "enumerate_contexts", no_poset)
     a, b = square_pair
     assert covering_stability(AlgebraPair(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fibered_inputs(max_points=5))
+@example((Partition.discrete(ambient(5)), Partition.discrete(ambient(5)), None))
+def test_covering_stability_equals_the_triple_loop(inputs):
+    # the unit law of each cover (C, D) finds exactly the failing E <= C v D
+    # that testing every (E, C, D) finds, in the same order
+    a, b, _ = inputs
+    pair = AlgebraPair(a, b)
+    assert covering_stability(pair) == oracle_covering_stability(pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fibered_inputs(max_points=5))
+def test_ring_components_read_off_h_equal_the_public_route(inputs):
+    a, b, meet = inputs
+    pair = AlgebraPair(a, b, meet_algebra=meet)
+    report = sheaf_report(pair)
+    assert report.ring_components == tuple(
+        ring_component(c, pair) for c in report.source.elements
+    )
 
 
 def test_covering_stability_guard_admits_five_points():

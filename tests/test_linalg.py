@@ -87,12 +87,10 @@ def test_kernel_dimension_theorem():
     assert rank(rows) + len(kernel_basis(rows, 4)) == 4
 
 
-def test_span_membership_and_coords():
+def test_span_membership():
     s = Span([vec(1, 0, 1), vec(0, 1, 1)])
     assert s.contains(vec(2, 3, 5))
     assert not s.contains(vec(1, 0, 0))
-    coords = s.coords(vec(2, 3, 5))
-    assert coords == (gr(2), gr(3))
 
 
 def test_span_intersection_is_in_both():
