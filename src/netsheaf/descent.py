@@ -294,7 +294,7 @@ def descent_map(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> DescentR
     pair.require_partition_engine("the descent map")
     joined = common_refinement(pair.left, pair.right)
     # Every size guard, the product's before any poset is built, runs before
-    # the hierarchy's two context sweeps.
+    # the hierarchy's witness searches.
     guard_contexts(max_bell, pair.left, pair.right, joined)
     target = fibered_context_product(pair, max_bell)
     hierarchy = hierarchy_report(pair, max_bell)
@@ -339,6 +339,10 @@ def descent_map(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> DescentR
     if hierarchy.unit_law == any(unit_strict):
         trap("unit law disagrees with the unit of the descent adjunction",
              unit_law=hierarchy.unit_law)
+    failing = hierarchy.witnesses.get("unit_law", {}).get("count", 0)
+    if failing != sum(unit_strict):
+        trap("unit-law witness count disagrees with the unit of the descent adjunction",
+             count=failing, strict_units=sum(unit_strict))
     if hierarchy.strong_locality and not coreflector:
         trap("pair-level strong locality holds but the descent map is not a coreflector")
     return report

@@ -25,6 +25,7 @@ a violation is a bug in this package, never a property of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import NamedTuple, Optional, Union
 
 from .contexts import DEFAULT_MAX_BELL, guard_contexts
@@ -32,6 +33,9 @@ from .errors import EngineError, Immutable, InputError, InternalConsistencyError
 from .linalg import mat_str
 from .partitions import (
     Partition,
+    _canonical_rgs,
+    _set_partition_rgs,
+    bell_number,
     coarsenings,
     common_refinement,
     is_coarser,
@@ -282,12 +286,28 @@ def _strong_locality_witness(a: Partition, b: Partition) -> Optional[tuple]:
     return None
 
 
+def _meet_in_common(a: Partition, b: Partition) -> bool:
+    """Every two blocks of a meet a common block of b."""
+    meets = [0] * a.num_blocks
+    for i, j in zip(a.rgs, b.rgs):
+        meets[i] |= 1 << j
+    return all(x & y for x, y in combinations(meets, 2))
+
+
 def strong_locality(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> bool:
     """Microcausality plus (C v D) n A = C and (C v D) n B = D for every
-    context C of A and D of B."""
+    context C of A and D of B.
+
+    Decided on the block graph: it holds iff every two blocks of A meet a
+    common block of B, and every two blocks of B a common block of A.  If
+    blocks a, a' of A lie in one block of C and both meet b, then points of
+    a n b and a' n b share a block of C v D, so (C v D) n A, which always
+    contains C, joins a and a' as C does.  If a and a' meet no common
+    B-block, the C that joins only a and a' gives (C v B) n A = A != C."""
     pair.require_partition_engine("strong locality")
     guard_contexts(max_bell, pair.left, pair.right)
-    return _strong_locality_witness(pair.left, pair.right) is None
+    a, b = pair.left, pair.right
+    return _meet_in_common(a, b) and _meet_in_common(b, a)
 
 
 def _unit_law_witnesses(a: Partition, b: Partition) -> tuple[Partition, ...]:
@@ -300,11 +320,55 @@ def _unit_law_witnesses(a: Partition, b: Partition) -> tuple[Partition, ...]:
     return tuple(out)
 
 
+def _join_image_failures(a: Partition, b: Partition) -> tuple[int, tuple[Partition, ...]]:
+    """The contexts of A v B outside the joins C v D over C_A x C_B: their
+    number, and the first WITNESS_LIMIT of them in canonical order, from a
+    lazy walk over the restricted-growth strings of A v B's blocks.  That
+    walk is canonical order because blocks are ordered by their least point."""
+    joined = common_refinement(a, b)
+    rights = coarsenings(b)
+    joins = {_canonical_rgs(tuple(zip(c.rgs, d.rgs))) for c in coarsenings(a) for d in rights}
+    first = []
+    for grouping in _set_partition_rgs(joined.num_blocks):
+        rgs = tuple(grouping[k] for k in joined.rgs)
+        if rgs not in joins:
+            first.append(Partition(joined.ambient, rgs))
+            if len(first) == WITNESS_LIMIT:
+                break
+    return bell_number(joined.num_blocks) - len(joins), tuple(first)
+
+
+def _unit_law_failures(a: Partition, b: Partition) -> tuple[int, tuple[Partition, ...]]:
+    """How many contexts C of A v B have (C n A) v (C n B) != C, and the first
+    WITNESS_LIMIT of them in canonical order.
+
+    The contexts that satisfy the law are exactly the joins C v D of a
+    context of A and one of B: C <= E n A and D <= E n B for E = C v D, so
+    E <= (E n A) v (E n B) <= E.  So the failures are the contexts outside
+    the join image, found with |C_A|*|C_B| joins, unless that is more than
+    |C_{A v B}|, where the sweep over C_{A v B} is the cheaper route."""
+    contexts = bell_number(common_refinement(a, b).num_blocks)
+    if bell_number(a.num_blocks) * bell_number(b.num_blocks) <= contexts:
+        return _join_image_failures(a, b)
+    failing = _unit_law_witnesses(a, b)
+    return len(failing), failing[:WITNESS_LIMIT]
+
+
 def unit_law(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> bool:
-    """Every context of A v B is generated by its restrictions to A and B."""
+    """Every context of A v B is generated by its restrictions to A and B.
+
+    Holds iff A and B are comparable.  If B refines A, then A v B = B and
+    C n B = C for every context C.  Otherwise some block a of A meets two
+    B-blocks b1, b2, and some block b of B meets two A-blocks a1, a2.  If a
+    meets b, say a = a1 and b = b1, let C merge only a2 n b with a n b2: the
+    join of its restrictions also glues a n b onto that block.  If a misses
+    b, let C merge a n b1 with a1 n b, and a n b2 with a2 n b: the join of
+    its restrictions glues the two merged blocks together.  Either way
+    (C n A) v (C n B) != C."""
     pair.require_partition_engine("the unit law")
-    guard_contexts(max_bell, common_refinement(pair.left, pair.right))
-    return not _unit_law_witnesses(pair.left, pair.right)
+    a, b = pair.left, pair.right
+    guard_contexts(max_bell, common_refinement(a, b))
+    return is_coarser(a, b) or is_coarser(b, a)
 
 
 # -- the assembled report -----------------------------------------------------
@@ -358,14 +422,23 @@ def _verify_chain(report: HierarchyReport, pair: AlgebraPair):
 
 def hierarchy_report(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> HierarchyReport:
     """Run every condition, attach witnesses, and trap implication-chain bugs.
-    Each context sweep runs once, after the Bell guards of A, B and A v B."""
+    After the Bell guards of A, B and A v B, strong locality and the unit law
+    are decided on the block graph; a context search runs only for the
+    witnesses of a failure, and must find one."""
     facts = _pair_facts(pair)._asdict()
     witnesses = facts["witnesses"]
     if pair.engine == PARTITION_ENGINE:
         a, b = pair.left, pair.right
-        guard_contexts(max_bell, a, b, common_refinement(a, b))
-        strong_failure = _strong_locality_witness(a, b)
-        if strong_failure is not None:
+        # strong_locality guards A and B, then unit_law guards A v B
+        strong, unit = strong_locality(pair, max_bell), unit_law(pair, max_bell)
+        if not strong:
+            strong_failure = _strong_locality_witness(a, b)
+            if strong_failure is None:
+                raise InternalConsistencyError(
+                    "strong locality fails on the block graph, "
+                    "but no pair of contexts violates it",
+                    dump={"pair": pair.describe()},
+                )
             c, d, side, actual = strong_failure
             witnesses["strong_locality"] = {
                 "context_of_left": str(c),
@@ -373,14 +446,19 @@ def hierarchy_report(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> Hie
                 "failing_side": side,
                 "restriction_of_join": str(actual),
             }
-        failing = _unit_law_witnesses(a, b)
-        if failing:
+        if not unit:
+            count, first = _unit_law_failures(a, b)
+            if not count or len(first) != min(count, WITNESS_LIMIT):
+                raise InternalConsistencyError(
+                    "the unit law fails on an incomparable pair, but the witness "
+                    f"search counts {count} failing contexts and lists {len(first)}",
+                    dump={"pair": pair.describe()},
+                )
             witnesses["unit_law"] = {
-                "count": len(failing),
-                "contexts": [str(c) for c in failing[:WITNESS_LIMIT]],
-                "truncated": len(failing) > WITNESS_LIMIT,
+                "count": count,
+                "contexts": [str(c) for c in first],
+                "truncated": count > WITNESS_LIMIT,
             }
-        strong, unit = strong_failure is None, not failing
     else:
         strong = UNDETERMINED
         unit = UNDETERMINED

@@ -301,3 +301,23 @@ def test_criterion_8_matrix_engine_invariants():
     assert elapsed < 300
     _announce(8, f"double commutant, closure idempotence and exactness on "
                  f"{algebras} generated subalgebras (n <= 4), {elapsed:.1f}s")
+
+
+def test_criterion_9_sheaf_iff_comparable(pairs_by_size):
+    # with the default meet A n B the unit law decides the sheaf condition,
+    # and it holds iff one side refines the other; under extended locality
+    # that comparable side is the scalars
+    started = time.time()
+    checked = 0
+    for n in (1, 2, 3, 4, 5):
+        for a, b in pairs_by_size[n]:
+            pair = AlgebraPair(a, b)
+            sheaf = sheaf_report(pair).sheaf
+            assert sheaf == (is_coarser(a, b) or is_coarser(b, a))
+            if extended_locality(pair):
+                assert sheaf == (a.num_blocks == 1 or b.num_blocks == 1)
+            checked += 1
+    elapsed = time.time() - started
+    assert checked == sum(len(p) for p in pairs_by_size.values())
+    assert elapsed < 300
+    _announce(9, f"sheaf iff comparable on all {checked} ordered pairs, {elapsed:.1f}s")

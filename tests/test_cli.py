@@ -359,14 +359,20 @@ def test_check_net_refuses_two_full_regions_over_the_scalars(monkeypatch, tmp_pa
 
 
 def test_each_pair_is_decided_once(monkeypatch, tmp_path, capsys):
-    # one context-free pass, one strong-locality sweep and one unit-law sweep
-    # per partition pair, whichever command asks; covering stability, which
-    # only `descent` runs, adds one unit-law sweep per cover (C, D) in
-    # C_A x C_B through descent's own binding of the sweep
+    # one context-free pass and one decision each of strong locality and the
+    # unit law per partition pair, whichever command asks; a witness search
+    # runs only for a failure: the strong-locality sweep on (L, S), and the
+    # join image on each incomparable pair, since |C_A|*|C_B| <= |C_(A v B)|
+    # on all of them, so the unit-law sweep over C_(A v B) never runs.
+    # Covering stability, which only `descent` runs, adds one unit-law sweep
+    # per cover (C, D) in C_A x C_B through descent's own binding of it
     calls = Counter()
     for module, name in (
         (netsheaf.independence, "_pair_facts"),
+        (netsheaf.independence, "strong_locality"),
+        (netsheaf.independence, "unit_law"),
         (netsheaf.independence, "_strong_locality_witness"),
+        (netsheaf.independence, "_join_image_failures"),
         (netsheaf.independence, "_unit_law_witnesses"),
         (netsheaf.descent, "_unit_law_witnesses"),
     ):
@@ -401,20 +407,93 @@ def test_each_pair_is_decided_once(monkeypatch, tmp_path, capsys):
             }
         )
     )
-    for argv, pairs, covers in (
-        (("check-pair", SQUARE), 1, 0),
-        (("descent", SQUARE), 1, 2 * 2),
-        (("check-net", str(path)), 2, 0),
+    for argv, pairs, strong_failures, covers in (
+        (("check-pair", SQUARE), 1, 0, 0),
+        (("descent", SQUARE), 1, 0, 2 * 2),
+        (("check-net", str(path)), 2, 1, 0),
     ):
         calls.clear()
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert calls == Counter({
             "netsheaf.independence._pair_facts": pairs,
-            "netsheaf.independence._strong_locality_witness": pairs,
-            "netsheaf.independence._unit_law_witnesses": pairs,
+            "netsheaf.independence.strong_locality": pairs,
+            "netsheaf.independence.unit_law": pairs,
+            "netsheaf.independence._strong_locality_witness": strong_failures,
+            "netsheaf.independence._join_image_failures": pairs,
+            "netsheaf.independence._unit_law_witnesses": 0,
             "netsheaf.descent._unit_law_witnesses": covers,
         })
+
+
+def test_check_pair_on_a_bell_10_join_runs_no_sweep_over_it(monkeypatch, tmp_path, capsys):
+    # grid 2x5: A v B is the full algebra on 10 points, Bell(10) = 115,975
+    # contexts, and |C_A|*|C_B| = 2*52; the unit-law witnesses come from the
+    # join image, so the sweep over C_(A v B) must not run
+    def no_sweep(*_):
+        raise AssertionError("the unit-law sweep over C_(A v B) ran")
+
+    monkeypatch.setattr(netsheaf.independence, "_unit_law_witnesses", no_sweep)
+    points = [f"x{i}y{j}" for i in range(2) for j in range(5)]
+    path = tmp_path / "grid2x5.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ambient": points,
+                "algebras": {
+                    "A": [[f"x{i}y{j}" for j in range(5)] for i in range(2)],
+                    "B": [[f"x{i}y{j}" for i in range(2)] for j in range(5)],
+                },
+                "pair": {"left": "A", "right": "B"},
+            }
+        )
+    )
+    code, data, _ = run_json(capsys, "check-pair", str(path))
+    assert code == 0
+    hierarchy = data["result"]["hierarchy"]
+    assert hierarchy["unit_law"] is False and hierarchy["strong_locality"] is True
+    # every context of A v B but the joins C v D, which are pairwise distinct here
+    unit = hierarchy["witnesses"]["unit_law"]
+    assert unit["count"] == 115975 - 2 * 52
+    assert len(unit["contexts"]) == 50 and unit["truncated"] is True
+
+
+def test_comparable_pairs_run_no_unit_law_search(monkeypatch, tmp_path, capsys):
+    # the discrete 7-point self-pair: |C_A|*|C_B| = 877^2 = 769,129, but the
+    # pair is comparable, so the unit law needs neither the join image nor
+    # the sweep over C_(A v B)
+    calls = Counter()
+    for name in ("_join_image_failures", "_unit_law_witnesses"):
+
+        def counted(*args, _name=name, _fn=getattr(netsheaf.independence, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(netsheaf.independence, name, counted)
+    points = [f"p{i}" for i in range(7)]
+    path = tmp_path / "discrete7.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ambient": points,
+                "algebras": {"full": [[p] for p in points]},
+                "pair": {"left": "full", "right": "full"},
+                "net": {
+                    "regions": ["bottom", "O1", "O2", "top"],
+                    "leq": [["bottom", "O1"], ["bottom", "O2"], ["O1", "top"], ["O2", "top"]],
+                    "spacelike": [["O1", "O2"]],
+                    "assignment": {r: "full" for r in ("bottom", "O1", "O2", "top")},
+                },
+            }
+        )
+    )
+    for command in ("check-pair", "check-net"):
+        code, data, _ = run_json(capsys, command, str(path))
+        assert code == 0
+        result = data["result"]
+        hierarchy = result["hierarchy"] if command == "check-pair" else result["pairs"][0]["hierarchy"]
+        assert hierarchy["unit_law"] is True and "unit_law" not in hierarchy["witnesses"]
+    assert calls == Counter()
 
 
 def test_check_net_reads_ring_components_off_the_descent_tables(monkeypatch, capsys):

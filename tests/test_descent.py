@@ -530,24 +530,78 @@ def test_certificate_traps_a_failed_counit(monkeypatch, tmp_path, capsys, square
 
 
 def test_unit_law_trap_fires_on_a_forced_mismatch(monkeypatch, tmp_path, capsys, square_pair):
-    # the unit-law sweep finds no failing context, though h's unit is strict
-    monkeypatch.setattr(netsheaf.independence, "_unit_law_witnesses", lambda a, b: ())
+    # the unit-law decision says "comparable", though h's unit is strict
+    monkeypatch.setattr(netsheaf.independence, "unit_law", lambda pair, max_bell=None: True)
     code, err = run_net(tmp_path, capsys, *square_net(square_pair))
     assert code == 3
     assert "unit law disagrees with the unit of the descent adjunction" in err
+
+
+def test_unit_law_count_trap_fires_on_a_wrong_count(monkeypatch, tmp_path, capsys, square_pair):
+    # the witness search miscounts by one: the verdict still agrees with
+    # h's unit, but not the number of contexts where the unit is strict
+    failures = netsheaf.independence._unit_law_failures
+
+    def off_by_one(a, b):
+        count, first = failures(a, b)
+        return count + 1, first + first[-1:]  # a list as long as the count
+
+    monkeypatch.setattr(netsheaf.independence, "_unit_law_failures", off_by_one)
+    code, err = run_net(tmp_path, capsys, *square_net(square_pair))
+    assert code == 3
+    assert "unit-law witness count disagrees with the unit of the descent adjunction" in err
 
 
 def test_strong_locality_trap_fires_without_a_coreflector(monkeypatch, tmp_path, capsys):
     # A = {a,b}{c,d}, B = {a,c}{b}{d}: extended locality holds, so a forced
     # strong-locality verdict passes the implication chain, and h is not a
     # coreflector
-    monkeypatch.setattr(netsheaf.independence, "_strong_locality_witness", lambda a, b: None)
+    monkeypatch.setattr(
+        netsheaf.independence, "strong_locality", lambda pair, max_bell=None: True
+    )
     amb = ambient(4)
     left = Partition.from_blocks(amb, [["a", "b"], ["c", "d"]])
     right = Partition.from_blocks(amb, [["a", "c"], ["b"], ["d"]])
     code, err = run_net(tmp_path, capsys, left, right, Partition.trivial(amb))
     assert code == 3
     assert "strong locality holds but the descent map is not a coreflector" in err
+
+
+def test_strong_locality_sweep_trap_fires_when_no_witness_is_found(
+    monkeypatch, tmp_path, capsys
+):
+    # the block graph of A = {a,b}{c,d}, B = {a,c}{b}{d} says strong locality
+    # fails ({b} and {d} meet no common A-block); the sweep is made to find
+    # no failing pair of contexts
+    monkeypatch.setattr(netsheaf.independence, "_strong_locality_witness", lambda a, b: None)
+    amb = ambient(4)
+    left = Partition.from_blocks(amb, [["a", "b"], ["c", "d"]])
+    right = Partition.from_blocks(amb, [["a", "c"], ["b"], ["d"]])
+    code, err = run_net(tmp_path, capsys, left, right, Partition.trivial(amb))
+    assert code == 3
+    assert "strong locality fails on the block graph, but no pair of contexts violates it" in err
+
+
+def test_unit_law_witness_trap_fires_on_an_empty_join_image(
+    monkeypatch, tmp_path, capsys, square_pair
+):
+    # the square pair takes the join-image route (2 * 2 <= Bell(4)), made to
+    # find no failing context on an incomparable pair
+    monkeypatch.setattr(netsheaf.independence, "_join_image_failures", lambda a, b: (0, ()))
+    code, err = run_net(tmp_path, capsys, *square_net(square_pair))
+    assert code == 3
+    assert "the unit law fails on an incomparable pair, but the witness search counts 0" in err
+
+
+def test_unit_law_witness_trap_fires_on_an_empty_sweep(monkeypatch, tmp_path, capsys):
+    # {a,b}{c}{d} against {a}{b,c}{d} takes the sweep route (Bell(3)^2 > Bell(4))
+    monkeypatch.setattr(netsheaf.independence, "_unit_law_witnesses", lambda a, b: ())
+    amb = ambient(4)
+    left = Partition.from_blocks(amb, [["a", "b"], ["c"], ["d"]])
+    right = Partition.from_blocks(amb, [["a"], ["b", "c"], ["d"]])
+    code, err = run_net(tmp_path, capsys, left, right, Partition.trivial(amb))
+    assert code == 3
+    assert "the unit law fails on an incomparable pair, but the witness search counts 0" in err
 
 
 def constant_to_top(f):

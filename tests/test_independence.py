@@ -303,6 +303,52 @@ def test_cstar_iff_all_context_pairs_product(partitions_by_size):
                 assert lhs == rhs
 
 
+# -- the context-quantified conditions in closed form ---------------------------
+
+@st.composite
+def pairs_up_to_six_points(draw):
+    """Two partitions of one ambient set of at most six points."""
+    n = draw(st.integers(1, 6))
+    labels = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return Partition(ambient(n), draw(labels)), Partition(ambient(n), draw(labels))
+
+
+# grid 2x3: |C_A|*|C_B| = 2*5 <= Bell(6), the join-image route
+GRID_2X3 = (Partition(ambient(6), [0, 0, 0, 1, 1, 1]), Partition(ambient(6), [0, 1, 2, 0, 1, 2]))
+# {a,b}{c}{d}{e}{f} against {a}{b,c}{d}{e}{f}: Bell(5)^2 > Bell(6), the sweep
+NEAR_EQUAL = (Partition(ambient(6), [0, 0, 1, 2, 3, 4]), Partition(ambient(6), [0, 1, 1, 2, 3, 4]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs_up_to_six_points())
+@example(GRID_2X3)
+@example(NEAR_EQUAL)
+def test_closed_forms_equal_the_context_sweeps(pair):
+    a, b = pair
+    failing = netsheaf.independence._unit_law_witnesses(a, b)
+    expected = (len(failing), failing[:50])
+    assert unit_law(AlgebraPair(a, b)) == (not failing)
+    assert netsheaf.independence._join_image_failures(a, b) == expected
+    assert netsheaf.independence._unit_law_failures(a, b) == expected
+    strong = netsheaf.independence._strong_locality_witness(a, b) is None
+    assert strong_locality(AlgebraPair(a, b)) == strong
+
+
+def test_unit_law_failures_take_the_cheaper_route(monkeypatch):
+    def refuse(name):
+        def route(*_):
+            raise AssertionError(f"{name} ran")
+
+        monkeypatch.setattr(netsheaf.independence, name, route)
+
+    refuse("_unit_law_witnesses")
+    assert netsheaf.independence._unit_law_failures(*GRID_2X3)[0] == 203 - 2 * 5
+    monkeypatch.undo()
+    refuse("_join_image_failures")
+    count, first = netsheaf.independence._unit_law_failures(*NEAR_EQUAL)
+    assert count == len(first) == 37
+
+
 # -- the context-free conditions, decided once ---------------------------------
 
 CONTEXT_FREE = CONDITIONS[:5]
