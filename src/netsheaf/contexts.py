@@ -5,7 +5,7 @@ A (equivalently, all unital subalgebras of S_A) ordered by subalgebra
 inclusion.  Its Hasse covers come from one walk over restricted-growth
 strings: a context's lower covers merge two of its blocks.  ``Contexts``
 keeps the contexts and that walk; ``ContextPoset`` also stores the order as
-bitmasks.
+bitmasks, for the DOT export of a fibered product.
 
 For a generic monotone map between finite posets, ``left_adjoint`` and
 ``thickening_report`` decide adjoints, unit/counit strictness, coreflectors
@@ -94,18 +94,8 @@ class FinitePoset(Immutable):
     def __len__(self):
         return len(self.elements)
 
-    def leq(self, x, y) -> bool:
-        return bool((self.up[self.index[x]] >> self.index[y]) & 1)
-
     def leq_idx(self, i: int, j: int) -> bool:
         return bool((self.up[i] >> j) & 1)
-
-    def bottom_idx(self) -> Optional[int]:
-        full = (1 << len(self.elements)) - 1
-        for i in range(len(self.elements)):
-            if self.up[i] == full:
-                return i
-        return None
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction: pairs (i, j) where j covers i."""
@@ -273,10 +263,6 @@ class MonotoneMap(Immutable):
         for name, value in (("source", source), ("target", target), ("table", tuple(table))):
             object.__setattr__(f, name, value)
         return f
-
-    @classmethod
-    def from_function(cls, source: FinitePoset, target: FinitePoset, f) -> "MonotoneMap":
-        return cls(source, target, [target.index[f(e)] for e in source.elements])
 
     def is_surjective(self) -> bool:
         return len(set(self.table)) == len(self.target)

@@ -32,7 +32,6 @@ from .contexts import (
     FinitePoset,
     MonotoneMap,
     ThickeningReport,
-    enumerate_contexts,
     guard_contexts,
 )
 from .errors import Immutable, InputError, InternalConsistencyError, SizeGuardError
@@ -50,21 +49,22 @@ from .partitions import (
 MAX_STABILITY_TRIPLES = 10**6
 
 # Bound on the elements of a fibered context product C_A x_M C_B.  The descent
-# map is linear in it, but its factor posets carry order masks: with the guard
-# lifted, `check-net` on 2 vCPUs took 0.27 s for 10,556 elements over the 203
-# contexts of C_{A v B}, 1.4 s for 8,280 and 1.7 s for 11,543 over 4,140, and
-# 25 s (307 MB) for 42,294 with the 21,147-element context poset of a full
-# 9-point algebra as a factor.  10^4 keeps every factor at Bell(8) or less.
+# map is linear in it, and the product is ordered by refinement, with no
+# masks: with the guard lifted, on 2 vCPUs, `sheaf_report` took 3.5 s / 170 MB
+# and `check-net` 4.0 s / 208 MB for 42,294 elements (a full 9-point algebra
+# against a 2-block one over the scalars); masked factor posets took 18 s /
+# 223 MB and 16 s / 300 MB.  10^4 keeps every factor at Bell(8) or less.
 MAX_FIBERED_ELEMENTS = 10**4
 
 
 class FiberedContextProduct(Immutable):
     """Pairs (C1, C2) of contexts with C1 n M = C2 n M, ordered componentwise
-    through the factor posets' masks; the product has no masks of its own."""
+    by refinement.  The factors are plain Contexts: neither they nor the
+    product carry order masks, which only the DOT export's covers() builds."""
 
-    __slots__ = ("left_poset", "right_poset", "meet", "elements", "index", "_left", "_right")
+    __slots__ = ("left_poset", "right_poset", "meet", "elements", "index")
 
-    def __init__(self, left_poset: ContextPoset, right_poset: ContextPoset, meet: Partition):
+    def __init__(self, left_poset: Contexts, right_poset: Contexts, meet: Partition):
         # Group the right contexts by their restriction to M, so each left
         # context meets only the right contexts it agrees with.
         by_restriction = _restriction_groups(right_poset.elements, meet)
@@ -80,8 +80,6 @@ class FiberedContextProduct(Immutable):
             "meet": meet,
             "elements": tuple(elements),
             "index": {e: i for i, e in enumerate(elements)},
-            "_left": tuple(left_poset.index[c1] for c1, _ in elements),
-            "_right": tuple(right_poset.index[c2] for _, c2 in elements),
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -90,18 +88,17 @@ class FiberedContextProduct(Immutable):
         return len(self.elements)
 
     def leq_idx(self, i: int, j: int) -> bool:
-        left, right = self._left, self._right
-        return bool(
-            (self.left_poset.up[left[i]] >> left[j]) & 1
-            and (self.right_poset.up[right[i]] >> right[j]) & 1
-        )
+        (x1, x2), (y1, y2) = self.elements[i], self.elements[j]
+        return is_coarser(x1, y1) and is_coarser(x2, y2)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction, for the DOT export only: a cover in one
-        coordinate can leave the fiber, so the order is materialised here."""
-        left = _above(self.left_poset, self._left)
-        right = _above(self.right_poset, self._right)
-        up = [left[i] & right[j] for i, j in zip(self._left, self._right)]
+        coordinate can leave the fiber, so the order is materialised here,
+        from the factors' context posets."""
+        posets = [ContextPoset(f.algebra) for f in (self.left_poset, self.right_poset)]
+        left, right = ([p.index[e[k]] for e in self.elements] for k, p in enumerate(posets))
+        above_left, above_right = _above(posets[0], left), _above(posets[1], right)
+        up = [above_left[i] & above_right[j] for i, j in zip(left, right)]
         return FinitePoset(self.elements, up_masks=up).covers()
 
 
@@ -133,7 +130,7 @@ def _above(poset: FinitePoset, components: Sequence[int]) -> list[int]:
 
 def _guard_fibered_product(pair: AlgebraPair, max_bell: int) -> None:
     """The Bell guards of both sides, then the size of C_A x_M C_B counted
-    from the contexts' restrictions to M, before any poset is built."""
+    from the contexts' restrictions to M, before the product is built."""
     guard_contexts(max_bell, pair.left, pair.right)
     meet = pair.meet_algebra
     left = _restriction_groups(coarsenings(pair.left), meet)
@@ -152,14 +149,10 @@ def fibered_context_product(
     pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL
 ) -> FiberedContextProduct:
     """C_A x_M C_B.  More than MAX_FIBERED_ELEMENTS elements raise
-    SizeGuardError before any poset is built."""
+    SizeGuardError before any context is paired."""
     pair.require_partition_engine("the fibered context product")
     _guard_fibered_product(pair, max_bell)
-    return FiberedContextProduct(
-        enumerate_contexts(pair.left, max_bell),
-        enumerate_contexts(pair.right, max_bell),
-        pair.meet_algebra,
-    )
+    return FiberedContextProduct(Contexts(pair.left), Contexts(pair.right), pair.meet_algebra)
 
 
 @dataclass(frozen=True)
@@ -293,7 +286,7 @@ def descent_map(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> DescentR
     """
     pair.require_partition_engine("the descent map")
     joined = common_refinement(pair.left, pair.right)
-    # Every size guard, the product's before any poset is built, runs before
+    # Every size guard, the product's before it is built, runs before
     # the hierarchy's witness searches.
     guard_contexts(max_bell, pair.left, pair.right, joined)
     target = fibered_context_product(pair, max_bell)
@@ -307,8 +300,13 @@ def descent_map(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> DescentR
         raise InternalConsistencyError(message, dump=dump)
 
     no_adjoint = "descent map has no left adjoint: "
+    # Covers share images (grid 2x4: 28,337 covers, 137 images), so each image
+    # is compared once, at its first cover, which a trap then names.
+    image_covers: dict[tuple[int, int], tuple[int, int]] = {}
     for i, j in source.cover_walk():
-        if not target.leq_idx(h[i], h[j]):
+        image_covers.setdefault((h[i], h[j]), (i, j))
+    for (hi, hj), (i, j) in image_covers.items():
+        if not target.leq_idx(hi, hj):
             trap(no_adjoint + "h is not monotone", context=src[i], cover=src[j])
     for q, p in enumerate(g):
         if not target.leq_idx(q, h[p]):

@@ -177,9 +177,6 @@ class Span:
         res, _ = self.reduce(v)
         return not any(res)
 
-    def contains_span(self, other: "Span") -> bool:
-        return all(self.contains(r) for r in other.rows)
-
     def __eq__(self, other):
         return isinstance(other, Span) and self.rows == other.rows and self.ncols == other.ncols
 

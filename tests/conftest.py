@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from netsheaf import AmbientSet, Partition, all_partitions
+from netsheaf import AmbientSet, MonotoneMap, Partition, all_partitions
 from netsheaf.descent import StabilityViolation
 from netsheaf.linalg import as_matrix, flatten, identity, adjoint, unflatten
 from netsheaf.partitions import coarsenings, common_refinement, is_coarser, overlap_join
@@ -143,6 +143,29 @@ def oracle_all_partitions(amb: AmbientSet) -> set[Partition]:
         Partition.from_blocks(amb, [[amb.points[i] for i in block] for block in blocks])
         for blocks in rec(n)
     }
+
+
+# -- finite posets, monotone maps and spans, as the tests read them --------------
+
+def poset_leq(poset, x, y) -> bool:
+    """x <= y in a FinitePoset, read off its up mask."""
+    return poset.leq_idx(poset.index[x], poset.index[y])
+
+
+def poset_bottom(poset):
+    """The least element of a FinitePoset: the one whose up mask is full."""
+    full = (1 << len(poset)) - 1
+    return next(e for e, mask in zip(poset.elements, poset.up) if mask == full)
+
+
+def monotone_map_from_function(source, target, f) -> MonotoneMap:
+    """The MonotoneMap e |-> f(e); its constructor checks monotonicity."""
+    return MonotoneMap(source, target, [target.index[f(e)] for e in source.elements])
+
+
+def span_contains_span(outer, inner) -> bool:
+    """Every basis row of the Span inner lies in the Span outer."""
+    return all(outer.contains(row) for row in inner.rows)
 
 
 def all_pairs_section_monotone(f):

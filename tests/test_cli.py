@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -289,6 +290,28 @@ def test_descent_refuses_the_six_point_stability_sweep(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert f"{203**3} triples" in err and "guard" in err
+
+
+def test_valuations_refuses_the_seven_point_sweep_before_sampling(tmp_path, capsys):
+    # 877 * 877 contexts at 3 samples each: the Bell guards admit the pair,
+    # the sampled-extension guard does not
+    points = [f"p{i}" for i in range(7)]
+    path = tmp_path / "discrete7.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ambient": points,
+                "algebras": {"full": [[p] for p in points]},
+                "pair": {"left": "full", "right": "full"},
+            }
+        )
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "valuations", str(path), "--json")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert f"877*877*3 = {877 * 877 * 3} product extensions" in err and "guard" in err
 
 
 def test_descent_runs_every_guard_before_any_work(tmp_path, capsys, monkeypatch):

@@ -27,7 +27,14 @@ from netsheaf import (
 )
 from netsheaf.partitions import coarsenings, is_coarser, overlap_join
 
-from conftest import all_pairs_section_monotone, ambient, oracle_bell, random_partitions
+from conftest import (
+    all_pairs_section_monotone,
+    ambient,
+    monotone_map_from_function,
+    oracle_bell,
+    poset_bottom,
+    random_partitions,
+)
 
 
 def chain(n):
@@ -53,7 +60,7 @@ def test_enumerate_counts_match_bell_oracle():
 def test_enumerate_has_bottom_and_top(square_pair):
     a, _ = square_pair
     poset = enumerate_contexts(a)
-    bottom = poset.elements[poset.bottom_idx()]
+    bottom = poset_bottom(poset)
     assert bottom == Partition.trivial(a.ambient)
     assert poset.algebra in poset.elements
 
@@ -158,7 +165,7 @@ def test_adjunction_law_exhaustive_on_small_maps():
     amb = ambient(4)
     poset = enumerate_contexts(Partition.discrete(amb))
     sizes = chain(5)
-    f = MonotoneMap.from_function(poset, sizes, lambda p: p.num_blocks - 1)
+    f = monotone_map_from_function(poset, sizes, lambda p: p.num_blocks - 1)
     report = left_adjoint(f)
     if report.adjoint_exists:
         g = report.adjoint
@@ -205,7 +212,7 @@ def test_coreflector_iff_thickening_on_assorted_maps():
     poset = enumerate_contexts(Partition.discrete(amb))
     maps = []
     sizes = chain(5)
-    maps.append(MonotoneMap.from_function(poset, sizes, lambda p: p.num_blocks - 1))
+    maps.append(monotone_map_from_function(poset, sizes, lambda p: p.num_blocks - 1))
     maps.append(MonotoneMap(chain(3), chain(2), [0, 0, 1]))
     maps.append(MonotoneMap(chain(2), chain(3), [0, 2]))
     maps.append(MonotoneMap(chain(1), chain(1), [0]))
@@ -234,8 +241,8 @@ def section_not_monotone():
     two-block contexts: every fiber has a minimum, the section is not monotone."""
     poset = ContextPoset(Partition.discrete(ambient(3)))
     a, b, d = (e for e in poset.elements if e.num_blocks == 2)
-    level = {a: 1, b: 2, d: 0, poset.elements[poset.bottom_idx()]: 0}
-    return MonotoneMap.from_function(poset, chain(3), lambda e: level.get(e, 2))
+    level = {a: 1, b: 2, d: 0, poset_bottom(poset): 0}
+    return monotone_map_from_function(poset, chain(3), lambda e: level.get(e, 2))
 
 
 @settings(max_examples=200, deadline=None)

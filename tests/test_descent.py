@@ -13,6 +13,7 @@ from netsheaf import (
     MAX_STABILITY_TRIPLES,
     AlgebraPair,
     ContextPoset,
+    Contexts,
     EngineError,
     FiberedContextProduct,
     FinitePoset,
@@ -45,7 +46,9 @@ from netsheaf.partitions import (
 from conftest import (
     all_pairs_section_monotone,
     ambient,
+    monotone_map_from_function,
     oracle_covering_stability,
+    poset_leq,
     random_partitions,
 )
 
@@ -284,6 +287,8 @@ def fibered_inputs(draw, max_points=4):
 @settings(max_examples=80, deadline=None)
 @given(fibered_inputs())
 def test_hashed_fibered_product_equals_the_nested_scan(inputs):
+    # the product on Contexts factors, ordered by refinement, against a
+    # nested scan ordered through the factors' context-poset masks
     a, b, meet = inputs
     left, right = ContextPoset(a), ContextPoset(b)
     scan = sorted(
@@ -296,9 +301,9 @@ def test_hashed_fibered_product_equals_the_nested_scan(inputs):
         key=lambda pair: (pair[0].rgs, pair[1].rgs),
     )
     oracle = FinitePoset(
-        scan, lambda x, y: left.leq(x[0], y[0]) and right.leq(x[1], y[1])
+        scan, lambda x, y: poset_leq(left, x[0], y[0]) and poset_leq(right, x[1], y[1])
     )
-    product = FiberedContextProduct(left, right, meet)
+    product = FiberedContextProduct(Contexts(a), Contexts(b), meet)
     assert product.elements == oracle.elements
     k = len(product)
     assert all(
@@ -309,11 +314,11 @@ def test_hashed_fibered_product_equals_the_nested_scan(inputs):
 
 def test_covering_stability_guard_refuses_before_enumerating(monkeypatch):
     # 203^3 triples on the 6-point discrete self-pair: refused before any
-    # context poset is built, let alone a triple tested
+    # context is enumerated, let alone a triple tested
     def no_enumeration(*args, **kwargs):
         raise AssertionError("contexts enumerated before the triple guard")
 
-    monkeypatch.setattr(netsheaf.descent, "enumerate_contexts", no_enumeration)
+    monkeypatch.setattr(netsheaf.descent, "coarsenings", no_enumeration)
     full = Partition.discrete(ambient(6))
     with pytest.raises(SizeGuardError) as err:
         covering_stability(AlgebraPair(full, full))
@@ -328,7 +333,7 @@ def test_covering_stability_builds_no_context_poset(monkeypatch, square_pair):
     def no_poset(*args, **kwargs):
         raise AssertionError("context poset built for the stability sweep")
 
-    monkeypatch.setattr(netsheaf.descent, "enumerate_contexts", no_poset)
+    monkeypatch.setattr(netsheaf.contexts.FinitePoset, "__init__", no_poset)
     a, b = square_pair
     assert covering_stability(AlgebraPair(a, b))
 
@@ -366,14 +371,16 @@ def test_covering_stability_guard_admits_five_points():
 
 def generic_descent(pair):
     """The generic route: h as a MonotoneMap between mask-built posets, its
-    left adjoint by the least-element scan, then the fiber-minimum section."""
+    left adjoint by the least-element scan, then the fiber-minimum section.
+    The product's order comes from the factors' context-poset masks."""
     source = ContextPoset(common_refinement(pair.left, pair.right))
     product = fibered_context_product(pair)
-    left, right = product.left_poset, product.right_poset
+    left, right = (ContextPoset(f.algebra) for f in (product.left_poset, product.right_poset))
     target = FinitePoset(
-        product.elements, lambda x, y: left.leq(x[0], y[0]) and right.leq(x[1], y[1])
+        product.elements,
+        lambda x, y: poset_leq(left, x[0], y[0]) and poset_leq(right, x[1], y[1]),
     )
-    h = MonotoneMap.from_function(
+    h = monotone_map_from_function(
         source, target, lambda c: (overlap_join(c, pair.left), overlap_join(c, pair.right))
     )
     adjunction = left_adjoint(h)
@@ -434,25 +441,17 @@ def test_a_fibered_product_cover_can_move_both_coordinates_by_several_covers():
 def test_descent_map_builds_no_join_poset_product_masks_or_adjoint_scan(
     monkeypatch, square_pair
 ):
-    built = []
-    original = FinitePoset.__init__
-
-    def recording(self, *args, **kwargs):
-        built.append((type(self), getattr(self, "algebra", None)))
-        original(self, *args, **kwargs)
-
     def forbidden(*args, **kwargs):
-        raise AssertionError("generic adjunction scan on the descent path")
+        raise AssertionError("order masks or a generic adjunction scan on the descent path")
 
-    monkeypatch.setattr(FinitePoset, "__init__", recording)
+    # no poset with masks at all: not C_{A v B}, not the product, not its factors
+    monkeypatch.setattr(FinitePoset, "__init__", forbidden)
     for module in (netsheaf.contexts, netsheaf.descent):
         for name in ("left_adjoint", "_assert_adjunction_law"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     a, b = square_pair
     report = sheaf_report(AlgebraPair(a, b))
     assert report.adjunction.adjoint_exists
-    # only the two factor posets carry masks: none for C_{A v B}, none for the product
-    assert sorted(built, key=str) == [(ContextPoset, a), (ContextPoset, b)]
 
 
 def run_net(tmp_path, capsys, left, right, meet):
@@ -657,10 +656,10 @@ def test_adjunction_law_trap_fires_on_a_wrong_adjoint(square_pair):
 
 def test_fibered_product_guard_refuses_before_any_poset(monkeypatch):
     # two full algebras on 6 points over the scalars: 203^2 = 41,209 pairs
-    def no_poset(*args, **kwargs):
-        raise AssertionError("poset built before the fibered-product guard")
+    def no_contexts(*args, **kwargs):
+        raise AssertionError("factor contexts built before the fibered-product guard")
 
-    monkeypatch.setattr(netsheaf.contexts.FinitePoset, "__init__", no_poset)
+    monkeypatch.setattr(netsheaf.descent, "Contexts", no_contexts)
     full = Partition.discrete(ambient(6))
     pair = AlgebraPair(full, full, meet_algebra=Partition.trivial(full.ambient))
     for build in (fibered_context_product, descent_map, sheaf_report):

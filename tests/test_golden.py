@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from netsheaf.cli import main
+from netsheaf.contexts import FinitePoset
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -102,6 +103,20 @@ def test_cli_output_matches_the_golden_record(name, recorded, tmp_path):
     if CASES[name]["dot"]:
         expected = (GOLDEN / CASES[name]["dot"]).read_bytes()
         assert dot.encode("utf-8") == expected
+
+
+def test_no_command_but_descent_dot_builds_order_masks(recorded, tmp_path, monkeypatch):
+    # every case but `descent --dot` runs with FinitePoset unconstructible:
+    # no command orders contexts through masks unless it draws the product
+    def no_poset(*args, **kwargs):
+        raise AssertionError("FinitePoset built")
+
+    monkeypatch.setattr(FinitePoset, "__init__", no_poset)
+    for name, case in sorted(CASES.items()):
+        if case["argv"][0] == "descent" and "--dot" in case["argv"]:
+            continue
+        actual, _ = run_case(case, tmp_path)
+        assert actual == recorded[name], name
 
 
 def record():

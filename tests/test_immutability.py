@@ -4,6 +4,7 @@ from netsheaf import (
     AlgebraPair,
     AmbientSet,
     ContextPoset,
+    Contexts,
     FiberedContextProduct,
     FinitePoset,
     GaussianRational,
@@ -41,8 +42,8 @@ HOLDERS = {
     "FinitePoset": _poset,
     "ContextPoset": lambda: ContextPoset(Partition.discrete(ambient(3))),
     "FiberedContextProduct": lambda: FiberedContextProduct(
-        ContextPoset(_square()[0]),
-        ContextPoset(_square()[1]),
+        Contexts(_square()[0]),
+        Contexts(_square()[1]),
         Partition.trivial(ambient(4)),
     ),
     "MonotoneMap": lambda: MonotoneMap(_poset(), _poset(), [0, 1]),

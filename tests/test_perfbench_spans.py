@@ -6,9 +6,18 @@ its install() rebinds functions process-wide and is never called."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+from netsheaf import AlgebraPair, ContextPoset, fibered_context_product
+from netsheaf.documents import parse_input_document
+from netsheaf.linalg import flatten, rref
+from netsheaf.net import analyze_net
+from netsheaf.staralg import generated_star_algebra
+
+from conftest import FIXTURES
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -41,3 +50,42 @@ def test_every_counted_cache_has_cache_info():
     cached = set(spans.LRU_CACHED) | {name for name, _ in spans.CALLS_DURING.values()}
     for name in sorted(cached):
         assert hasattr(getattr(partitions, name, None), "cache_info"), name
+
+
+def test_counts_read_every_kept_record(square_pair):
+    # counts() on records of real objects, shaped as the wrappers keep them
+    # ((arguments...), result), without install(): an attribute that counts()
+    # reads and the program renamed fails here, not in the traced run
+    recorder = spans.Recorder(
+        {layer: importlib.import_module(f"netsheaf.{layer}") for layer in spans.LAYERS}
+    )
+    a, b = square_pair
+    poset = ContextPoset(a)
+    product = fibered_context_product(AlgebraPair(a, b))
+    doc = parse_input_document(json.loads((FIXTURES / "square_pair.json").read_text()))
+    net = analyze_net(doc.net)
+    algebra = generated_star_algebra(2, [[[1, 0], [0, -1]]])
+    rows = tuple(flatten(m) for m in algebra.basis)
+    records = {
+        "contexts.poset": ((poset, a), None),
+        "descent.fibered_product": (
+            (product, product.left_poset, product.right_poset, product.meet), None
+        ),
+        "net.analyze": ((doc.net,), net),
+        "staralg.generate": ((2, [[[1, 0], [0, -1]]]), algebra),
+        "linalg.rref": ((rows,), rref(rows)),
+    }
+    for name, record in records.items():
+        recorder.originals[name] = None  # counts() reads only which names were rebound
+        recorder.records[name].append(record)
+    counts = recorder.counts()
+    assert counts["contexts.posets_built"] == 1
+    assert counts["contexts.elements"] == len(poset) == 2
+    assert counts["contexts.comparable_pairs"] == 3
+    assert counts["descent.fibered_scan"] == 2 * 2
+    assert counts["descent.fibered_elements"] == len(product) == 4
+    assert counts["net.pairs"] == len(net.pairs) > 0
+    assert counts["staralg.generated_dim"] == algebra.dim == 2
+    assert counts["linalg.rref.cells"] == 2 * 4
+    for name in ("cache_entries", "common_refinement.misses", "overlap_join.misses"):
+        assert f"partitions.{name}" in counts

@@ -6,6 +6,7 @@ from netsheaf import (
     AlgebraPair,
     InputError,
     Partition,
+    SizeGuardError,
     RestrictionMap,
     Spectrum,
     Valuation,
@@ -14,6 +15,7 @@ from netsheaf import (
     pushforward,
     valuation_independence_test,
 )
+import netsheaf.valuations
 from netsheaf.partitions import is_coarser
 
 
@@ -186,3 +188,22 @@ def test_valuation_json(amb3):
         Valuation.from_json(Spectrum(left), {"{0,1}": [1, 3], "{9}": [2, 3]})
     with pytest.raises(InputError):
         Valuation.from_json(Spectrum(left), {"{0,1}": [1, 3]})
+
+
+def test_independence_test_guards_the_sampled_extensions(monkeypatch, amb4):
+    # the 4-point discrete self-pair samples 15 * 15 * 3 = 675 extensions:
+    # admitted at a bound of exactly 675, refused below it before any sampling
+    full = Partition.discrete(amb4)
+    pair = AlgebraPair(full, full)
+    monkeypatch.setattr(netsheaf.valuations, "MAX_SAMPLED_EXTENSIONS", 675)
+    assert valuation_independence_test(pair) is cstar_independent(pair)
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("valuations sampled before the guard")
+
+    monkeypatch.setattr(netsheaf.valuations, "MAX_SAMPLED_EXTENSIONS", 674)
+    monkeypatch.setattr(netsheaf.valuations, "_positive_samples", no_sampling)
+    with pytest.raises(SizeGuardError) as err:
+        valuation_independence_test(pair)
+    assert (err.value.requested, err.value.bound) == (675, 674)
+    assert "15*15*3 = 675" in str(err.value) and "guard of 674" in str(err.value)
