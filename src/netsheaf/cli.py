@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -95,9 +96,71 @@ def _parse_weights(text: str) -> list[Fraction]:
 
 # -- rendering -----------------------------------------------------------------
 
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte.  Each container whose
+    members are all scalars is encoded in one call to the C encoder, whose
+    item separator carries the newline and indent; only containers holding
+    containers are walked here."""
+    encoders: dict[int, object] = {}
+
+    def encoder(depth: int):
+        if depth not in encoders:
+            encoders[depth] = c_make_encoder(
+                None, _unserializable, encode_basestring_ascii, None,
+                ": ", ",\n" + "  " * depth, False, False, True,
+            )
+        return encoders[depth]
+
+    def encode(value, depth: int, out: list) -> None:
+        is_dict = isinstance(value, dict)
+        if not (is_dict or isinstance(value, (list, tuple))):
+            out.extend(encoder(depth)(value, 0))
+            return
+        if not value:
+            out.append("{}" if is_dict else "[]")
+            return
+        members = value.values() if is_dict else value
+        inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        if not any(isinstance(m, (dict, list, tuple)) for m in members):
+            text = "".join(encoder(depth + 1)(value, 0))
+            out += (text[0], inner, text[1:-1], outer, text[-1])
+            return
+        out.append("{" if is_dict else "[")
+        for k, (key, member) in enumerate(zip(value, members)):
+            out += ("," if k else "", inner)
+            if is_dict:
+                out += (_json_key(key), ": ")
+            encode(member, depth + 1, out)
+        out += (outer, "}" if is_dict else "]")
+
+    if c_make_encoder is None:  # no C accelerator in this interpreter
+        return json.dumps(value, indent=2)
+    out: list[str] = []
+    encode(value, 0, out)
+    return "".join(out)
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` writes it: str as is; float, bool, None and int
+    coerced to their JSON text; anything else refused."""
+    if isinstance(key, str):
+        pass
+    elif isinstance(key, float) or key is True or key is False or key is None:
+        key = json.dumps(key)
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _unserializable(value):
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(envelope: ReportEnvelope, as_json: bool, lines: list[str]) -> int:
     if as_json:
-        sys.stdout.write(json.dumps(envelope.to_json(), indent=2) + "\n")
+        sys.stdout.write(_dumps(envelope.to_json()) + "\n")
     else:
         header = (
             f"netsheaf {__version__} | {envelope.command} | {envelope.input_digest}"

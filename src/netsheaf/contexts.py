@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .errors import Immutable, InputError, InternalConsistencyError, SizeGuardError
-from .partitions import Partition, bell_number, coarsenings, overlap_join
+from .partitions import Partition, bell_number, block_strings, coarsenings, overlap_join
 
 DEFAULT_MAX_BELL = 115975  # Bell(10)
 
@@ -134,14 +134,18 @@ def _merge_walk(algebra: Partition, elements: Sequence[Partition]) -> Iterator[t
     that merge two of its groups (Knuth, TAOCP 4A 7.2.1.5).  The finer
     context j is taken by decreasing block count, so j comes after all its
     upper covers."""
-    firsts = [block[0] for block in algebra.blocks]
-    keys = [tuple(e.rgs[f] for f in firsts) for e in elements]
+    keys = block_strings(algebra, elements)
     index = {key: i for i, key in enumerate(keys)}
     for j in sorted(range(len(keys)), key=lambda i: -max(keys[i])):
         key = keys[j]
         for b in range(1, max(key) + 1):
+            # group b relabelled a, the groups above it shifted down by one
+            merged = [v - (v > b) for v in key]
+            moved = [t for t, v in enumerate(key) if v == b]
             for a in range(b):
-                yield index[tuple(a if v == b else v - (v > b) for v in key)], j
+                for t in moved:
+                    merged[t] = a
+                yield index[tuple(merged)], j
 
 
 class ContextPoset(FinitePoset):

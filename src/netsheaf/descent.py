@@ -22,6 +22,7 @@ is injective iff the spectrum map is surjective and vice versa.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .contexts import (
@@ -39,6 +40,7 @@ from .independence import AlgebraPair, HierarchyReport, _unit_law_witnesses, hie
 from .partitions import (
     Partition,
     bell_number,
+    block_strings,
     coarsenings,
     common_refinement,
     is_coarser,
@@ -183,30 +185,37 @@ def ring_component(c: Partition, pair: AlgebraPair) -> RingComponent:
     if not is_coarser(c, joined):
         raise InputError(f"{c} is not a context of the join {joined}")
     c1, c2, amalgam = (overlap_join(c, p) for p in (pair.left, pair.right, pair.meet_algebra))
-    return _ring_component(c, c1, c2, amalgam)
+    # Containing-block maps: C refines C1 and C2, so representatives
+    # determine the block indices.
+    image = {(c1.block_of(b[0]), c2.block_of(b[0])) for b in c.blocks}
+    return _ring_component(c, image, _fibered_blocks(c1, c2, amalgam))
+
+
+def _fibered_blocks(c1: Partition, c2: Partition, amalgam: Partition) -> set[tuple[int, int]]:
+    """The fibered product of blocks(C1) and blocks(C2) over blocks(C n M),
+    as block-index pairs; C1 and C2 both refine the amalgam."""
+    sides: dict[int, tuple[list[int], list[int]]] = {}
+    for k, part in enumerate((c1, c2)):
+        for i, block in enumerate(part.blocks):
+            sides.setdefault(amalgam.rgs[block[0]], ([], []))[k].append(i)
+    return {(i, j) for left, right in sides.values() for i in left for j in right}
 
 
 def _ring_component(
-    c: Partition, c1: Partition, c2: Partition, amalgam: Partition
+    c: Partition, image: set[tuple[int, int]], fibered: set[tuple[int, int]]
 ) -> RingComponent:
-    """The multiplication map at C, from C1 = C n A, C2 = C n B and the
-    amalgam C n M.  blocks(C) maps into the fibered product of blocks(C1)
-    and blocks(C2) over blocks(C n M); surjectivity of that spectrum map is
-    injectivity of the algebra map, and injectivity is its surjectivity."""
-    # Containing-block maps: C refines C1, C2 and the amalgam, and C1, C2
-    # refine the amalgam, so representatives determine the block indices.
-    image = {(c1.block_of(b[0]), c2.block_of(b[0])) for b in c.blocks}
-    fibered = {
-        (i, j)
-        for i, bi in enumerate(c1.blocks)
-        for j, bj in enumerate(c2.blocks)
-        if amalgam.block_of(bi[0]) == amalgam.block_of(bj[0])
-    }
-    assert image <= fibered
-    spectrum_injective = len(image) == c.num_blocks
-    spectrum_surjective = image == fibered
+    """The multiplication map at C, from the image of blocks(C) in
+    blocks(C n A) x blocks(C n B) and the fibered product of those block sets
+    over blocks(C n M).  Surjectivity of that spectrum map is injectivity of
+    the algebra map, and injectivity is its surjectivity.  An image outside
+    the fibered product is a bug."""
+    if not image <= fibered:
+        raise InternalConsistencyError(
+            "ring component's spectrum map leaves the fibered product of block sets",
+            dump={"context": str(c), "image": sorted(image), "fibered": sorted(fibered)},
+        )
     return RingComponent(
-        context=c, injective=spectrum_surjective, surjective=spectrum_injective
+        context=c, injective=image == fibered, surjective=len(image) == c.num_blocks
     )
 
 
@@ -311,9 +320,12 @@ def descent_map(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> DescentR
     for q, p in enumerate(g):
         if not target.leq_idx(q, h[p]):
             trap(no_adjoint + "q <= h(g(q)) fails", target_element=tgt[q], g=src[p])
+    # z is coarser than c iff each block of c lies in one of z: as many
+    # distinct (c, z) label pairs as c has blocks.
     for p, q in enumerate(h):
-        if not is_coarser(src[g[q]], src[p]):
-            trap(no_adjoint + "g(h(C)) <= C fails", context=src[p], g_of_h=src[g[q]])
+        c, z = src[p], src[g[q]]
+        if len(set(zip(c.rgs, z.rgs))) != c.num_blocks:
+            trap(no_adjoint + "g(h(C)) <= C fails", context=c, g_of_h=z)
     for (c1, c2), z in zip(tgt, (src[p] for p in g)):
         if not (is_coarser(c1, z) and is_coarser(c2, z)
                 and z.num_blocks == len(set(zip(c1.rgs, c2.rgs)))):
@@ -347,9 +359,50 @@ def descent_map(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> DescentR
 
 
 def _h_table(pair: AlgebraPair, source: Contexts, target: FiberedContextProduct) -> list[int]:
-    """h(C) = (C n A, C n B) for every context C of A v B, as target indices."""
-    a, b = pair.left, pair.right
-    return [target.index[(overlap_join(c, a), overlap_join(c, b))] for c in source.elements]
+    """h(C) = (C n A, C n B) for every context C of A v B, as target indices.
+
+    C is read as its block string over A v B's blocks, each of which lies in
+    one A-block and one B-block.  C n A is then the components of A's blocks
+    linked by C's groups: OR one mask of A-blocks per group, merge the masks
+    that overlap, and label the blocks in order of first occurrence, which is
+    C n A read at each A-block's first point.  Likewise for B.  Each side
+    depends only on the set of its group masks, so each set is resolved once."""
+    a, b, joined = pair.left, pair.right, source.algebra
+    firsts = [block[0] for block in joined.blocks]
+    left_bits, right_bits = ([1 << p.rgs[f] for f in firsts] for p in (a, b))
+    lefts = block_strings(a, (c1 for c1, _ in target.elements))
+    rights = block_strings(b, (c2 for _, c2 in target.elements))
+    position = {left + right: q for q, (left, right) in enumerate(zip(lefts, rights))}
+    linked = lru_cache(maxsize=None)(_linked)  # freed with this call
+    na, nb = a.num_blocks, b.num_blocks
+    table = []
+    for key in block_strings(joined, source.elements):
+        left_masks, right_masks = [0] * len(key), [0] * len(key)
+        for group, left_bit, right_bit in zip(key, left_bits, right_bits):
+            left_masks[group] |= left_bit
+            right_masks[group] |= right_bit
+        left, right = linked(frozenset(left_masks), na), linked(frozenset(right_masks), nb)
+        table.append(position[left + right])
+    return table
+
+
+def _linked(masks: frozenset[int], width: int) -> tuple[int, ...]:
+    """The restricted-growth string over `width` blocks whose groups are the
+    connected unions of the masks (a 0 mask stands for an unused group)."""
+    components: list[int] = []
+    for m in masks - {0}:
+        apart = [x for x in components if not x & m]
+        for x in components:
+            if x & m:
+                m |= x
+        components = apart + [m]
+    labels = [0] * width
+    for label, m in enumerate(sorted(components, key=lambda x: x & -x)):
+        while m:
+            low = m & -m
+            labels[low.bit_length() - 1] = label
+            m ^= low
+    return tuple(labels)
 
 
 def _g_table(source: Contexts, target: FiberedContextProduct) -> list[int]:
@@ -387,13 +440,7 @@ def sheaf_report(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> Descent
     """
     base = descent_map(pair, max_bell)
     hierarchy = base.hierarchy
-    # h's table holds (C n A, C n B); since M <= A the amalgam C n M is
-    # (C n A) n M, which the product build has already computed.
-    tgt, meet = base.target.elements, pair.meet_algebra
-    components = tuple(
-        _ring_component(c, c1, c2, overlap_join(c1, meet))
-        for c, (c1, c2) in zip(base.source.elements, (tgt[q] for q in base.h.table))
-    )
+    components = _ring_components(base)
     direct = base.adjunction.is_iso and all(rc.is_isomorphism for rc in components)
     characterized = (hierarchy.cstar_independent is True) and hierarchy.unit_law
     if hierarchy.extended_locality and direct != characterized:
@@ -415,6 +462,25 @@ def sheaf_report(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> Descent
         sheaf=direct,
         sheaf_by_characterization=characterized,
     )
+
+
+def _ring_components(report: DescentReport) -> tuple[RingComponent, ...]:
+    """Every ring component, read off h's table.  The image of blocks(C) is
+    the pair (C n A, C n B) of containing blocks of each block of A v B, so
+    it depends only on q = h(C), as does the fibered block set; both are
+    computed once per q.  Since M <= A, the amalgam C n M is (C n A) n M,
+    which the product build has already computed."""
+    tgt, meet = report.target.elements, report.pair.meet_algebra
+    firsts = [block[0] for block in report.source.algebra.blocks]
+    spectra: dict[int, tuple[set, set]] = {}
+    components = []
+    for c, q in zip(report.source.elements, report.h.table):
+        if q not in spectra:
+            c1, c2 = tgt[q]
+            image = {(c1.rgs[f], c2.rgs[f]) for f in firsts}
+            spectra[q] = image, _fibered_blocks(c1, c2, overlap_join(c1, meet))
+        components.append(_ring_component(c, *spectra[q]))
+    return tuple(components)
 
 
 @dataclass(frozen=True)

@@ -190,8 +190,8 @@ def _partition_facts(pair: AlgebraPair) -> _PairFacts:
     if not product:
         i, j = disjoint
         witnesses["schlieder"] = {
-            "left_block": a.block_labels()[i],
-            "right_block": b.block_labels()[j],
+            "left_block": a.block_label(i),
+            "right_block": b.block_label(j),
             "note": "the two block indicator functions multiply to zero",
         }
         witnesses["product_sense"] = {

@@ -16,6 +16,7 @@ the ordering and hashing key for every poset built on top of this module.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import Immutable, InputError
@@ -126,9 +127,12 @@ class Partition(Immutable):
     def block_of(self, point: int) -> int:
         return self.rgs[point]
 
-    def block_labels(self) -> tuple[str, ...]:
+    def block_label(self, index: int) -> str:
         pts = self.ambient.points
-        return tuple("{" + ",".join(pts[i] for i in b) + "}" for b in self.blocks)
+        return "{" + ",".join(pts[i] for i in self.blocks[index]) + "}"
+
+    def block_labels(self) -> tuple[str, ...]:
+        return tuple(map(self.block_label, range(self.num_blocks)))
 
     def block_points(self) -> tuple[tuple[str, ...], ...]:
         pts = self.ambient.points
@@ -258,6 +262,18 @@ def _set_partition_rgs(k: int) -> Iterator[tuple[int, ...]]:
             yield from rec(i + 1, max(maxval, v))
 
     yield from rec(1, 0)
+
+
+def block_strings(p: Partition, contexts: Iterable[Partition]) -> list[tuple[int, ...]]:
+    """Each context of p read at the first point of each block of p: a
+    restricted-growth string over p's blocks, since they are ordered by least
+    point (Knuth, TAOCP 4A 7.2.1.5).  Ordering contexts by these strings is
+    ordering them by their own."""
+    firsts = [block[0] for block in p.blocks]
+    if len(firsts) == 1:
+        return [(c.rgs[firsts[0]],) for c in contexts]
+    read = itemgetter(*firsts)
+    return [read(c.rgs) for c in contexts]
 
 
 @lru_cache(maxsize=None)

@@ -188,24 +188,25 @@ def product_extension(
         raise InputError(f"{c} is not a context of the left algebra {pair.left}")
     if not is_coarser(d, pair.right):
         raise InputError(f"{d} is not a context of the right algebra {pair.right}")
+    # Blocks of the join are the nonempty intersections, one per label pair.
+    nonempty = set(zip(c.rgs, d.rgs))
+    if len(nonempty) < c.num_blocks * d.num_blocks:
+        for i in range(c.num_blocks):
+            for j in range(d.num_blocks):
+                if (i, j) not in nonempty:
+                    mass = mu1.weights[i] * mu2.weights[j]
+                    if mass != 0:
+                        return ProductExtensionResult(
+                            valuation=None,
+                            witness=(c.block_label(i), d.block_label(j)),
+                            witness_mass=mass,
+                        )
     joined = common_refinement(c, d)
-    spectrum = Spectrum(joined)
-    weights = []
-    for block in joined.blocks:
-        rep = block[0]
-        weights.append(mu1.weights[c.block_of(rep)] * mu2.weights[d.block_of(rep)])
-    nonempty = {(c.block_of(b[0]), d.block_of(b[0])) for b in joined.blocks}
-    for i, bi in enumerate(c.blocks):
-        for j, bj in enumerate(d.blocks):
-            if (i, j) not in nonempty:
-                mass = mu1.weights[i] * mu2.weights[j]
-                if mass != 0:
-                    return ProductExtensionResult(
-                        valuation=None,
-                        witness=(c.block_labels()[i], d.block_labels()[j]),
-                        witness_mass=mass,
-                    )
-    return ProductExtensionResult(valuation=Valuation(spectrum, weights), witness=None)
+    weights = [
+        mu1.weights[c.block_of(block[0])] * mu2.weights[d.block_of(block[0])]
+        for block in joined.blocks
+    ]
+    return ProductExtensionResult(valuation=Valuation(Spectrum(joined), weights), witness=None)
 
 
 def _positive_samples(
@@ -262,8 +263,7 @@ def valuation_independence_test(
     result = True
     for c in coarsenings(pair.left):
         for d in coarsenings(pair.right):
-            joined = common_refinement(c, d)
-            all_intersect = joined.num_blocks == c.num_blocks * d.num_blocks
+            all_intersect = len(set(zip(c.rgs, d.rgs))) == c.num_blocks * d.num_blocks
             if not all_intersect:
                 result = False
             spec_c, spec_d = Spectrum(c), Spectrum(d)

@@ -188,6 +188,14 @@ def all_pairs_section_monotone(f):
     )
 
 
+def oracle_h_table(pair, source, target) -> list[int]:
+    """h(C) = (C n A, C n B) as target indices, with one overlap join per
+    side and context: the Partition route that the block-string table
+    replaced."""
+    a, b = pair.left, pair.right
+    return [target.index[(overlap_join(c, a), overlap_join(c, b))] for c in source.elements]
+
+
 def oracle_covering_stability(pair):
     """Every (E, C, D) in C_{A v B} x C_A x C_B with E <= C v D and
     E != (E n C) v (E n D), by testing every triple in that order."""

@@ -6,8 +6,12 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import netsheaf
-from netsheaf.cli import main
+from netsheaf.cli import _dumps, main
 
 from conftest import FIXTURES
 
@@ -597,6 +601,32 @@ def test_json_round_trip_equals_in_memory(capsys):
         exit_status=data["exit_status"],
     )
     assert rebuilt.to_json() == data
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_emitter_equals_json_dumps_indent_2(value):
+    # non-str keys, empty containers, non-ASCII text, NaN and infinities
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_emitter_refuses_what_json_dumps_refuses():
+    for value in ({("a",): 1}, {"a": [1, {(1,): 2}]}, [object()], {"k": [{1, 2}]}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            _dumps(value)
 
 
 def test_internal_consistency_failures_exit_3(capsys):

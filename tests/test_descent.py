@@ -12,6 +12,7 @@ from netsheaf import (
     MAX_FIBERED_ELEMENTS,
     MAX_STABILITY_TRIPLES,
     AlgebraPair,
+    AmbientSet,
     ContextPoset,
     Contexts,
     EngineError,
@@ -48,6 +49,7 @@ from conftest import (
     ambient,
     monotone_map_from_function,
     oracle_covering_stability,
+    oracle_h_table,
     poset_leq,
     random_partitions,
 )
@@ -347,6 +349,42 @@ def test_covering_stability_equals_the_triple_loop(inputs):
     a, b, _ = inputs
     pair = AlgebraPair(a, b)
     assert covering_stability(pair) == oracle_covering_stability(pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fibered_inputs(max_points=6))
+def test_block_string_h_table_equals_the_partition_route(inputs):
+    a, b, meet = inputs
+    pair = AlgebraPair(a, b, meet_algebra=meet)
+    try:
+        target = fibered_context_product(pair)
+    except SizeGuardError:
+        assume(False)
+    source = Contexts(common_refinement(a, b))
+    table = netsheaf.descent._h_table(pair, source, target)
+    assert table == oracle_h_table(pair, source, target)
+
+
+def test_descent_map_adds_no_overlap_join_per_context():
+    # grid 2x4: 4,140 contexts of A v B, but only the factors' restrictions
+    # to M, one per context of A and of B, enter the overlap-join cache
+    amb = AmbientSet([f"x{i}y{j}" for i in range(2) for j in range(4)])
+    a = Partition(amb, [i for i in range(2) for _ in range(4)])
+    b = Partition(amb, [j for _ in range(2) for j in range(4)])
+    pair = AlgebraPair(a, b)
+    overlap_join.cache_clear()
+    report = descent_map(pair)
+    assert len(report.source) == 4140
+    assert overlap_join.cache_info().currsize <= len(coarsenings(a)) + len(coarsenings(b))
+
+
+def test_ring_component_trap_fires_on_an_image_outside_the_fibered_blocks(
+    monkeypatch, tmp_path, capsys, square_pair
+):
+    monkeypatch.setattr(netsheaf.descent, "_fibered_blocks", lambda c1, c2, amalgam: set())
+    code, err = run_net(tmp_path, capsys, *square_net(square_pair))
+    assert code == 3
+    assert "ring component's spectrum map leaves the fibered product of block sets" in err
 
 
 @settings(max_examples=60, deadline=None)

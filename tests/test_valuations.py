@@ -4,6 +4,7 @@ import pytest
 
 from netsheaf import (
     AlgebraPair,
+    AmbientSet,
     InputError,
     Partition,
     SizeGuardError,
@@ -16,7 +17,7 @@ from netsheaf import (
     valuation_independence_test,
 )
 import netsheaf.valuations
-from netsheaf.partitions import is_coarser
+from netsheaf.partitions import coarsenings, common_refinement, is_coarser
 
 
 def F(n, d=1):
@@ -207,3 +208,57 @@ def test_independence_test_guards_the_sampled_extensions(monkeypatch, amb4):
         valuation_independence_test(pair)
     assert (err.value.requested, err.value.bound) == (675, 674)
     assert "15*15*3 = 675" in str(err.value) and "guard of 674" in str(err.value)
+
+
+def oracle_product_extension(mu1, mu2):
+    """(witness labels, mass) of the first empty block intersection with
+    positive mass, scanning (i, j) in order, else the weights on C v D, by
+    intersecting point sets."""
+    c, d = mu1.spectrum.context, mu2.spectrum.context
+    for i, bi in enumerate(c.blocks):
+        for j, bj in enumerate(d.blocks):
+            mass = mu1.weights[i] * mu2.weights[j]
+            if not set(bi) & set(bj) and mass != 0:
+                return (c.block_labels()[i], d.block_labels()[j]), mass
+    joined = c | d
+    return None, tuple(
+        mu1.weights[c.block_of(b[0])] * mu2.weights[d.block_of(b[0])] for b in joined.blocks
+    )
+
+
+def test_product_extension_equals_the_intersection_scan(partitions_by_size):
+    # every context pair of every pair on 3 points, with point valuations
+    # (zero weights) as well as strictly positive ones
+    for a in partitions_by_size[3]:
+        for b in partitions_by_size[3]:
+            pair = AlgebraPair(a, b)
+            for c in coarsenings(a):
+                for d in coarsenings(b):
+                    sc, sd = Spectrum(c), Spectrum(d)
+                    points = [Valuation.point(sc, i) for i in range(len(sc))]
+                    for mu1 in [Valuation.uniform(sc), *points]:
+                        for mu2 in [Valuation.uniform(sd), Valuation.point(sd, len(sd) - 1)]:
+                            result = product_extension(mu1, mu2, pair)
+                            witness, value = oracle_product_extension(mu1, mu2)
+                            if witness is None:
+                                assert result.witness is None
+                                assert result.valuation.weights == value
+                            else:
+                                assert result.valuation is None
+                                assert (result.witness, result.witness_mass) == (witness, value)
+
+
+def test_independence_test_joins_only_pairs_whose_blocks_all_meet():
+    # the 4-point discrete self-pair: a common-refinement cache entry for a
+    # context pair only when its product extension exists, and one for A v B
+    # (the C*-independence cross-check)
+    full = Partition.discrete(AmbientSet(["a", "b", "c", "d"]))
+    pair = AlgebraPair(full, full)
+    meeting = sum(
+        len(set(zip(c.rgs, d.rgs))) == c.num_blocks * d.num_blocks
+        for c in coarsenings(full)
+        for d in coarsenings(full)
+    )
+    common_refinement.cache_clear()
+    valuation_independence_test(pair, seed=3)
+    assert common_refinement.cache_info().currsize <= meeting + 1 < len(coarsenings(full)) ** 2
