@@ -36,9 +36,11 @@ from .contexts import (
     guard_contexts,
 )
 from .errors import Immutable, InputError, InternalConsistencyError, SizeGuardError
-from .independence import AlgebraPair, HierarchyReport, _unit_law_witnesses, hierarchy_report
+from .independence import AlgebraPair, HierarchyReport, hierarchy_report
 from .partitions import (
     Partition,
+    _canonical_rgs,
+    _set_partition_rgs,
     bell_number,
     block_strings,
     coarsenings,
@@ -533,6 +535,14 @@ def covering_stability(
 
     That requirement is the unit law of the pair (C, D): C <= A and D <= B
     give C v D <= A v B, so the E below C v D are the contexts of C v D.
+    Every context involved is a context of A v B, read as its block string
+    over A v B's blocks and then as its index in C_{A v B}; joins, meets and
+    the contexts of each C v D are call-local tables on those indices, so
+    the sweep builds no Partition per visit and adds no entry to the
+    partition caches.  The unit law of a pair holds iff the pair is
+    comparable (see `unit_law`), so a cover has failures iff C v D is
+    neither C nor D; a cover whose sweep disagrees is a bug.
+
     The sweep visits sum over (C, D) of Bell(|C v D|) contexts, at most
     |C_{A v B}|*|C_A|*|C_B|; more than MAX_STABILITY_TRIPLES of those
     triples raise SizeGuardError before any context is visited."""
@@ -541,18 +551,70 @@ def covering_stability(
     joined = common_refinement(pair.left, pair.right)
     guard_contexts(max_bell, joined, pair.left, pair.right)
     source = coarsenings(joined)
-    position = {e: k for k, e in enumerate(source)}
-    left_contexts = coarsenings(pair.left)
-    right_contexts = coarsenings(pair.right)
-    found = sorted(
-        (position[e], i, j)
-        for i, c in enumerate(left_contexts)
-        for j, d in enumerate(right_contexts)
-        for e in _unit_law_witnesses(c, d)
+    strings = block_strings(joined, source)
+    position = {s: k for k, s in enumerate(strings)}
+    left_contexts, right_contexts = coarsenings(pair.left), coarsenings(pair.right)
+    lefts = [position[s] for s in block_strings(joined, left_contexts)]
+    rights = [position[s] for s in block_strings(joined, right_contexts)]
+    joins: dict[tuple[int, int], int] = {}
+    meets: dict[int, dict[int, int]] = {}  # meets[C][E] is E n C
+    below: dict[int, list[int]] = {}
+
+    def join(x: int, y: int) -> int:
+        k = joins.get((x, y))
+        if k is None:
+            k = joins[x, y] = position[_canonical_rgs(tuple(zip(strings[x], strings[y])))]
+        return k
+
+    def restrictions(c: int, contexts: list[int]) -> list[int]:
+        row = meets.setdefault(c, {})
+        for e in contexts:
+            if e not in row:
+                row[e] = position[_overlap_string(strings[e], strings[c])]
+        return [row[e] for e in contexts]
+
+    def contexts_below(k: int) -> list[int]:
+        if k not in below:
+            key = strings[k]
+            below[k] = [
+                position[tuple(map(g.__getitem__, key))]
+                for g in _set_partition_rgs(max(key) + 1)
+            ]
+        return below[k]
+
+    found = []
+    for i, c in enumerate(lefts):
+        for j, d in enumerate(rights):
+            k = join(c, d)
+            es = contexts_below(k)
+            failing = [
+                (e, i, j, g)
+                for e, x, y in zip(es, restrictions(c, es), restrictions(d, es))
+                if (g := join(x, y)) != e
+            ]
+            # The closed form of the unit law of (C, D): failures iff incomparable.
+            if bool(failing) != (k not in (c, d)):
+                raise InternalConsistencyError(
+                    "covering stability disagrees with the unit law's closed form on a cover",
+                    dump={
+                        "pair": pair.describe(),
+                        "cover": [str(source[c]), str(source[d])],
+                        "comparable": k in (c, d),
+                        "violations": len(failing),
+                    },
+                )
+            found.extend(failing)
+    found.sort()
+    return tuple(
+        StabilityViolation(source[e], left_contexts[i], right_contexts[j], source[g])
+        for e, i, j, g in found
     )
-    violations = []
-    for k, i, j in found:
-        e, c, d = source[k], left_contexts[i], right_contexts[j]
-        generated = common_refinement(overlap_join(e, c), overlap_join(e, d))
-        violations.append(StabilityViolation(e, c, d, generated))
-    return tuple(violations)
+
+
+def _overlap_string(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """The overlap join of two restricted-growth strings of one length: x's
+    groups linked by y's, labelled by first occurrence."""
+    masks = [0] * len(y)
+    for u, v in zip(x, y):
+        masks[v] |= 1 << u
+    return tuple(map(_linked(frozenset(masks), max(x) + 1).__getitem__, x))

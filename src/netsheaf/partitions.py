@@ -74,6 +74,13 @@ def _blocks_from_rgs(rgs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(b) for b in blocks)
 
 
+def _fill(part: "Partition", ambient: AmbientSet, rgs: tuple[int, ...]) -> None:
+    object.__setattr__(part, "ambient", ambient)
+    object.__setattr__(part, "rgs", rgs)
+    object.__setattr__(part, "blocks", _blocks_from_rgs(rgs))
+    object.__setattr__(part, "_hash", hash((ambient, rgs)))
+
+
 class Partition(Immutable):
     """A partition of an ambient set in canonical form."""
 
@@ -83,10 +90,15 @@ class Partition(Immutable):
         rgs = _canonical_rgs(tuple(rgs))
         if len(rgs) != len(ambient):
             raise InputError("partition must assign a block to every ambient point")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "rgs", rgs)
-        object.__setattr__(self, "blocks", _blocks_from_rgs(rgs))
-        object.__setattr__(self, "_hash", hash((ambient, rgs)))
+        _fill(self, ambient, rgs)
+
+    @classmethod
+    def _canonical(cls, ambient: AmbientSet, rgs: tuple[int, ...]) -> "Partition":
+        """Trusted constructor: rgs is already a restricted-growth string with
+        one entry per ambient point, so it is neither relabelled nor checked."""
+        part = object.__new__(cls)
+        _fill(part, ambient, rgs)
+        return part
 
     @classmethod
     def from_blocks(cls, ambient: AmbientSet, blocks: Iterable[Iterable[str]]) -> "Partition":
@@ -280,12 +292,13 @@ def block_strings(p: Partition, contexts: Iterable[Partition]) -> list[tuple[int
 def coarsenings(p: Partition) -> tuple[Partition, ...]:
     """All partitions coarser than p, i.e. the contexts of S_p, in canonical
     order.  There are exactly Bell(#blocks) of them."""
-    k = p.num_blocks
-    out = []
-    for grouping in _set_partition_rgs(k):
-        out.append(Partition(p.ambient, tuple(grouping[b] for b in p.rgs)))
-    out.sort(key=lambda part: part.rgs)
-    return tuple(out)
+    ambient, rgs = p.ambient, p.rgs
+    # Each string is canonical (a restricted-growth string read through one),
+    # and the walk's lexicographic order over p's blocks is canonical order.
+    return tuple(
+        Partition._canonical(ambient, tuple([grouping[b] for b in rgs]))
+        for grouping in _set_partition_rgs(p.num_blocks)
+    )
 
 
 def all_partitions(ambient: AmbientSet) -> tuple[Partition, ...]:

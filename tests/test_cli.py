@@ -391,8 +391,9 @@ def test_each_pair_is_decided_once(monkeypatch, tmp_path, capsys):
     # runs only for a failure: the strong-locality sweep on (L, S), and the
     # join image on each incomparable pair, since |C_A|*|C_B| <= |C_(A v B)|
     # on all of them, so the unit-law sweep over C_(A v B) never runs.
-    # Covering stability, which only `descent` runs, adds one unit-law sweep
-    # per cover (C, D) in C_A x C_B through descent's own binding of it
+    # Covering stability, which only `descent` runs, sweeps the covers on its
+    # own index tables and makes no unit-law sweep call either
+    assert not hasattr(netsheaf.descent, "_unit_law_witnesses")
     calls = Counter()
     for module, name in (
         (netsheaf.independence, "_pair_facts"),
@@ -401,7 +402,6 @@ def test_each_pair_is_decided_once(monkeypatch, tmp_path, capsys):
         (netsheaf.independence, "_strong_locality_witness"),
         (netsheaf.independence, "_join_image_failures"),
         (netsheaf.independence, "_unit_law_witnesses"),
-        (netsheaf.descent, "_unit_law_witnesses"),
     ):
         key = f"{module.__name__}.{name}"
 
@@ -434,10 +434,10 @@ def test_each_pair_is_decided_once(monkeypatch, tmp_path, capsys):
             }
         )
     )
-    for argv, pairs, strong_failures, covers in (
-        (("check-pair", SQUARE), 1, 0, 0),
-        (("descent", SQUARE), 1, 0, 2 * 2),
-        (("check-net", str(path)), 2, 1, 0),
+    for argv, pairs, strong_failures in (
+        (("check-pair", SQUARE), 1, 0),
+        (("descent", SQUARE), 1, 0),
+        (("check-net", str(path)), 2, 1),
     ):
         calls.clear()
         code, _, _ = run(capsys, *argv)
@@ -449,7 +449,6 @@ def test_each_pair_is_decided_once(monkeypatch, tmp_path, capsys):
             "netsheaf.independence._strong_locality_witness": strong_failures,
             "netsheaf.independence._join_image_failures": pairs,
             "netsheaf.independence._unit_law_witnesses": 0,
-            "netsheaf.descent._unit_law_witnesses": covers,
         })
 
 

@@ -45,6 +45,7 @@ from netsheaf.partitions import (
 )
 
 from conftest import (
+    FIXTURES,
     all_pairs_section_monotone,
     ambient,
     monotone_map_from_function,
@@ -351,6 +352,36 @@ def test_covering_stability_equals_the_triple_loop(inputs):
     assert covering_stability(pair) == oracle_covering_stability(pair)
 
 
+def test_covering_stability_equals_the_triple_loop_on_every_small_pair():
+    # all 1 + 4 + 25 + 225 ordered pairs of partitions on at most 4 points
+    pairs = 0
+    for n in range(1, 5):
+        partitions = all_partitions(ambient(n))
+        for a in partitions:
+            for b in partitions:
+                pair = AlgebraPair(a, b)
+                assert covering_stability(pair) == oracle_covering_stability(pair), pair
+                pairs += 1
+    assert pairs == 255
+
+
+def test_covering_stability_adds_no_partition_cache_entry():
+    # the discrete 5-point self-pair visits 78,872 contexts; the sweep reads
+    # only the pair's join and the three context lists, which every descent
+    # path computes first, and adds no entry to any partition cache
+    full = Partition.discrete(ambient(5))
+    caches = (common_refinement, overlap_join, is_coarser, coarsenings)
+    for cache in caches:
+        cache.cache_clear()
+    pair = AlgebraPair(full, full)  # its default meet is one overlap join
+    joined = common_refinement(full, full)
+    for p in (joined, full):
+        coarsenings(p)
+    before = [cache.cache_info().currsize for cache in caches]
+    assert covering_stability(pair)
+    assert [cache.cache_info().currsize for cache in caches] == before
+
+
 @settings(max_examples=150, deadline=None)
 @given(fibered_inputs(max_points=6))
 def test_block_string_h_table_equals_the_partition_route(inputs):
@@ -639,6 +670,33 @@ def test_unit_law_witness_trap_fires_on_an_empty_sweep(monkeypatch, tmp_path, ca
     code, err = run_net(tmp_path, capsys, left, right, Partition.trivial(amb))
     assert code == 3
     assert "the unit law fails on an incomparable pair, but the witness search counts 0" in err
+
+
+STABILITY_TRAP = "covering stability disagrees with the unit law's closed form on a cover"
+
+
+def test_stability_trap_fires_on_a_comparable_cover_with_a_violation(monkeypatch, capsys):
+    # every restriction E n C made the bottom context, so the comparable cover
+    # (bottom, B) of the square pair reports its top context B as a violation
+    monkeypatch.setattr(
+        netsheaf.descent, "_overlap_string", lambda x, y: (0,) * len(x)
+    )
+    assert main(["descent", str(FIXTURES / "square_pair.json")]) == 3
+    err = capsys.readouterr().err
+    assert STABILITY_TRAP in err and '"comparable": true' in err
+
+
+def test_stability_trap_fires_on_an_incomparable_cover_without_violations(
+    monkeypatch, capsys
+):
+    # the walk over the contexts of C v D stops after the bottom context,
+    # which never fails, so the failures of the incomparable cover (A, B)
+    # are dropped
+    walk = netsheaf.descent._set_partition_rgs
+    monkeypatch.setattr(netsheaf.descent, "_set_partition_rgs", lambda k: list(walk(k))[:1])
+    assert main(["descent", str(FIXTURES / "square_pair.json")]) == 3
+    err = capsys.readouterr().err
+    assert STABILITY_TRAP in err and '"comparable": false' in err
 
 
 def constant_to_top(f):

@@ -13,6 +13,7 @@ from netsheaf import (
     overlap_join,
 )
 from netsheaf.linalg import Span, flatten
+from netsheaf.partitions import _set_partition_rgs
 
 from conftest import (
     ambient,
@@ -206,3 +207,20 @@ def test_coarsenings_are_exactly_the_contexts(partitions_by_size):
         assert len(cs) == bell_number(parts.num_blocks)
         assert all(is_coarser(c, parts) for c in cs)
         assert list(cs) == sorted(cs, key=lambda p: p.rgs)
+
+
+def test_coarsenings_equal_the_canonicalised_and_sorted_route():
+    # the trusted constructor skips relabelling and the sort; every field
+    # must match partitions built through Partition(...) and then sorted
+    for n in range(1, 8):
+        for p in all_partitions(ambient(n)):
+            old = sorted(
+                (
+                    Partition(p.ambient, [grouping[b] for b in p.rgs])
+                    for grouping in _set_partition_rgs(p.num_blocks)
+                ),
+                key=lambda c: c.rgs,
+            )
+            new = coarsenings(p)
+            assert list(new) == old
+            assert [(c.blocks, hash(c)) for c in new] == [(c.blocks, hash(c)) for c in old]
