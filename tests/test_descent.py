@@ -678,9 +678,7 @@ STABILITY_TRAP = "covering stability disagrees with the unit law's closed form o
 def test_stability_trap_fires_on_a_comparable_cover_with_a_violation(monkeypatch, capsys):
     # every restriction E n C made the bottom context, so the comparable cover
     # (bottom, B) of the square pair reports its top context B as a violation
-    monkeypatch.setattr(
-        netsheaf.descent, "_overlap_string", lambda x, y: (0,) * len(x)
-    )
+    monkeypatch.setattr(netsheaf.descent, "_overlap_string", lambda x, y: (0,) * len(x))
     assert main(["descent", str(FIXTURES / "square_pair.json")]) == 3
     err = capsys.readouterr().err
     assert STABILITY_TRAP in err and '"comparable": true' in err
