@@ -198,7 +198,7 @@ def common_refinement(p: Partition, q: Partition) -> Partition:
     """The coarsest partition refining both: blocks are nonempty p-block/q-block
     intersections.  Corresponds to the generated subalgebra S_p v S_q."""
     _check_same_ambient(p, q)
-    return Partition(p.ambient, _canonical_rgs(tuple(zip(p.rgs, q.rgs))))
+    return Partition._canonical(p.ambient, _canonical_rgs(tuple(zip(p.rgs, q.rgs))))
 
 
 @lru_cache(maxsize=None)

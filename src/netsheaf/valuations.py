@@ -9,6 +9,7 @@ strictly positive inputs exactly when the Schlieder property holds.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,9 +21,10 @@ from .independence import AlgebraPair, cstar_independent
 from .partitions import Partition, bell_number, coarsenings, common_refinement, is_coarser
 
 # Bound on the product extensions the independence test samples,
-# |C_A|*|C_B|*samples.  On 2 vCPUs each costs 73-83 us: 9.0 s for the 123,627
-# of the 6-point discrete self-pair at 3 samples, and 14.8 s (148 MB) for the
-# 178,031 of 203 x 877 contexts at 1 sample.  3*10^5 keeps the test near 25 s.
+# |C_A|*|C_B|*samples.  On 2 vCPUs each costs 23-44 us in a cold process:
+# 2.9-5.0 s (22 MB) for the 123,627 of the 6-point discrete self-pair at 3
+# samples, and 5.0-7.9 s (24 MB) for the 178,031 of 203 x 877 contexts at 1
+# sample.  3*10^5 keeps the test under 15 s.
 MAX_SAMPLED_EXTENSIONS = 3 * 10**5
 
 
@@ -81,17 +83,20 @@ class Valuation(Immutable):
     __slots__ = ("spectrum", "weights")
 
     def __init__(self, spectrum: Spectrum, weights: Sequence):
-        weights = tuple(_as_weight(w) for w in weights)
+        weights = tuple(map(_as_weight, weights))
         if len(weights) != len(spectrum):
             raise InputError(
                 f"expected {len(spectrum)} weights for {spectrum.context}, "
                 f"got {len(weights)}"
             )
-        if any(w < 0 for w in weights):
+        # Checked in integers: a Fraction's denominator is positive, so its
+        # sign is its numerator's, and the weights sum to 1 iff their
+        # numerators over the lcm L of the denominators sum to L.
+        if any(w.numerator < 0 for w in weights):
             raise InputError("valuation weights must be nonnegative")
-        total = sum(weights)
-        if total != 1:
-            raise InputError(f"valuation weights must sum to 1, got {total}")
+        lcm = math.lcm(*[w.denominator for w in weights])
+        if sum([w.numerator * (lcm // w.denominator) for w in weights]) != lcm:
+            raise InputError(f"valuation weights must sum to 1, got {sum(weights)}")
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "weights", weights)
 
@@ -210,17 +215,30 @@ def product_extension(
 
 
 def _positive_samples(
-    k: int, rng: random.Random, count: int, max_denominator: int
+    k: int,
+    rng: random.Random,
+    count: int,
+    max_denominator: int,
+    fractions: dict[int, tuple[Fraction, ...]],
 ) -> list[tuple[Fraction, ...]]:
     """Strictly positive rational distributions on k points with a common
-    denominator <= max_denominator."""
+    denominator <= max_denominator.
+
+    ``fractions`` maps a denominator to (0, 1/den, 2/den, ...), filled as the
+    denominators are drawn; the caller owns it, so equal weights are shared
+    objects for one test and nothing outlives it.
+    """
+    randrange = rng.randrange
     out = []
     for _ in range(count):
         den = rng.randint(k, max_denominator)
-        extra = [0] * k
+        row = fractions.get(den)
+        if row is None:
+            row = fractions[den] = tuple(Fraction(num, den) for num in range(den + 1))
+        extra = [1] * k
         for _ in range(den - k):
-            extra[rng.randrange(k)] += 1
-        out.append(tuple(Fraction(1 + e, den) for e in extra))
+            extra[randrange(k)] += 1
+        out.append(tuple([row[num] for num in extra]))
     return out
 
 
@@ -260,15 +278,18 @@ def valuation_independence_test(
             requested=sampled,
         )
     rng = random.Random(seed)
+    fractions: dict[int, tuple[Fraction, ...]] = {}
+    right_spectra = [Spectrum(d) for d in coarsenings(pair.right)]
     result = True
     for c in coarsenings(pair.left):
-        for d in coarsenings(pair.right):
+        spec_c = Spectrum(c)
+        for spec_d in right_spectra:
+            d = spec_d.context
             all_intersect = len(set(zip(c.rgs, d.rgs))) == c.num_blocks * d.num_blocks
             if not all_intersect:
                 result = False
-            spec_c, spec_d = Spectrum(c), Spectrum(d)
-            sampled_1 = _positive_samples(len(spec_c), rng, samples, max_denominator)
-            sampled_2 = _positive_samples(len(spec_d), rng, samples, max_denominator)
+            sampled_1 = _positive_samples(c.num_blocks, rng, samples, max_denominator, fractions)
+            sampled_2 = _positive_samples(d.num_blocks, rng, samples, max_denominator, fractions)
             for w1, w2 in zip(sampled_1, sampled_2):
                 extension = product_extension(
                     Valuation(spec_c, w1), Valuation(spec_d, w2), pair

@@ -211,6 +211,46 @@ def oracle_covering_stability(pair):
     return tuple(violations)
 
 
+# -- valuations: the Fraction routes that the integer checks replaced ----------
+
+def oracle_valuation_refusal(spectrum, weights) -> str | None:
+    """The message with which the Fraction route refused a weight vector (sign
+    and mass tested by Fraction comparison and summation), or None if it
+    accepted it."""
+    converted = []
+    for w in weights:
+        if isinstance(w, Fraction):
+            converted.append(w)
+        elif isinstance(w, int):
+            converted.append(Fraction(w))
+        else:
+            return f"valuation weights must be exact rationals, got {w!r}"
+    if len(converted) != len(spectrum):
+        return (
+            f"expected {len(spectrum)} weights for {spectrum.context}, "
+            f"got {len(converted)}"
+        )
+    if any(w < 0 for w in converted):
+        return "valuation weights must be nonnegative"
+    total = sum(converted)
+    if total != 1:
+        return f"valuation weights must sum to 1, got {total}"
+    return None
+
+
+def oracle_positive_samples(k, rng, count, max_denominator):
+    """The sampler with a fresh Fraction per weight and rng.randrange looked
+    up per draw: the draw sequence the shared-fraction sampler must keep."""
+    out = []
+    for _ in range(count):
+        den = rng.randint(k, max_denominator)
+        extra = [0] * k
+        for _ in range(den - k):
+            extra[rng.randrange(k)] += 1
+        out.append(tuple(Fraction(1 + e, den) for e in extra))
+    return out
+
+
 # -- dense exact linear algebra over Q[i] ---------------------------------------
 #
 # The library's kernels skip zero entries.  These references touch every

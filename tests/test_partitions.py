@@ -224,3 +224,16 @@ def test_coarsenings_equal_the_canonicalised_and_sorted_route():
             new = coarsenings(p)
             assert list(new) == old
             assert [(c.blocks, hash(c)) for c in new] == [(c.blocks, hash(c)) for c in old]
+
+
+def test_common_refinement_equals_the_checked_constructor_route():
+    # the trusted constructor skips the second relabelling; every field must
+    # match the result built through Partition(...)
+    for n in range(1, 6):
+        parts = all_partitions(ambient(n))
+        for p in parts:
+            for q in parts:
+                new = common_refinement(p, q)
+                old = Partition(p.ambient, tuple(zip(p.rgs, q.rgs)))
+                assert new == old
+                assert (new.rgs, new.blocks, hash(new)) == (old.rgs, old.blocks, hash(old))

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsheaf import (
     AlgebraPair,
@@ -17,7 +20,10 @@ from netsheaf import (
     valuation_independence_test,
 )
 import netsheaf.valuations
+from netsheaf.cli import main
 from netsheaf.partitions import coarsenings, common_refinement, is_coarser
+
+from conftest import FIXTURES, ambient, oracle_positive_samples, oracle_valuation_refusal
 
 
 def F(n, d=1):
@@ -262,3 +268,129 @@ def test_independence_test_joins_only_pairs_whose_blocks_all_meet():
     common_refinement.cache_clear()
     valuation_independence_test(pair, seed=3)
     assert common_refinement.cache_info().currsize <= meeting + 1 < len(coarsenings(full)) ** 2
+
+
+# -- the integer checks and the shared-fraction sampler against the Fraction routes
+
+EXACT = st.one_of(
+    st.builds(Fraction, st.integers(0, 12), st.integers(1, 12)),
+    st.integers(0, 2),
+)
+
+
+@st.composite
+def weight_vectors(draw):
+    """A spectrum and weights for it: raw (any sign, usually not normalised),
+    normalised over mixed denominators, or normalised then perturbed by a
+    negated, bumped or dropped entry, sometimes with a float or a wrong length."""
+    k = draw(st.integers(1, 5))
+    spectrum = Spectrum(Partition.discrete(ambient(k)))
+    shape = draw(st.sampled_from(["raw", "normalised", "perturbed"]))
+    if shape == "raw":
+        signed = st.one_of(EXACT, st.builds(Fraction, st.integers(-12, 0), st.integers(1, 12)))
+        length = draw(st.sampled_from([k, k, k, k + 1, max(k - 1, 0)]))
+        return spectrum, draw(st.lists(signed, min_size=length, max_size=length))
+    raw = draw(st.lists(EXACT, min_size=k, max_size=k))
+    total = sum(raw)
+    if total == 1:
+        weights = raw
+    else:
+        weights = [Fraction(w) / total for w in raw] if total else [Fraction(1, k)] * k
+    if shape == "perturbed":
+        i = draw(st.integers(0, k - 1))
+        change = draw(st.sampled_from(["negate", "bump", "float", "drop"]))
+        if change == "negate":
+            weights[i] = -weights[i] - Fraction(1, 7)
+        elif change == "bump":
+            weights[i] += draw(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 13)))
+        elif change == "float":
+            weights[i] = float(weights[i])
+        else:
+            del weights[i]
+    return spectrum, weights
+
+
+@settings(max_examples=400, deadline=None)
+@given(weight_vectors())
+def test_integer_checks_accept_and_refuse_as_the_fraction_route(drawn):
+    spectrum, weights = drawn
+    try:
+        valuation = Valuation(spectrum, weights)
+    except InputError as exc:
+        refusal = str(exc)
+    else:
+        refusal = None
+        assert valuation.weights == tuple(Fraction(w) for w in weights)
+    assert refusal == oracle_valuation_refusal(spectrum, weights)
+
+
+def _module_tables(module):
+    return {
+        name: len(value)
+        for name, value in vars(module).items()
+        if isinstance(value, (dict, list, set, tuple))
+    }
+
+
+def test_sampled_weights_follow_the_fraction_route_draw_for_draw(monkeypatch):
+    # seeds 0-4 on the 4-point discrete self-pair: one product_extension call
+    # per sample, with the weight tuples the per-weight Fraction sampler drew
+    module = netsheaf.valuations
+    full = Partition.discrete(ambient(4))
+    pair = AlgebraPair(full, full)
+    names, tables = set(vars(module)), _module_tables(module)
+    drawn = []
+    original = module.product_extension
+
+    def recording(mu1, mu2, pair):
+        drawn.append((mu1.weights, mu2.weights))
+        return original(mu1, mu2, pair)
+
+    monkeypatch.setattr(module, "product_extension", recording)
+    for seed in range(5):
+        drawn.clear()
+        valuation_independence_test(pair, seed=seed)
+        rng = random.Random(seed)
+        expected = []
+        for c in coarsenings(full):
+            for d in coarsenings(full):
+                left = oracle_positive_samples(c.num_blocks, rng, 3, 12)
+                right = oracle_positive_samples(d.num_blocks, rng, 3, 12)
+                expected.extend(zip(left, right))
+        assert len(expected) == 15 * 15 * 3
+        assert drawn == expected
+    # the shared fractions lived in the call: no module-level table is left
+    assert set(vars(module)) == names
+    assert _module_tables(module) == tables
+
+
+# -- the two valuation traps, each sabotaged on its own -------------------------
+
+def test_flipped_product_extension_trips_the_sampled_extension_trap(monkeypatch, capsys):
+    original = netsheaf.valuations.product_extension
+
+    def flipped(mu1, mu2, pair):
+        result = original(mu1, mu2, pair)
+        if result.exists:
+            return netsheaf.valuations.ProductExtensionResult(valuation=None, witness=("?", "?"))
+        return netsheaf.valuations.ProductExtensionResult(valuation=mu1, witness=None)
+
+    monkeypatch.setattr(netsheaf.valuations, "product_extension", flipped)
+    for fixture in ("square_pair.json", "overlapping_halves.json"):
+        assert main(["valuations", str(FIXTURES / fixture)]) == 3
+        err = capsys.readouterr().err
+        assert "internal consistency failure: sampled product extension contradicts" in err
+        assert "disagrees with the independence module" not in err
+
+
+def test_flipped_cstar_decision_trips_the_independence_module_trap(monkeypatch, capsys):
+    original = netsheaf.valuations.cstar_independent
+    monkeypatch.setattr(netsheaf.valuations, "cstar_independent", lambda pair: not original(pair))
+    for fixture in ("square_pair.json", "overlapping_halves.json"):
+        assert main(["valuations", str(FIXTURES / fixture)]) == 3
+        err = capsys.readouterr().err
+        assert (
+            "internal consistency failure: valuation independence test disagrees "
+            "with the independence module" in err
+        )
+        assert "sampled product extension" not in err
