@@ -21,10 +21,12 @@ from .independence import AlgebraPair, cstar_independent
 from .partitions import Partition, bell_number, coarsenings, common_refinement, is_coarser
 
 # Bound on the product extensions the independence test samples,
-# |C_A|*|C_B|*samples.  On 2 vCPUs each costs 23-44 us in a cold process:
-# 2.9-5.0 s (22 MB) for the 123,627 of the 6-point discrete self-pair at 3
-# samples, and 5.0-7.9 s (24 MB) for the 178,031 of 203 x 877 contexts at 1
-# sample.  3*10^5 keeps the test under 15 s.
+# |C_A|*|C_B|*samples.  On 2 vCPUs each costs 30-48 us in a cold process at
+# the default max_denominator of 12: 3.7-5.6 s (22 MB) for the 123,627 of the
+# 6-point discrete self-pair at 3 samples, and 6.9-8.5 s (24 MB) for the
+# 178,031 of 203 x 877 contexts at 1 sample, so 3*10^5 stays under 15 s.  A
+# sample draws once per unit of its denominator, so a larger max_denominator
+# costs more per extension.
 MAX_SAMPLED_EXTENSIONS = 3 * 10**5
 
 
@@ -215,30 +217,18 @@ def product_extension(
 
 
 def _positive_samples(
-    k: int,
-    rng: random.Random,
-    count: int,
-    max_denominator: int,
-    fractions: dict[int, tuple[Fraction, ...]],
+    k: int, rng: random.Random, count: int, max_denominator: int
 ) -> list[tuple[Fraction, ...]]:
     """Strictly positive rational distributions on k points with a common
-    denominator <= max_denominator.
-
-    ``fractions`` maps a denominator to (0, 1/den, 2/den, ...), filled as the
-    denominators are drawn; the caller owns it, so equal weights are shared
-    objects for one test and nothing outlives it.
-    """
+    denominator <= max_denominator."""
     randrange = rng.randrange
     out = []
     for _ in range(count):
         den = rng.randint(k, max_denominator)
-        row = fractions.get(den)
-        if row is None:
-            row = fractions[den] = tuple(Fraction(num, den) for num in range(den + 1))
         extra = [1] * k
         for _ in range(den - k):
             extra[randrange(k)] += 1
-        out.append(tuple([row[num] for num in extra]))
+        out.append(tuple([Fraction(num, den) for num in extra]))
     return out
 
 
@@ -278,7 +268,6 @@ def valuation_independence_test(
             requested=sampled,
         )
     rng = random.Random(seed)
-    fractions: dict[int, tuple[Fraction, ...]] = {}
     right_spectra = [Spectrum(d) for d in coarsenings(pair.right)]
     result = True
     for c in coarsenings(pair.left):
@@ -288,8 +277,8 @@ def valuation_independence_test(
             all_intersect = len(set(zip(c.rgs, d.rgs))) == c.num_blocks * d.num_blocks
             if not all_intersect:
                 result = False
-            sampled_1 = _positive_samples(c.num_blocks, rng, samples, max_denominator, fractions)
-            sampled_2 = _positive_samples(d.num_blocks, rng, samples, max_denominator, fractions)
+            sampled_1 = _positive_samples(c.num_blocks, rng, samples, max_denominator)
+            sampled_2 = _positive_samples(d.num_blocks, rng, samples, max_denominator)
             for w1, w2 in zip(sampled_1, sampled_2):
                 extension = product_extension(
                     Valuation(spec_c, w1), Valuation(spec_d, w2), pair

@@ -239,8 +239,9 @@ def oracle_valuation_refusal(spectrum, weights) -> str | None:
 
 
 def oracle_positive_samples(k, rng, count, max_denominator):
-    """The sampler with a fresh Fraction per weight and rng.randrange looked
-    up per draw: the draw sequence the shared-fraction sampler must keep."""
+    """A reference sampler, with rng.randrange looked up per draw and each
+    weight built as Fraction(1 + e, den): the draw sequence that
+    valuations._positive_samples must keep."""
     out = []
     for _ in range(count):
         den = rng.randint(k, max_denominator)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -270,7 +271,7 @@ def test_independence_test_joins_only_pairs_whose_blocks_all_meet():
     assert common_refinement.cache_info().currsize <= meeting + 1 < len(coarsenings(full)) ** 2
 
 
-# -- the integer checks and the shared-fraction sampler against the Fraction routes
+# -- the integer checks and the sampler against the Fraction routes
 
 EXACT = st.one_of(
     st.builds(Fraction, st.integers(0, 12), st.integers(1, 12)),
@@ -334,7 +335,7 @@ def _module_tables(module):
 
 def test_sampled_weights_follow_the_fraction_route_draw_for_draw(monkeypatch):
     # seeds 0-4 on the 4-point discrete self-pair: one product_extension call
-    # per sample, with the weight tuples the per-weight Fraction sampler drew
+    # per sample, with the weight tuples the reference sampler draws
     module = netsheaf.valuations
     full = Partition.discrete(ambient(4))
     pair = AlgebraPair(full, full)
@@ -359,9 +360,41 @@ def test_sampled_weights_follow_the_fraction_route_draw_for_draw(monkeypatch):
                 expected.extend(zip(left, right))
         assert len(expected) == 15 * 15 * 3
         assert drawn == expected
-    # the shared fractions lived in the call: no module-level table is left
+    # the sampler keeps nothing between calls: no module-level table is left
     assert set(vars(module)) == names
     assert _module_tables(module) == tables
+
+
+def test_large_denominator_bound_keeps_the_draw_stream_and_small_memory(monkeypatch):
+    # a denominator bound of 10^5 on the 2-point discrete self-pair: the same
+    # draws as the reference sampler, and memory that does not grow with the
+    # bound (a row of Fractions per denominator drawn would hold about 4*10^5
+    # of them here, a peak near 44 MB)
+    full = Partition.discrete(ambient(2))
+    pair = AlgebraPair(full, full)
+    drawn = []
+    original = netsheaf.valuations.product_extension
+
+    def recording(mu1, mu2, pair):
+        drawn.extend([mu1.weights, mu2.weights])
+        return original(mu1, mu2, pair)
+
+    monkeypatch.setattr(netsheaf.valuations, "product_extension", recording)
+    tracemalloc.start()
+    try:
+        verdict = valuation_independence_test(pair, seed=3, samples=1, max_denominator=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict is cstar_independent(pair)
+    rng = random.Random(3)
+    expected = []
+    for c in coarsenings(full):
+        for d in coarsenings(full):
+            expected += oracle_positive_samples(c.num_blocks, rng, 1, 10**5)
+            expected += oracle_positive_samples(d.num_blocks, rng, 1, 10**5)
+    assert drawn == expected
+    assert peak < 2 * 10**6, peak
 
 
 # -- the two valuation traps, each sabotaged on its own -------------------------
