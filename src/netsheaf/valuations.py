@@ -3,31 +3,25 @@
 The spectrum of a context is its block set; a probability valuation is an
 exact rational distribution on those blocks.  Products of valuations decide
 C*-independence: the candidate product valuation on C v D exists iff no
-empty block intersection carries positive mass, which happens for all
-strictly positive inputs exactly when the Schlieder property holds.
+empty block intersection carries positive mass, so for strictly positive
+inputs iff every block of C meets every block of D.  Over all context pairs
+of (A, B) that holds iff every A-block meets every B-block, the Schlieder
+property, which the pair alone decides.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .contexts import DEFAULT_MAX_BELL, guard_contexts
-from .errors import Immutable, InputError, InternalConsistencyError, SizeGuardError
+from .errors import Immutable, InputError, InternalConsistencyError
 from .independence import AlgebraPair, cstar_independent
-from .partitions import Partition, bell_number, coarsenings, common_refinement, is_coarser
-
-# Bound on the product extensions the independence test samples,
-# |C_A|*|C_B|*samples.  On 2 vCPUs each costs 30-48 us in a cold process at
-# the default max_denominator of 12: 3.7-5.6 s (22 MB) for the 123,627 of the
-# 6-point discrete self-pair at 3 samples, and 6.9-8.5 s (24 MB) for the
-# 178,031 of 203 x 877 contexts at 1 sample, so 3*10^5 stays under 15 s.  A
-# sample draws once per unit of its denominator, so a larger max_denominator
-# costs more per extension.
-MAX_SAMPLED_EXTENSIONS = 3 * 10**5
+from .partitions import Partition, common_refinement, is_coarser
 
 
 @dataclass(frozen=True)
@@ -220,15 +214,19 @@ def _positive_samples(
     k: int, rng: random.Random, count: int, max_denominator: int
 ) -> list[tuple[Fraction, ...]]:
     """Strictly positive rational distributions on k points with a common
-    denominator <= max_denominator."""
-    randrange = rng.randrange
+    denominator <= max_denominator.
+
+    Stars and bars: k - 1 distinct cuts in 1..den-1 split den into k
+    positive gaps, uniformly over the compositions of den into k parts, at
+    a cost that does not grow with den.
+    """
     out = []
     for _ in range(count):
         den = rng.randint(k, max_denominator)
-        extra = [1] * k
-        for _ in range(den - k):
-            extra[randrange(k)] += 1
-        out.append(tuple([Fraction(num, den) for num in extra]))
+        cuts = sorted(rng.sample(range(1, den), k - 1))
+        out.append(
+            tuple([Fraction(hi - lo, den) for lo, hi in zip([0, *cuts], [*cuts, den])])
+        )
     return out
 
 
@@ -240,14 +238,19 @@ def valuation_independence_test(
     max_bell: int = DEFAULT_MAX_BELL,
 ) -> bool:
     """True iff product extensions exist for all strictly positive valuations
-    on all context pairs.
+    on all context pairs (C, D) in C_A x C_B.
 
-    Decided exactly per context pair by the no-empty-intersections criterion,
-    spot-verified on sampled valuations, and required to agree with the
-    C*-independence decision of the independence module.
+    For strictly positive valuations the extension on C v D exists iff every
+    block of C meets every block of D, and that holds for every context pair
+    iff it holds for (A, B): (=>) (A, B) is one of the pairs; (<=) each block
+    of C <= A is a union of A-blocks and each block of D <= B a union of
+    B-blocks.  So the AND over (A, B) and (A, trivial), which always extends,
+    is the verdict.  ``samples`` strictly positive valuations on each of the
+    two go through product_extension, whose outcome must match the criterion,
+    and the verdict must equal the independence module's C*-independence.
     """
     pair.require_partition_engine("the valuation independence test")
-    # Every context pair must be sampled, or a faulty product_extension goes unseen.
+    # With no samples a faulty product_extension would go unseen.
     if samples < 1:
         raise InputError(f"option 'samples' must be at least 1, got {samples}")
     blocks = max(pair.left.num_blocks, pair.right.num_blocks)
@@ -257,43 +260,35 @@ def valuation_independence_test(
             f"count of the pair, got {max_denominator}"
         )
     guard_contexts(max_bell, pair.left, pair.right)
-    sizes = [bell_number(p.num_blocks) for p in (pair.left, pair.right)]
-    sampled = sizes[0] * sizes[1] * samples
-    if sampled > MAX_SAMPLED_EXTENSIONS:
-        raise SizeGuardError(
-            f"valuation independence test of {pair.left} | {pair.right} would sample "
-            f"|C_A|*|C_B|*samples = {sizes[0]}*{sizes[1]}*{samples} = {sampled} "
-            f"product extensions, exceeding the guard of {MAX_SAMPLED_EXTENSIONS}",
-            bound=MAX_SAMPLED_EXTENSIONS,
-            requested=sampled,
+    # rng.sample needs the length of range(1, den) as a machine-size int.
+    if max_denominator > sys.maxsize + 1:
+        raise InputError(
+            f"option 'max_denominator' must be at most {sys.maxsize + 1}, "
+            f"got {max_denominator}"
         )
+    a = pair.left
     rng = random.Random(seed)
-    right_spectra = [Spectrum(d) for d in coarsenings(pair.right)]
     result = True
-    for c in coarsenings(pair.left):
-        spec_c = Spectrum(c)
-        for spec_d in right_spectra:
-            d = spec_d.context
-            all_intersect = len(set(zip(c.rgs, d.rgs))) == c.num_blocks * d.num_blocks
-            if not all_intersect:
-                result = False
-            sampled_1 = _positive_samples(c.num_blocks, rng, samples, max_denominator)
-            sampled_2 = _positive_samples(d.num_blocks, rng, samples, max_denominator)
-            for w1, w2 in zip(sampled_1, sampled_2):
-                extension = product_extension(
-                    Valuation(spec_c, w1), Valuation(spec_d, w2), pair
+    for c, d in ((a, pair.right), (a, Partition.trivial(a.ambient))):
+        all_intersect = len(set(zip(c.rgs, d.rgs))) == c.num_blocks * d.num_blocks
+        if not all_intersect:
+            result = False
+        spec_c, spec_d = Spectrum(c), Spectrum(d)
+        sampled_1 = _positive_samples(c.num_blocks, rng, samples, max_denominator)
+        sampled_2 = _positive_samples(d.num_blocks, rng, samples, max_denominator)
+        for w1, w2 in zip(sampled_1, sampled_2):
+            extension = product_extension(Valuation(spec_c, w1), Valuation(spec_d, w2), pair)
+            if extension.exists != all_intersect:
+                raise InternalConsistencyError(
+                    "sampled product extension contradicts the exact criterion",
+                    dump={
+                        "pair": pair.describe(),
+                        "context_pair": [str(c), str(d)],
+                        "weights": [str(w1), str(w2)],
+                        "extension_exists": extension.exists,
+                        "all_blocks_intersect": all_intersect,
+                    },
                 )
-                if extension.exists != all_intersect:
-                    raise InternalConsistencyError(
-                        "sampled product extension contradicts the exact criterion",
-                        dump={
-                            "pair": pair.describe(),
-                            "context_pair": [str(c), str(d)],
-                            "weights": [str(w1), str(w2)],
-                            "extension_exists": extension.exists,
-                            "all_blocks_intersect": all_intersect,
-                        },
-                    )
     expected = cstar_independent(pair)
     if result != expected:
         raise InternalConsistencyError(

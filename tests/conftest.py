@@ -239,17 +239,27 @@ def oracle_valuation_refusal(spectrum, weights) -> str | None:
 
 
 def oracle_positive_samples(k, rng, count, max_denominator):
-    """A reference sampler, with rng.randrange looked up per draw and each
-    weight built as Fraction(1 + e, den): the draw sequence that
-    valuations._positive_samples must keep."""
+    """A reference stars-and-bars sampler: k - 1 distinct cuts drawn from
+    1..den-1 and sorted, each weight Fraction(gap, den) for the gaps between
+    0, the cuts and den: the draw sequence that valuations._positive_samples
+    must keep."""
     out = []
     for _ in range(count):
         den = rng.randint(k, max_denominator)
-        extra = [0] * k
-        for _ in range(den - k):
-            extra[rng.randrange(k)] += 1
-        out.append(tuple(Fraction(1 + e, den) for e in extra))
+        bars = [0] + sorted(rng.sample(range(1, den), k - 1)) + [den]
+        out.append(tuple(Fraction(bars[i + 1] - bars[i], den) for i in range(k)))
     return out
+
+
+def oracle_valuation_sweep(pair) -> bool:
+    """The AND over every context pair (C, D) in C_A x C_B of "every block of
+    C meets every block of D" (one label pair per block pair): the sweep
+    that valuations decided the verdict by before the closed form on (A, B)."""
+    return all(
+        len(set(zip(c.rgs, d.rgs))) == c.num_blocks * d.num_blocks
+        for c in coarsenings(pair.left)
+        for d in coarsenings(pair.right)
+    )
 
 
 # -- dense exact linear algebra over Q[i] ---------------------------------------

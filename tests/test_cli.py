@@ -296,26 +296,26 @@ def test_descent_refuses_the_six_point_stability_sweep(tmp_path, capsys):
     assert f"{203**3} triples" in err and "guard" in err
 
 
-def test_valuations_refuses_the_seven_point_sweep_before_sampling(tmp_path, capsys):
-    # 877 * 877 contexts at 3 samples each: the Bell guards admit the pair,
-    # the sampled-extension guard does not
-    points = [f"p{i}" for i in range(7)]
-    path = tmp_path / "discrete7.json"
-    path.write_text(
-        json.dumps(
-            {
-                "ambient": points,
-                "algebras": {"full": [[p] for p in points]},
-                "pair": {"left": "full", "right": "full"},
-            }
+def test_valuations_answers_the_seven_and_ten_point_self_pairs(tmp_path, capsys):
+    # 877^2 and 115,975^2 context pairs: decided on (A, B), with 2 * 3
+    # sampled extensions, not one sweep per context pair
+    for n in (7, 10):
+        points = [f"p{i}" for i in range(n)]
+        path = tmp_path / f"discrete{n}.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "ambient": points,
+                    "algebras": {"full": [[p] for p in points]},
+                    "pair": {"left": "full", "right": "full"},
+                }
+            )
         )
-    )
-    start = time.perf_counter()
-    code, out, err = run(capsys, "valuations", str(path), "--json")
-    assert time.perf_counter() - start < 1
-    assert code == 1
-    assert out == ""
-    assert f"877*877*3 = {877 * 877 * 3} product extensions" in err and "guard" in err
+        start = time.perf_counter()
+        code, out, err = run(capsys, "valuations", str(path), "--json")
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert '"valuation_independence": false' in out
 
 
 def test_descent_runs_every_guard_before_any_work(tmp_path, capsys, monkeypatch):
@@ -544,6 +544,24 @@ def test_valuations_refuses_zero_samples(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: option 'samples' must be at least 1, got 0\n"
+
+
+def test_valuations_refuses_a_denominator_the_sampler_cannot_draw(tmp_path, capsys):
+    # a denominator is cut at k - 1 points of range(1, den), whose length must
+    # be a machine-size int: sys.maxsize + 1 is admitted, one more is not
+    doc = json.loads(Path(HALVES).read_text())
+    for bound, expected in ((sys.maxsize + 1, 0), (sys.maxsize + 2, 1)):
+        doc["options"] = {"max_denominator": bound}
+        path = tmp_path / "large_denominator.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "valuations", str(path))
+        assert code == expected
+        if expected:
+            assert out == ""
+            assert err == (
+                f"error: option 'max_denominator' must be at most {sys.maxsize + 1}, "
+                f"got {bound}\n"
+            )
 
 
 def test_valuations_refuses_a_denominator_below_the_block_count(tmp_path, capsys):

@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +14,6 @@ from netsheaf import (
     AmbientSet,
     InputError,
     Partition,
-    SizeGuardError,
     RestrictionMap,
     Spectrum,
     Valuation,
@@ -24,7 +26,13 @@ import netsheaf.valuations
 from netsheaf.cli import main
 from netsheaf.partitions import coarsenings, common_refinement, is_coarser
 
-from conftest import FIXTURES, ambient, oracle_positive_samples, oracle_valuation_refusal
+from conftest import (
+    FIXTURES,
+    ambient,
+    oracle_positive_samples,
+    oracle_valuation_refusal,
+    oracle_valuation_sweep,
+)
 
 
 def F(n, d=1):
@@ -187,6 +195,18 @@ def test_independence_test_agrees_with_cstar(partitions_by_size):
                 )
 
 
+def test_independence_test_equals_the_context_pair_sweep(partitions_by_size):
+    # the closed form on (A, B) against the AND over all of C_A x C_B, on
+    # every ordered pair on <= 4 points
+    for n in (1, 2, 3, 4):
+        parts = partitions_by_size[n]
+        for a in parts:
+            for b in parts:
+                pair = AlgebraPair(a, b)
+                expected = oracle_valuation_sweep(pair)
+                assert valuation_independence_test(pair, samples=1) is expected
+
+
 def test_valuation_json(amb3):
     left = Partition.from_blocks(amb3, [["0", "1"], ["2"]])
     mu = Valuation(Spectrum(left), [F(1, 3), F(2, 3)])
@@ -196,25 +216,6 @@ def test_valuation_json(amb3):
         Valuation.from_json(Spectrum(left), {"{0,1}": [1, 3], "{9}": [2, 3]})
     with pytest.raises(InputError):
         Valuation.from_json(Spectrum(left), {"{0,1}": [1, 3]})
-
-
-def test_independence_test_guards_the_sampled_extensions(monkeypatch, amb4):
-    # the 4-point discrete self-pair samples 15 * 15 * 3 = 675 extensions:
-    # admitted at a bound of exactly 675, refused below it before any sampling
-    full = Partition.discrete(amb4)
-    pair = AlgebraPair(full, full)
-    monkeypatch.setattr(netsheaf.valuations, "MAX_SAMPLED_EXTENSIONS", 675)
-    assert valuation_independence_test(pair) is cstar_independent(pair)
-
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("valuations sampled before the guard")
-
-    monkeypatch.setattr(netsheaf.valuations, "MAX_SAMPLED_EXTENSIONS", 674)
-    monkeypatch.setattr(netsheaf.valuations, "_positive_samples", no_sampling)
-    with pytest.raises(SizeGuardError) as err:
-        valuation_independence_test(pair)
-    assert (err.value.requested, err.value.bound) == (675, 674)
-    assert "15*15*3 = 675" in str(err.value) and "guard of 674" in str(err.value)
 
 
 def oracle_product_extension(mu1, mu2):
@@ -256,19 +257,14 @@ def test_product_extension_equals_the_intersection_scan(partitions_by_size):
 
 
 def test_independence_test_joins_only_pairs_whose_blocks_all_meet():
-    # the 4-point discrete self-pair: a common-refinement cache entry for a
-    # context pair only when its product extension exists, and one for A v B
-    # (the C*-independence cross-check)
+    # the 4-point discrete self-pair: at most one common-refinement cache
+    # entry per sampled context pair, (A, B) and (A, trivial), and one for
+    # A v B (the C*-independence cross-check)
     full = Partition.discrete(AmbientSet(["a", "b", "c", "d"]))
     pair = AlgebraPair(full, full)
-    meeting = sum(
-        len(set(zip(c.rgs, d.rgs))) == c.num_blocks * d.num_blocks
-        for c in coarsenings(full)
-        for d in coarsenings(full)
-    )
     common_refinement.cache_clear()
     valuation_independence_test(pair, seed=3)
-    assert common_refinement.cache_info().currsize <= meeting + 1 < len(coarsenings(full)) ** 2
+    assert common_refinement.cache_info().currsize <= 2 + 1
 
 
 # -- the integer checks and the sampler against the Fraction routes
@@ -333,9 +329,14 @@ def _module_tables(module):
     }
 
 
+def _sampled_pairs(full):
+    return ((full, full), (full, Partition.trivial(full.ambient)))
+
+
 def test_sampled_weights_follow_the_fraction_route_draw_for_draw(monkeypatch):
     # seeds 0-4 on the 4-point discrete self-pair: one product_extension call
-    # per sample, with the weight tuples the reference sampler draws
+    # per sample on (A, B), then on (A, trivial), with the weight tuples the
+    # reference sampler draws
     module = netsheaf.valuations
     full = Partition.discrete(ambient(4))
     pair = AlgebraPair(full, full)
@@ -344,7 +345,7 @@ def test_sampled_weights_follow_the_fraction_route_draw_for_draw(monkeypatch):
     original = module.product_extension
 
     def recording(mu1, mu2, pair):
-        drawn.append((mu1.weights, mu2.weights))
+        drawn.append((mu1.spectrum.context, mu2.spectrum.context, mu1.weights, mu2.weights))
         return original(mu1, mu2, pair)
 
     monkeypatch.setattr(module, "product_extension", recording)
@@ -353,23 +354,61 @@ def test_sampled_weights_follow_the_fraction_route_draw_for_draw(monkeypatch):
         valuation_independence_test(pair, seed=seed)
         rng = random.Random(seed)
         expected = []
-        for c in coarsenings(full):
-            for d in coarsenings(full):
-                left = oracle_positive_samples(c.num_blocks, rng, 3, 12)
-                right = oracle_positive_samples(d.num_blocks, rng, 3, 12)
-                expected.extend(zip(left, right))
-        assert len(expected) == 15 * 15 * 3
+        for c, d in _sampled_pairs(full):
+            left = oracle_positive_samples(c.num_blocks, rng, 3, 12)
+            right = oracle_positive_samples(d.num_blocks, rng, 3, 12)
+            expected.extend((c, d, w1, w2) for w1, w2 in zip(left, right))
+        assert len(expected) == 2 * 3
         assert drawn == expected
     # the sampler keeps nothing between calls: no module-level table is left
     assert set(vars(module)) == names
     assert _module_tables(module) == tables
 
 
+def _compositions(total, parts):
+    """Every tuple of `parts` positive integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+class _ScriptedRng:
+    """Answers the sampler's randint with `den` and its sample with `cuts`
+    in reverse order, checking what it was asked for."""
+
+    def __init__(self, k, den, cuts):
+        self.k, self.den, self.cuts = k, den, cuts
+
+    def randint(self, lo, hi):
+        assert (lo, hi) == (self.k, 8)
+        return self.den
+
+    def sample(self, population, n):
+        assert population == range(1, self.den) and n == self.k - 1
+        return list(reversed(self.cuts))
+
+
+def test_stars_and_bars_is_a_bijection_onto_the_compositions():
+    # every (k - 1)-subset of cuts in 1..den-1, den <= 8, gives a distinct
+    # composition of den into k positive parts, and every one is reached: a
+    # uniform subset is a uniform composition
+    for den in range(1, 9):
+        for k in range(1, den + 1):
+            drawn = [
+                netsheaf.valuations._positive_samples(k, _ScriptedRng(k, den, cuts), 1, 8)[0]
+                for cuts in itertools.combinations(range(1, den), k - 1)
+            ]
+            assert len(drawn) == len(set(drawn)) == math.comb(den - 1, k - 1)
+            assert {tuple(w * den for w in ws) for ws in drawn} == set(_compositions(den, k))
+
+
 def test_large_denominator_bound_keeps_the_draw_stream_and_small_memory(monkeypatch):
-    # a denominator bound of 10^5 on the 2-point discrete self-pair: the same
-    # draws as the reference sampler, and memory that does not grow with the
-    # bound (a row of Fractions per denominator drawn would hold about 4*10^5
-    # of them here, a peak near 44 MB)
+    # a denominator bound of 10^18 on the 2-point discrete self-pair: the same
+    # draws as the reference sampler, in well under a second, and memory that
+    # does not grow with the bound (a draw per unit of mass would never end)
     full = Partition.discrete(ambient(2))
     pair = AlgebraPair(full, full)
     drawn = []
@@ -380,24 +419,26 @@ def test_large_denominator_bound_keeps_the_draw_stream_and_small_memory(monkeypa
         return original(mu1, mu2, pair)
 
     monkeypatch.setattr(netsheaf.valuations, "product_extension", recording)
+    start = time.perf_counter()
     tracemalloc.start()
     try:
-        verdict = valuation_independence_test(pair, seed=3, samples=1, max_denominator=10**5)
+        verdict = valuation_independence_test(pair, seed=3, samples=1, max_denominator=10**18)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert time.perf_counter() - start < 1
     assert verdict is cstar_independent(pair)
     rng = random.Random(3)
     expected = []
-    for c in coarsenings(full):
-        for d in coarsenings(full):
-            expected += oracle_positive_samples(c.num_blocks, rng, 1, 10**5)
-            expected += oracle_positive_samples(d.num_blocks, rng, 1, 10**5)
+    for c, d in _sampled_pairs(full):
+        expected += oracle_positive_samples(c.num_blocks, rng, 1, 10**18)
+        expected += oracle_positive_samples(d.num_blocks, rng, 1, 10**18)
     assert drawn == expected
+    assert max(w.denominator for ws in drawn for w in ws) > 10**12
     assert peak < 2 * 10**6, peak
 
 
-# -- the two valuation traps, each sabotaged on its own -------------------------
+# -- the two valuation traps, each sabotaged on its own, and each sampled pair live
 
 def test_flipped_product_extension_trips_the_sampled_extension_trap(monkeypatch, capsys):
     original = netsheaf.valuations.product_extension
@@ -427,3 +468,21 @@ def test_flipped_cstar_decision_trips_the_independence_module_trap(monkeypatch, 
             "with the independence module" in err
         )
         assert "sampled product extension" not in err
+
+
+def test_flip_on_the_trivial_context_trips_the_sampled_extension_trap(monkeypatch, capsys):
+    # the halves never extend on (A, B), so only the (A, trivial) samples can
+    # see a product_extension that is wrong when D is trivial
+    original = netsheaf.valuations.product_extension
+
+    def flipped_on_trivial(mu1, mu2, pair):
+        result = original(mu1, mu2, pair)
+        if mu2.spectrum.context.num_blocks > 1:
+            return result
+        return netsheaf.valuations.ProductExtensionResult(valuation=None, witness=("?", "?"))
+
+    monkeypatch.setattr(netsheaf.valuations, "product_extension", flipped_on_trivial)
+    assert main(["valuations", str(FIXTURES / "overlapping_halves.json")]) == 3
+    err = capsys.readouterr().err
+    assert "internal consistency failure: sampled product extension contradicts" in err
+    assert "disagrees with the independence module" not in err
