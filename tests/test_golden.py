@@ -27,11 +27,15 @@ GOLDEN = FIXTURES / "golden"
 OUTPUTS = GOLDEN / "cli.json"
 
 COMMANDS = ("check-pair", "descent", "check-net", "valuations", "contexts")
-FIXTURE_NAMES = ("square_pair", "overlapping_halves", "trivial_pair", "pauli_pair")
-PARTITION_FIXTURES = FIXTURE_NAMES[:3]
+# adjacent_pairs ({a,b}{c}{d} against {a}{b,c}{d}) is the one whose unit-law
+# witnesses come from the sweep over C_(A v B): Bell(3)^2 > Bell(4).
+FIXTURE_NAMES = (
+    "square_pair", "overlapping_halves", "trivial_pair", "adjacent_pairs", "pauli_pair"
+)
+PARTITION_FIXTURES = FIXTURE_NAMES[:4]
 # Each fixture defines several algebras, so `contexts` also runs on one by name.
 LEFT_ALGEBRA = {"square_pair": "A", "overlapping_halves": "L", "trivial_pair": "full",
-                "pauli_pair": "Z"}
+                "adjacent_pairs": "A", "pauli_pair": "Z"}
 # Full M_4 against the scalars, M_2 (x) 1 against 1 (x) M_2, and M_2 on each
 # summand of M_2 (+) M_2: the pairs of the benchmark's `matrix` workload.
 MATRIX_FIXTURES = ("full_vs_scalars_pair", "tensor_pair", "block_diagonal_pair")
