@@ -38,9 +38,8 @@ from .contexts import (
 from .errors import Immutable, InputError, InternalConsistencyError, SizeGuardError
 from .independence import AlgebraPair, HierarchyReport, hierarchy_report
 from .partitions import (
+    BlockStringTables,
     Partition,
-    _canonical_rgs,
-    _set_partition_rgs,
     bell_number,
     block_strings,
     coarsenings,
@@ -536,9 +535,9 @@ def covering_stability(
     That requirement is the unit law of the pair (C, D): C <= A and D <= B
     give C v D <= A v B, so the E below C v D are the contexts of C v D.
     Every context involved is a context of A v B, read as its block string
-    over A v B's blocks and then as its index in C_{A v B}; joins, meets and
-    the contexts of each C v D are call-local tables on those indices, so
-    the sweep builds no Partition per visit and adds no entry to the
+    over A v B's blocks, and each cover is swept by one call-local
+    `BlockStringTables`, the sweep that the unit-law witnesses of a pair
+    also take: it builds no Partition per visit and adds no entry to the
     partition caches.  The unit law of a pair holds iff the pair is
     comparable (see `unit_law`), so a cover has failures iff C v D is
     neither C nor D; a cover whose sweep disagrees is a bug.
@@ -552,69 +551,31 @@ def covering_stability(
     guard_contexts(max_bell, joined, pair.left, pair.right)
     source = coarsenings(joined)
     strings = block_strings(joined, source)
-    position = {s: k for k, s in enumerate(strings)}
+    context = dict(zip(strings, source))
     left_contexts, right_contexts = coarsenings(pair.left), coarsenings(pair.right)
-    lefts = [position[s] for s in block_strings(joined, left_contexts)]
-    rights = [position[s] for s in block_strings(joined, right_contexts)]
-    joins: dict[tuple[int, int], int] = {}
-    meets: dict[int, dict[int, int]] = {}  # meets[C][E] is E n C
-    below: dict[int, list[int]] = {}
-
-    def join(x: int, y: int) -> int:
-        k = joins.get((x, y))
-        if k is None:
-            k = joins[x, y] = position[_canonical_rgs(tuple(zip(strings[x], strings[y])))]
-        return k
-
-    def restrictions(c: int, contexts: list[int]) -> list[int]:
-        row = meets.setdefault(c, {})
-        for e in contexts:
-            if e not in row:
-                row[e] = position[_overlap_string(strings[e], strings[c])]
-        return [row[e] for e in contexts]
-
-    def contexts_below(k: int) -> list[int]:
-        if k not in below:
-            key = strings[k]
-            below[k] = [
-                position[tuple(map(g.__getitem__, key))]
-                for g in _set_partition_rgs(max(key) + 1)
-            ]
-        return below[k]
-
-    found = []
+    lefts, rights = (block_strings(joined, cs) for cs in (left_contexts, right_contexts))
+    tables = BlockStringTables()
+    # Violations by E, each list in cover order: C, then D.
+    found: dict = {e: [] for e in strings}
     for i, c in enumerate(lefts):
         for j, d in enumerate(rights):
-            k = join(c, d)
-            es = contexts_below(k)
-            failing = [
-                (e, i, j, g)
-                for e, x, y in zip(es, restrictions(c, es), restrictions(d, es))
-                if (g := join(x, y)) != e
-            ]
+            failing = list(tables.unit_law_failures(c, d))
             # The closed form of the unit law of (C, D): failures iff incomparable.
-            if bool(failing) != (k not in (c, d)):
+            comparable = tables.joins[c, d] in (c, d)
+            if bool(failing) == comparable:
                 raise InternalConsistencyError(
                     "covering stability disagrees with the unit law's closed form on a cover",
                     dump={
                         "pair": pair.describe(),
-                        "cover": [str(source[c]), str(source[d])],
-                        "comparable": k in (c, d),
+                        "cover": [str(left_contexts[i]), str(right_contexts[j])],
+                        "comparable": comparable,
                         "violations": len(failing),
                     },
                 )
-            found.extend(failing)
-    found.sort()
+            for e, g in failing:
+                found[e].append((i, j, g))
     return tuple(
-        StabilityViolation(source[e], left_contexts[i], right_contexts[j], source[g])
-        for e, i, j, g in found
+        StabilityViolation(e, left_contexts[i], right_contexts[j], context[g])
+        for e, rows in zip(source, found.values())
+        for i, j, g in rows
     )
-
-
-def _overlap_string(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    """The overlap join of two restricted-growth strings of one length: x's
-    groups linked by y's, labelled by first occurrence."""
-    masks = [0] * len(y)
-    for u, v in zip(x, y):
-        masks[v] |= 1 << u
-    return tuple(map(_linked(frozenset(masks), max(x) + 1).__getitem__, x))

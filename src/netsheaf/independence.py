@@ -25,17 +25,19 @@ a violation is a bug in this package, never a property of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import NamedTuple, Optional, Union
 
 from .contexts import DEFAULT_MAX_BELL, guard_contexts
 from .errors import EngineError, Immutable, InputError, InternalConsistencyError
 from .linalg import mat_str
 from .partitions import (
+    BlockStringTables,
     Partition,
     _canonical_rgs,
     _set_partition_rgs,
     bell_number,
+    block_strings,
     coarsenings,
     common_refinement,
     is_coarser,
@@ -310,16 +312,6 @@ def strong_locality(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> bool
     return _meet_in_common(a, b) and _meet_in_common(b, a)
 
 
-def _unit_law_witnesses(a: Partition, b: Partition) -> tuple[Partition, ...]:
-    """All contexts C of A v B with (C n A) v (C n B) != C, in canonical order."""
-    joined = common_refinement(a, b)
-    out = []
-    for c in coarsenings(joined):
-        if common_refinement(overlap_join(c, a), overlap_join(c, b)) != c:
-            out.append(c)
-    return tuple(out)
-
-
 def _join_image_failures(a: Partition, b: Partition) -> tuple[int, tuple[Partition, ...]]:
     """The contexts of A v B outside the joins C v D over C_A x C_B: their
     number, and the first WITNESS_LIMIT of them in canonical order, from a
@@ -350,8 +342,22 @@ def _unit_law_failures(a: Partition, b: Partition) -> tuple[int, tuple[Partition
     contexts = bell_number(common_refinement(a, b).num_blocks)
     if bell_number(a.num_blocks) * bell_number(b.num_blocks) <= contexts:
         return _join_image_failures(a, b)
-    failing = _unit_law_witnesses(a, b)
-    return len(failing), failing[:WITNESS_LIMIT]
+    return _sweep_failures(a, b)
+
+
+def _sweep_failures(a: Partition, b: Partition) -> tuple[int, tuple[Partition, ...]]:
+    """The contexts C of A v B with (C n A) v (C n B) != C: their number, and
+    the first WITNESS_LIMIT of them in canonical order, from one sweep of
+    the unit law of (A, B) over the block strings of A v B, the sweep that
+    covering stability runs on each of its covers.  Only the witnesses
+    listed become Partitions."""
+    joined = common_refinement(a, b)
+    failures = BlockStringTables().unit_law_failures(*block_strings(joined, (a, b)))
+    first = tuple(
+        Partition._canonical(joined.ambient, tuple(e[k] for k in joined.rgs))
+        for e, _ in islice(failures, WITNESS_LIMIT)
+    )
+    return len(first) + sum(1 for _ in failures), first
 
 
 def unit_law(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> bool:

@@ -28,7 +28,7 @@ class SpacetimePoset(Immutable):
     meets/joins, and spacelike pairs that are not irreflexive.
     """
 
-    __slots__ = ("regions", "index", "leq", "spacelike", "raw_spacelike")
+    __slots__ = ("regions", "index", "leq", "down", "spacelike", "raw_spacelike")
 
     def __init__(
         self,
@@ -62,6 +62,7 @@ class SpacetimePoset(Immutable):
                 if acc != up[i]:
                     up[i] = acc
                     changed = True
+        down = [sum(1 << i for i in range(n) if (up[i] >> j) & 1) for j in range(n)]
 
         raw = tuple((a, b) for a, b in spacelike)
         for a, b in raw:
@@ -76,6 +77,7 @@ class SpacetimePoset(Immutable):
         object.__setattr__(self, "regions", regions)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "leq", tuple(up))
+        object.__setattr__(self, "down", tuple(down))
         object.__setattr__(self, "spacelike", sym)
         object.__setattr__(self, "raw_spacelike", raw)
 
@@ -83,27 +85,18 @@ class SpacetimePoset(Immutable):
         return bool((self.leq[self.index[a]] >> self.index[b]) & 1)
 
     def _bound(self, a: str, b: str, kind: str) -> Optional[str]:
-        n = len(self.regions)
-        ia, ib = self.index[a], self.index[b]
-        if kind == "meet":
-            candidates = [
-                i for i in range(n) if (self.leq[i] >> ia) & 1 and (self.leq[i] >> ib) & 1
-            ]
-            best = [
-                i
-                for i in candidates
-                if all((self.leq[j] >> i) & 1 for j in candidates)
-            ]
-        else:
-            candidates = [
-                i for i in range(n) if (self.leq[ia] >> i) & 1 and (self.leq[ib] >> i) & 1
-            ]
-            best = [
-                i
-                for i in candidates
-                if all((self.leq[i] >> j) & 1 for j in candidates)
-            ]
-        return self.regions[best[0]] if best else None
+        """The first common lower (meet) or upper (join) bound of a and b, in
+        label order, that lies above (below) every other one."""
+        masks = self.down if kind == "meet" else self.leq
+        candidates = masks[self.index[a]] & masks[self.index[b]]
+        rest = candidates
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            if not candidates & ~masks[i]:
+                return self.regions[i]
+            rest ^= low
+        return None
 
     def meet(self, a: str, b: str) -> Optional[str]:
         return self._bound(a, b, "meet")

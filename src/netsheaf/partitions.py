@@ -58,12 +58,7 @@ class AmbientSet(Immutable):
 def _canonical_rgs(labels: Sequence) -> tuple[int, ...]:
     """Relabel an arbitrary point->class assignment by order of first occurrence."""
     seen: dict = {}
-    out = []
-    for lab in labels:
-        if lab not in seen:
-            seen[lab] = len(seen)
-        out.append(seen[lab])
-    return tuple(out)
+    return tuple([seen.setdefault(lab, len(seen)) for lab in labels])
 
 
 def _blocks_from_rgs(rgs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -206,25 +201,30 @@ def overlap_join(p: Partition, q: Partition) -> Partition:
     """The finest partition coarser than both: connected components of the
     bipartite block-overlap graph.  Corresponds to the intersection S_p n S_q."""
     _check_same_ambient(p, q)
-    n = len(p.ambient)
-    parent = list(range(n))
+    return Partition._canonical(p.ambient, _overlap_rgs(p.rgs, q.rgs))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(x: int, y: int):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for part in (p, q):
-        for block in part.blocks:
-            for other in block[1:]:
-                union(block[0], other)
-    return Partition(p.ambient, tuple(find(i) for i in range(n)))
+def _overlap_rgs(x: Sequence[int], y: Sequence) -> tuple[int, ...]:
+    """The finest grouping of positions that keeps together two positions
+    with one x-label or one y-label, labelled by first occurrence; x is a
+    restricted-growth string (a partition's, or a block string).  Union-find
+    over x's groups, each pointing at a smaller one or at itself, so one
+    ascending pass resolves every root."""
+    parent = list(range(max(x) + 1))
+    first: dict = {}
+    for u, v in zip(x, y):
+        w = first.setdefault(v, u)
+        while parent[u] != u:
+            u = parent[u]
+        while parent[w] != w:
+            w = parent[w]
+        if u < w:
+            parent[w] = u
+        else:
+            parent[u] = w
+    for g, r in enumerate(parent):
+        parent[g] = parent[r]
+    return _canonical_rgs([parent[g] for g in x])
 
 
 @lru_cache(maxsize=None)
@@ -286,6 +286,45 @@ def block_strings(p: Partition, contexts: Iterable[Partition]) -> list[tuple[int
         return [(c.rgs[firsts[0]],) for c in contexts]
     read = itemgetter(*firsts)
     return [read(c.rgs) for c in contexts]
+
+
+class _Memo(dict):
+    """A table whose value at a missing key is computed once, on first use."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def _strings_below(k: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every block string coarser than k, in canonical order: k's groups
+    regrouped by each restricted-growth string over them."""
+    return [tuple(map(g.__getitem__, k)) for g in _set_partition_rgs(max(k) + 1)]
+
+
+class BlockStringTables:
+    """Contexts of one partition J, each read as its block string over J's
+    blocks (see `block_strings`), with three tables filled on first use:
+    `joins[x, y]`, `meets[c][e]` (E n C) and `below[k]` (`_strings_below`).
+    An instance lives for one sweep, so its tables go with it: it builds no
+    Partition and adds no entry to this module's caches."""
+
+    def __init__(self):
+        self.joins = _Memo(lambda xy: _canonical_rgs(tuple(zip(*xy))))
+        self.meets = _Memo(lambda c: _Memo(lambda e: _overlap_rgs(e, c)))
+        self.below = _Memo(_strings_below)
+
+    def unit_law_failures(self, c: tuple, d: tuple) -> Iterator[tuple[tuple, tuple]]:
+        """Each context E of C v D with (E n C) v (E n D) != E, paired with
+        that join, in canonical order: where the unit law of (C, D) fails."""
+        joins, left, right = self.joins, self.meets[c], self.meets[d]
+        for e in self.below[joins[c, d]]:
+            g = joins[left[e], right[e]]
+            if g != e:
+                yield e, g
 
 
 @lru_cache(maxsize=None)

@@ -68,7 +68,7 @@ class RestrictionMap(Immutable):
 def _as_weight(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise InputError(f"valuation weights must be exact rationals, got {x!r}")
 

@@ -196,6 +196,17 @@ def oracle_h_table(pair, source, target) -> list[int]:
     return [target.index[(overlap_join(c, a), overlap_join(c, b))] for c in source.elements]
 
 
+def oracle_unit_law_witnesses(a: Partition, b: Partition) -> tuple[Partition, ...]:
+    """All contexts C of A v B with (C n A) v (C n B) != C, in canonical
+    order, by one overlap join per side and context: the Partition route
+    that the block-string sweep replaced."""
+    return tuple(
+        c
+        for c in coarsenings(common_refinement(a, b))
+        if common_refinement(overlap_join(c, a), overlap_join(c, b)) != c
+    )
+
+
 def oracle_covering_stability(pair):
     """Every (E, C, D) in C_{A v B} x C_A x C_B with E <= C v D and
     E != (E n C) v (E n D), by testing every triple in that order."""
@@ -211,6 +222,24 @@ def oracle_covering_stability(pair):
     return tuple(violations)
 
 
+# -- spacetime posets -------------------------------------------------------------
+
+def oracle_bound(spacetime, a: str, b: str, kind: str) -> str | None:
+    """The meet or join of two regions by pairwise filtering of the common
+    lower or upper bounds, the first in label order that bounds them all:
+    the route SpacetimePoset took before its down-set masks."""
+    leq = spacetime.leq
+    n = len(spacetime.regions)
+    ia, ib = spacetime.index[a], spacetime.index[b]
+    if kind == "meet":
+        candidates = [i for i in range(n) if (leq[i] >> ia) & 1 and (leq[i] >> ib) & 1]
+        best = [i for i in candidates if all((leq[j] >> i) & 1 for j in candidates)]
+    else:
+        candidates = [i for i in range(n) if (leq[ia] >> i) & 1 and (leq[ib] >> i) & 1]
+        best = [i for i in candidates if all((leq[i] >> j) & 1 for j in candidates)]
+    return spacetime.regions[best[0]] if best else None
+
+
 # -- valuations: the Fraction routes that the integer checks replaced ----------
 
 def oracle_valuation_refusal(spectrum, weights) -> str | None:
@@ -221,7 +250,7 @@ def oracle_valuation_refusal(spectrum, weights) -> str | None:
     for w in weights:
         if isinstance(w, Fraction):
             converted.append(w)
-        elif isinstance(w, int):
+        elif isinstance(w, int) and not isinstance(w, bool):
             converted.append(Fraction(w))
         else:
             return f"valuation weights must be exact rationals, got {w!r}"

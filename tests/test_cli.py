@@ -360,7 +360,7 @@ def test_check_net_refuses_two_full_regions_over_the_scalars(monkeypatch, tmp_pa
         raise AssertionError("a context sweep ran before the product guard")
 
     monkeypatch.setattr(netsheaf.independence, "_strong_locality_witness", no_sweep)
-    monkeypatch.setattr(netsheaf.independence, "_unit_law_witnesses", no_sweep)
+    monkeypatch.setattr(netsheaf.independence, "_sweep_failures", no_sweep)
     points = list("abcdef")
     path = tmp_path / "full_over_scalars.json"
     path.write_text(
@@ -391,9 +391,9 @@ def test_each_pair_is_decided_once(monkeypatch, tmp_path, capsys):
     # runs only for a failure: the strong-locality sweep on (L, S), and the
     # join image on each incomparable pair, since |C_A|*|C_B| <= |C_(A v B)|
     # on all of them, so the unit-law sweep over C_(A v B) never runs.
-    # Covering stability, which only `descent` runs, sweeps the covers on its
-    # own index tables and makes no unit-law sweep call either
-    assert not hasattr(netsheaf.descent, "_unit_law_witnesses")
+    # Covering stability, which only `descent` runs, sweeps each cover with
+    # the shared block-string tables and makes no unit-law sweep call either
+    assert not hasattr(netsheaf.descent, "_sweep_failures")
     calls = Counter()
     for module, name in (
         (netsheaf.independence, "_pair_facts"),
@@ -401,7 +401,7 @@ def test_each_pair_is_decided_once(monkeypatch, tmp_path, capsys):
         (netsheaf.independence, "unit_law"),
         (netsheaf.independence, "_strong_locality_witness"),
         (netsheaf.independence, "_join_image_failures"),
-        (netsheaf.independence, "_unit_law_witnesses"),
+        (netsheaf.independence, "_sweep_failures"),
     ):
         key = f"{module.__name__}.{name}"
 
@@ -448,7 +448,7 @@ def test_each_pair_is_decided_once(monkeypatch, tmp_path, capsys):
             "netsheaf.independence.unit_law": pairs,
             "netsheaf.independence._strong_locality_witness": strong_failures,
             "netsheaf.independence._join_image_failures": pairs,
-            "netsheaf.independence._unit_law_witnesses": 0,
+            "netsheaf.independence._sweep_failures": 0,
         })
 
 
@@ -459,7 +459,7 @@ def test_check_pair_on_a_bell_10_join_runs_no_sweep_over_it(monkeypatch, tmp_pat
     def no_sweep(*_):
         raise AssertionError("the unit-law sweep over C_(A v B) ran")
 
-    monkeypatch.setattr(netsheaf.independence, "_unit_law_witnesses", no_sweep)
+    monkeypatch.setattr(netsheaf.independence, "_sweep_failures", no_sweep)
     points = [f"x{i}y{j}" for i in range(2) for j in range(5)]
     path = tmp_path / "grid2x5.json"
     path.write_text(
@@ -489,7 +489,7 @@ def test_comparable_pairs_run_no_unit_law_search(monkeypatch, tmp_path, capsys):
     # pair is comparable, so the unit law needs neither the join image nor
     # the sweep over C_(A v B)
     calls = Counter()
-    for name in ("_join_image_failures", "_unit_law_witnesses"):
+    for name in ("_join_image_failures", "_sweep_failures"):
 
         def counted(*args, _name=name, _fn=getattr(netsheaf.independence, name)):
             calls[_name] += 1

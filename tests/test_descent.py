@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import netsheaf.contexts
 import netsheaf.descent
 import netsheaf.independence
+import netsheaf.partitions
 from netsheaf import (
     MAX_FIBERED_ELEMENTS,
     MAX_STABILITY_TRIPLES,
@@ -663,7 +664,7 @@ def test_unit_law_witness_trap_fires_on_an_empty_join_image(
 
 def test_unit_law_witness_trap_fires_on_an_empty_sweep(monkeypatch, tmp_path, capsys):
     # {a,b}{c}{d} against {a}{b,c}{d} takes the sweep route (Bell(3)^2 > Bell(4))
-    monkeypatch.setattr(netsheaf.independence, "_unit_law_witnesses", lambda a, b: ())
+    monkeypatch.setattr(netsheaf.independence, "_sweep_failures", lambda a, b: (0, ()))
     amb = ambient(4)
     left = Partition.from_blocks(amb, [["a", "b"], ["c"], ["d"]])
     right = Partition.from_blocks(amb, [["a"], ["b", "c"], ["d"]])
@@ -672,13 +673,39 @@ def test_unit_law_witness_trap_fires_on_an_empty_sweep(monkeypatch, tmp_path, ca
     assert "the unit law fails on an incomparable pair, but the witness search counts 0" in err
 
 
+def test_unit_law_witness_trap_fires_on_an_empty_shared_sweep(monkeypatch, capsys):
+    # the walk over the contexts below a block string stops after the
+    # bottom context, which never fails; `check-pair` runs no covering
+    # stability, so only the hierarchy's sweep branch sees it
+    walk = netsheaf.partitions._strings_below
+    monkeypatch.setattr(netsheaf.partitions, "_strings_below", lambda k: walk(k)[:1])
+    assert main(["check-pair", str(FIXTURES / "adjacent_pairs.json")]) == 3
+    err = capsys.readouterr().err
+    assert "the unit law fails on an incomparable pair, but the witness search counts 0" in err
+
+
+def test_unit_law_count_trap_fires_on_a_shared_sweep_that_drops_a_context(monkeypatch, capsys):
+    # the shared sweep skips the first failing context {a,c,d}{b} of
+    # {a,b}{c}{d} | {a}{b,c}{d}: the hierarchy lists as many witnesses as it
+    # counts, but h's unit, read off the block tables, is strict at three
+    walk = netsheaf.partitions._strings_below
+    monkeypatch.setattr(
+        netsheaf.partitions, "_strings_below", lambda k: [e for e in walk(k) if e != (0, 1, 0, 0)]
+    )
+    assert main(["descent", str(FIXTURES / "adjacent_pairs.json")]) == 3
+    err = capsys.readouterr().err
+    assert "unit-law witness count disagrees with the unit of the descent adjunction" in err
+
+
 STABILITY_TRAP = "covering stability disagrees with the unit law's closed form on a cover"
 
 
 def test_stability_trap_fires_on_a_comparable_cover_with_a_violation(monkeypatch, capsys):
-    # every restriction E n C made the bottom context, so the comparable cover
-    # (bottom, B) of the square pair reports its top context B as a violation
-    monkeypatch.setattr(netsheaf.descent, "_overlap_string", lambda x, y: (0,) * len(x))
+    # every meet made the bottom context, so the comparable cover (bottom, B)
+    # of the square pair reports its top context B as a violation; every meet
+    # that `descent` takes before the sweep is over A n B, the scalars, so
+    # stays right
+    monkeypatch.setattr(netsheaf.partitions, "_overlap_rgs", lambda x, y: (0,) * len(x))
     assert main(["descent", str(FIXTURES / "square_pair.json")]) == 3
     err = capsys.readouterr().err
     assert STABILITY_TRAP in err and '"comparable": true' in err
@@ -690,8 +717,8 @@ def test_stability_trap_fires_on_an_incomparable_cover_without_violations(
     # the walk over the contexts of C v D stops after the bottom context,
     # which never fails, so the failures of the incomparable cover (A, B)
     # are dropped
-    walk = netsheaf.descent._set_partition_rgs
-    monkeypatch.setattr(netsheaf.descent, "_set_partition_rgs", lambda k: list(walk(k))[:1])
+    walk = netsheaf.partitions._strings_below
+    monkeypatch.setattr(netsheaf.partitions, "_strings_below", lambda k: walk(k)[:1])
     assert main(["descent", str(FIXTURES / "square_pair.json")]) == 3
     err = capsys.readouterr().err
     assert STABILITY_TRAP in err and '"comparable": false' in err

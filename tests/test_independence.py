@@ -10,10 +10,12 @@ from netsheaf import (
     CONDITIONS,
     UNDETERMINED,
     AlgebraPair,
+    AmbientSet,
     EngineError,
     InputError,
     InternalConsistencyError,
     Partition,
+    all_partitions,
     cstar_independent,
     extended_locality,
     generated_star_algebra,
@@ -25,9 +27,10 @@ from netsheaf import (
     strong_locality,
     unit_law,
 )
+from netsheaf.partitions import overlap_join
 from netsheaf.staralg import commutant
 
-from conftest import ambient
+from conftest import ambient, oracle_unit_law_witnesses
 
 SZ = [[1, 0], [0, -1]]
 SX = [[0, 1], [1, 0]]
@@ -325,10 +328,11 @@ NEAR_EQUAL = (Partition(ambient(6), [0, 0, 1, 2, 3, 4]), Partition(ambient(6), [
 @example(NEAR_EQUAL)
 def test_closed_forms_equal_the_context_sweeps(pair):
     a, b = pair
-    failing = netsheaf.independence._unit_law_witnesses(a, b)
+    failing = oracle_unit_law_witnesses(a, b)
     expected = (len(failing), failing[:50])
     assert unit_law(AlgebraPair(a, b)) == (not failing)
     assert netsheaf.independence._join_image_failures(a, b) == expected
+    assert netsheaf.independence._sweep_failures(a, b) == expected
     assert netsheaf.independence._unit_law_failures(a, b) == expected
     strong = netsheaf.independence._strong_locality_witness(a, b) is None
     assert strong_locality(AlgebraPair(a, b)) == strong
@@ -341,12 +345,48 @@ def test_unit_law_failures_take_the_cheaper_route(monkeypatch):
 
         monkeypatch.setattr(netsheaf.independence, name, route)
 
-    refuse("_unit_law_witnesses")
+    refuse("_sweep_failures")
     assert netsheaf.independence._unit_law_failures(*GRID_2X3)[0] == 203 - 2 * 5
     monkeypatch.undo()
     refuse("_join_image_failures")
     count, first = netsheaf.independence._unit_law_failures(*NEAR_EQUAL)
     assert count == len(first) == 37
+
+
+def test_unit_law_sweep_on_nine_points_equals_the_oracle_without_overlap_joins():
+    # A = {p0,p1}{p2}...{p8}, B = {p0}{p1}{p2,p3}{p4}...{p8}: Bell(8)^2 > Bell(9),
+    # so the witnesses come from one sweep over the 21,147 block strings of
+    # A v B, which puts no context in the overlap-join cache (the Partition
+    # route put 42,294 there)
+    amb = AmbientSet([f"p{i}" for i in range(9)])
+    a = Partition(amb, [0, 0, 1, 2, 3, 4, 5, 6, 7])
+    b = Partition(amb, [0, 1, 2, 2, 3, 4, 5, 6, 7])
+    overlap_join.cache_clear()
+    witnesses = hierarchy_report(AlgebraPair(a, b)).witnesses["unit_law"]
+    assert overlap_join.cache_info().currsize < 100
+    failing = oracle_unit_law_witnesses(a, b)
+    assert len(failing) == 1348
+    assert witnesses == {
+        "count": 1348, "contexts": [str(c) for c in failing[:50]], "truncated": True
+    }
+
+
+def test_hierarchy_unit_law_witnesses_equal_the_oracle_up_to_five_points():
+    # every ordered pair on at most five points, either route of the witnesses
+    for n in range(1, 6):
+        contexts = all_partitions(ambient(n))
+        for a in contexts:
+            for b in contexts:
+                failing = oracle_unit_law_witnesses(a, b)
+                witnesses = hierarchy_report(AlgebraPair(a, b)).witnesses
+                if not failing:
+                    assert "unit_law" not in witnesses
+                    continue
+                assert witnesses["unit_law"] == {
+                    "count": len(failing),
+                    "contexts": [str(c) for c in failing[:50]],
+                    "truncated": len(failing) > 50,
+                }
 
 
 # -- the context-free conditions, decided once ---------------------------------

@@ -1,8 +1,12 @@
+import time
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsheaf import (
+    AmbientSet,
     InputError,
     NetSpec,
     Partition,
@@ -10,6 +14,8 @@ from netsheaf import (
     analyze_net,
     validate_net,
 )
+
+from conftest import oracle_bound
 
 
 def diamond(spacelike=(("O1", "O2"),)):
@@ -40,6 +46,39 @@ def test_spacetime_closure_and_lattice():
     assert st.meet("O1", "O2") == "bottom"
     assert st.join("O1", "O2") == "top"
     assert st.meet("O1", "top") == "O1"
+
+
+@st.composite
+def spacetime_posets(draw):
+    """Up to seven regions and any order pairs, cycles included."""
+    n = draw(st.integers(1, 7))
+    regions = [f"r{i}" for i in range(n)]
+    pair = st.tuples(st.sampled_from(regions), st.sampled_from(regions))
+    return SpacetimePoset(regions, draw(st.lists(pair, max_size=12)), [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(spacetime_posets())
+def test_meets_and_joins_equal_the_pairwise_filter(spacetime):
+    for a in spacetime.regions:
+        for b in spacetime.regions:
+            assert spacetime.meet(a, b) == oracle_bound(spacetime, a, b, "meet")
+            assert spacetime.join(a, b) == oracle_bound(spacetime, a, b, "join")
+
+
+def test_a_chain_of_160_regions_validates_in_under_a_second():
+    # every region pair asks for a meet and a join; filtering the bounds
+    # pairwise made this quartic in the number of regions
+    regions = [f"r{i}" for i in range(160)]
+    amb = AmbientSet(["a"])
+    spec = NetSpec(
+        spacetime=SpacetimePoset(regions, list(zip(regions, regions[1:])), []),
+        assignment={r: Partition.trivial(amb) for r in regions},
+    )
+    start = time.perf_counter()
+    validation = validate_net(spec)
+    assert time.perf_counter() - start < 1.0
+    assert validation.ok
 
 
 def test_validate_diamond_net(amb4):

@@ -51,6 +51,16 @@ def test_valuation_validation(amb3):
         Valuation(spec, [0.5, 0.25, 0.25])  # floats are banned
 
 
+def test_valuation_refuses_bool_weights(amb3):
+    # bool is an int subclass, but no parser of this package takes it as one
+    spec = Spectrum(Partition.discrete(amb3))
+    with pytest.raises(InputError, match="must be exact rationals, got True"):
+        Valuation(spec, [True, False, False])
+    assert oracle_valuation_refusal(spec, [True, False, False]) == (
+        "valuation weights must be exact rationals, got True"
+    )
+
+
 def test_pushforward_point_valuation(amb4):
     fine = Partition.discrete(amb4)
     coarse = Partition.from_blocks(amb4, [["a", "b"], ["c", "d"]])
