@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
@@ -386,7 +387,8 @@ def cmd_contexts(args) -> int:
         "count": len(poset),
         "bell": bell_number(algebra.num_blocks),
         "contexts": [str(p) for p in poset.elements],
-        "hasse_edges": sum(1 for _ in poset.cover_walk()),
+        # a k-block context has one lower cover per two of its blocks merged
+        "hasse_edges": sum(comb(c.num_blocks, 2) for c in poset.elements),
     }
     if args.dot:
         Path(args.dot).write_text(dot_export(poset), encoding="utf-8")

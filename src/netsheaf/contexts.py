@@ -2,10 +2,11 @@
 
 The context poset of a partition A is the set of all partitions coarser than
 A (equivalently, all unital subalgebras of S_A) ordered by subalgebra
-inclusion.  Its Hasse covers come from one walk over restricted-growth
-strings: a context's lower covers merge two of its blocks.  ``Contexts``
-keeps the contexts and that walk; ``ContextPoset`` also stores the order as
-bitmasks, for the DOT export of a fibered product.
+inclusion.  A context's lower covers merge two of its blocks, so a k-block
+context has k(k-1)/2 of them, and the Hasse covers come from one walk over
+restricted-growth strings.  Of the commands, only a DOT export takes that
+walk: through ``Contexts.covers()``, or through ``ContextPoset``, which also
+stores the order as bitmasks, for the DOT export of a fibered product.
 
 For a generic monotone map between finite posets, ``left_adjoint`` and
 ``thickening_report`` decide adjoints, unit/counit strictness, coreflectors
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
-from .errors import Immutable, InputError, InternalConsistencyError, SizeGuardError
+from .errors import Immutable, InputError, InternalConsistencyError, guard
 from .partitions import Partition, bell_number, block_strings, coarsenings, overlap_join
 
 DEFAULT_MAX_BELL = 115975  # Bell(10)
@@ -165,8 +166,8 @@ class ContextPoset(FinitePoset):
 
 
 class Contexts(Immutable):
-    """The contexts of a partition in canonical order, with the Hasse covers
-    of their order from the merge walk; no order masks are built."""
+    """The contexts of a partition in canonical order; no order masks are
+    built, and the Hasse covers only for the DOT export."""
 
     __slots__ = ("algebra", "elements", "index")
 
@@ -179,12 +180,9 @@ class Contexts(Immutable):
     def __len__(self):
         return len(self.elements)
 
-    def cover_walk(self) -> Iterator[tuple[int, int]]:
-        return _merge_walk(self.algebra, self.elements)
-
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction, in FinitePoset.covers() order."""
-        return tuple(sorted(self.cover_walk()))
+        return tuple(sorted(_merge_walk(self.algebra, self.elements)))
 
 
 def _comparable_pairs(n: int) -> int:
@@ -202,14 +200,10 @@ def guard_contexts(max_bell: int, *algebras: Partition) -> None:
     contexts (Bell(#blocks) of them), before any is enumerated."""
     for a in algebras:
         count = bell_number(a.num_blocks)
-        if count > max_bell:
-            raise SizeGuardError(
-                f"context poset of {a} would have Bell({a.num_blocks}) = {count} "
-                f"elements and {_comparable_pairs(a.num_blocks)} comparable pairs, "
-                f"exceeding the guard of {max_bell}",
-                bound=max_bell,
-                requested=count,
-            )
+        guard(count, max_bell, lambda: (
+            f"context poset of {a} would have Bell({a.num_blocks}) = {count} "
+            f"elements and {_comparable_pairs(a.num_blocks)} comparable pairs"
+        ))
 
 
 def enumerate_contexts(a: Partition, max_bell: int = DEFAULT_MAX_BELL) -> ContextPoset:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .contexts import (
     DEFAULT_MAX_BELL,
@@ -35,11 +35,12 @@ from .contexts import (
     ThickeningReport,
     guard_contexts,
 )
-from .errors import Immutable, InputError, InternalConsistencyError, SizeGuardError
+from .errors import Immutable, InputError, InternalConsistencyError, guard
 from .independence import AlgebraPair, HierarchyReport, hierarchy_report
 from .partitions import (
     BlockStringTables,
     Partition,
+    _overlap_rgs,
     bell_number,
     block_strings,
     coarsenings,
@@ -90,10 +91,6 @@ class FiberedContextProduct(Immutable):
     def __len__(self):
         return len(self.elements)
 
-    def leq_idx(self, i: int, j: int) -> bool:
-        (x1, x2), (y1, y2) = self.elements[i], self.elements[j]
-        return is_coarser(x1, y1) and is_coarser(x2, y2)
-
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction, for the DOT export only: a cover in one
         coordinate can leave the fiber, so the order is materialised here,
@@ -139,13 +136,10 @@ def _guard_fibered_product(pair: AlgebraPair, max_bell: int) -> None:
     left = _restriction_groups(coarsenings(pair.left), meet)
     right = _restriction_groups(coarsenings(pair.right), meet)
     count = sum(len(cs) * len(right.get(key, ())) for key, cs in left.items())
-    if count > MAX_FIBERED_ELEMENTS:
-        raise SizeGuardError(
-            f"fibered context product of {pair.left} | {pair.right} over {meet} "
-            f"would have {count} elements, exceeding the guard of {MAX_FIBERED_ELEMENTS}",
-            bound=MAX_FIBERED_ELEMENTS,
-            requested=count,
-        )
+    guard(count, MAX_FIBERED_ELEMENTS, lambda: (
+        f"fibered context product of {pair.left} | {pair.right} over {meet} "
+        f"would have {count} elements"
+    ))
 
 
 def fibered_context_product(
@@ -278,21 +272,14 @@ class DescentReport:
 
 def descent_map(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> DescentReport:
     """h and its left adjoint g(C1, C2) = C1 v C2 as two tables, every
-    verdict read off them by equality, and g -| h certified on each input.
+    verdict read off them by equality, and g -| h certified on each input
+    (`_certify_adjunction`).
 
     With g -| h, a fiber of h over q is nonempty iff it contains g(q), which
     is then its least element: h is a thickening iff a coreflector iff
     surjective, and an isomorphism iff moreover g(h(C)) = C for every C (the
-    unit law).  The certificate (Davey & Priestley, Introduction to Lattices
-    and Order, ch. 7): h is monotone along the Hasse covers of C_{A v B},
-    whose transitive closure is the order; q <= h(g(q)) and g(h(C)) <= C
-    everywhere; and g is monotone because each g(q) is the least upper bound
-    of q1 and q2 in C_{A v B} (it refines both, with as many blocks as there
-    are nonempty q1-block/q2-block intersections) and a join is monotone.
-    Covers of C_A x_M C_B could not replace that last check: a cover in one
-    coordinate can leave the fiber, and a cover of the product can move both
-    coordinates by several covers.  A failed check, or a verdict that
-    contradicts these theorems, raises InternalConsistencyError.
+    unit law).  A failed check, or a verdict that contradicts these
+    theorems, raises InternalConsistencyError.
     """
     pair.require_partition_engine("the descent map")
     joined = common_refinement(pair.left, pair.right)
@@ -303,35 +290,7 @@ def descent_map(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> DescentR
     hierarchy = hierarchy_report(pair, max_bell)
     source = Contexts(joined)
     h, g = _h_table(pair, source, target), _g_table(source, target)
-    src, tgt = source.elements, target.elements
-
-    def trap(message: str, **dump):
-        dump = {"pair": pair.describe(), **{k: str(v) for k, v in dump.items()}}
-        raise InternalConsistencyError(message, dump=dump)
-
-    no_adjoint = "descent map has no left adjoint: "
-    # Covers share images (grid 2x4: 28,337 covers, 137 images), so each image
-    # is compared once, at its first cover, which a trap then names.
-    image_covers: dict[tuple[int, int], tuple[int, int]] = {}
-    for i, j in source.cover_walk():
-        image_covers.setdefault((h[i], h[j]), (i, j))
-    for (hi, hj), (i, j) in image_covers.items():
-        if not target.leq_idx(hi, hj):
-            trap(no_adjoint + "h is not monotone", context=src[i], cover=src[j])
-    for q, p in enumerate(g):
-        if not target.leq_idx(q, h[p]):
-            trap(no_adjoint + "q <= h(g(q)) fails", target_element=tgt[q], g=src[p])
-    # z is coarser than c iff each block of c lies in one of z: as many
-    # distinct (c, z) label pairs as c has blocks.
-    for p, q in enumerate(h):
-        c, z = src[p], src[g[q]]
-        if len(set(zip(c.rgs, z.rgs))) != c.num_blocks:
-            trap(no_adjoint + "g(h(C)) <= C fails", context=c, g_of_h=z)
-    for (c1, c2), z in zip(tgt, (src[p] for p in g)):
-        if not (is_coarser(c1, z) and is_coarser(c2, z)
-                and z.num_blocks == len(set(zip(c1.rgs, c2.rgs)))):
-            trap("computed left adjoint differs from the algebraic join",
-                 target_element=(c1, c2), computed=z, join=common_refinement(c1, c2))
+    _certify_adjunction(pair, source, target, h, g)
     unit_strict = tuple(g[t] != s for s, t in enumerate(h))
     counit_strict = tuple(h[s] != t for t, s in enumerate(g))
     coreflector = not any(counit_strict)
@@ -348,15 +307,50 @@ def descent_map(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> DescentR
     # The unit law is "g(h(C)) = C for every C"; pair-level strong locality
     # quantifies over all of C_A x C_B, a superset of the fibered pairs.
     if hierarchy.unit_law == any(unit_strict):
-        trap("unit law disagrees with the unit of the descent adjunction",
-             unit_law=hierarchy.unit_law)
+        _trap(pair, "unit law disagrees with the unit of the descent adjunction",
+              unit_law=hierarchy.unit_law)
     failing = hierarchy.witnesses.get("unit_law", {}).get("count", 0)
     if failing != sum(unit_strict):
-        trap("unit-law witness count disagrees with the unit of the descent adjunction",
-             count=failing, strict_units=sum(unit_strict))
+        _trap(pair, "unit-law witness count disagrees with the unit of the descent adjunction",
+              count=failing, strict_units=sum(unit_strict))
     if hierarchy.strong_locality and not coreflector:
-        trap("pair-level strong locality holds but the descent map is not a coreflector")
+        _trap(pair, "pair-level strong locality holds but the descent map is not a coreflector")
     return report
+
+
+def _trap(pair: AlgebraPair, message: str, **dump) -> NoReturn:
+    dump = {k: str(v) for k, v in dump.items()}
+    raise InternalConsistencyError(message, dump={"pair": pair.describe(), **dump})
+
+
+def _certify_adjunction(pair: AlgebraPair, source: Contexts,
+                        target: FiberedContextProduct, h: list[int], g: list[int]) -> None:
+    """Certify g -| h by two exactness checks, each linear in its table, or
+    raise InternalConsistencyError: h(C) = (C n A, C n B) at every context
+    C of A v B, recomputed by one union-find per side on C's point string
+    (not `_h_table`'s block masks), and g(q) = q1 v q2 at every q (g(q)
+    refines q1 and q2, with one block per distinct (q1, q2) label pair).
+
+    A right adjoint is unique (Davey & Priestley, Introduction to Lattices
+    and Order, ch. 7): g -| h means (C1, C2) <= h(C) iff g(C1, C2) <= C,
+    which for g the join is C1 <= C n A and C2 <= C n B, so h(C) must be the
+    greatest such pair, (C n A, C n B), which lies in C_A x_M C_B as
+    (C n A) n M = C n M = (C n B) n M.  So the checks accept exactly the tables that the order
+    checks of g -| h accept (h monotone along the Hasse covers of C_{A v B},
+    q <= h(g(q)) and g(h(C)) <= C everywhere, g the join).  Exact meets are
+    monotone, and so is a join."""
+    src, tgt = source.elements, target.elements
+    position = {(c1.rgs, c2.rgs): q for q, (c1, c2) in enumerate(tgt)}
+    a, b = pair.left.rgs, pair.right.rgs
+    for c, q in zip(src, h):
+        if position.get((_overlap_rgs(c.rgs, a), _overlap_rgs(c.rgs, b))) != q:
+            _trap(pair, "descent map has no left adjoint: h(C) != (C n A, C n B)",
+                  context=c, h=tgt[q])
+    for (c1, c2), z in zip(tgt, (src[p] for p in g)):
+        if not (is_coarser(c1, z) and is_coarser(c2, z)
+                and z.num_blocks == len(set(zip(c1.rgs, c2.rgs)))):
+            _trap(pair, "computed left adjoint differs from the algebraic join",
+                  target_element=(c1, c2), computed=z, join=common_refinement(c1, c2))
 
 
 def _h_table(pair: AlgebraPair, source: Contexts, target: FiberedContextProduct) -> list[int]:
@@ -515,14 +509,10 @@ def _guard_stability(pair: AlgebraPair) -> None:
     joined = common_refinement(pair.left, pair.right)
     sizes = [bell_number(p.num_blocks) for p in (joined, pair.left, pair.right)]
     triples = sizes[0] * sizes[1] * sizes[2]
-    if triples > MAX_STABILITY_TRIPLES:
-        raise SizeGuardError(
-            f"covering stability of {pair.left} | {pair.right} needs "
-            f"|C_(A v B)|*|C_A|*|C_B| = {sizes[0]}*{sizes[1]}*{sizes[2]} = {triples} "
-            f"triples, exceeding the guard of {MAX_STABILITY_TRIPLES}",
-            bound=MAX_STABILITY_TRIPLES,
-            requested=triples,
-        )
+    guard(triples, MAX_STABILITY_TRIPLES, lambda: (
+        f"covering stability of {pair.left} | {pair.right} needs "
+        f"|C_(A v B)|*|C_A|*|C_B| = {sizes[0]}*{sizes[1]}*{sizes[2]} = {triples} triples"
+    ))
 
 
 def covering_stability(

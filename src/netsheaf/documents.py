@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .contexts import DEFAULT_MAX_BELL
-from .errors import InputError, SizeGuardError
+from .errors import InputError, guard
 from .independence import AlgebraPair
 from .net import NetSpec, SpacetimePoset
 from .partitions import AmbientSet, Partition
@@ -103,13 +103,7 @@ def _parse_matrix_algebra(name: str, data: dict, max_dim: int) -> StarAlgebra:
         isinstance(n, int) and not isinstance(n, bool) and n >= 1,
         f"matrix algebra {name!r} needs a positive integer dimension",
     )
-    if n > max_dim:
-        raise SizeGuardError(
-            f"matrix algebra {name!r} has dimension {n}, exceeding the guard of "
-            f"{max_dim}",
-            bound=max_dim,
-            requested=n,
-        )
+    guard(n, max_dim, lambda: f"matrix algebra {name!r} has dimension {n}")
     generators = []
     for g in data.get("generators", ()):
         _expect(

@@ -6,6 +6,8 @@ failed requirements/validations exit 2, internal-consistency traps exit 3.
 
 from __future__ import annotations
 
+from typing import Callable
+
 
 class Immutable:
     """Base of the slotted value holders: attributes are set once in
@@ -40,6 +42,15 @@ class SizeGuardError(NetsheafError):
         super().__init__(message)
         self.bound = bound
         self.requested = requested
+
+
+def guard(requested: int, bound: int, what: Callable[[], str]) -> None:
+    """Raise SizeGuardError "<what>, exceeding the guard of <bound>" when
+    requested exceeds bound; ``what`` is rendered only then."""
+    if requested > bound:
+        raise SizeGuardError(
+            f"{what()}, exceeding the guard of {bound}", bound=bound, requested=requested
+        )
 
 
 class InternalConsistencyError(NetsheafError):

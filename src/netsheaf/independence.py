@@ -41,6 +41,7 @@ from .partitions import (
     coarsenings,
     common_refinement,
     is_coarser,
+    iter_coarsenings,
     overlap_join,
 )
 from .staralg import (
@@ -275,9 +276,10 @@ def product_sense(pair: AlgebraPair) -> bool:
 
 
 def _strong_locality_witness(a: Partition, b: Partition) -> Optional[tuple]:
-    """First (C, D, side, actual) with (C v D) n side-algebra != that context."""
-    for c in coarsenings(a):
-        for d in coarsenings(b):
+    """First (C, D, side, actual) with (C v D) n side-algebra != that context,
+    in canonical order, from a walk that builds each context as it visits it."""
+    for c in iter_coarsenings(a):
+        for d in iter_coarsenings(b):
             joined = common_refinement(c, d)
             back_left = overlap_join(joined, a)
             if back_left != c:

@@ -50,18 +50,13 @@ class SpacetimePoset(Immutable):
         up = [1 << i for i in range(n)]
         for a, b in leq:
             up[check(a)] |= 1 << check(b)
-        changed = True
-        while changed:
-            changed = False
+        # Warshall: after step k, up[i] holds every j reachable from i
+        # through intermediate regions 0..k.
+        for k in range(n):
+            bit = 1 << k
             for i in range(n):
-                m, acc = up[i], up[i]
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
+                if up[i] & bit:
+                    up[i] |= up[k]
         down = [sum(1 << i for i in range(n) if (up[i] >> j) & 1) for j in range(n)]
 
         raw = tuple((a, b) for a, b in spacelike)

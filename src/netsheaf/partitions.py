@@ -327,17 +327,20 @@ class BlockStringTables:
                 yield e, g
 
 
+def iter_coarsenings(p: Partition) -> Iterator[Partition]:
+    """The partitions coarser than p, in canonical order, one at a time."""
+    ambient, rgs = p.ambient, p.rgs
+    # Each string is canonical (a restricted-growth string read through one),
+    # and the walk's lexicographic order over p's blocks is canonical order.
+    for grouping in _set_partition_rgs(p.num_blocks):
+        yield Partition._canonical(ambient, tuple([grouping[b] for b in rgs]))
+
+
 @lru_cache(maxsize=None)
 def coarsenings(p: Partition) -> tuple[Partition, ...]:
     """All partitions coarser than p, i.e. the contexts of S_p, in canonical
     order.  There are exactly Bell(#blocks) of them."""
-    ambient, rgs = p.ambient, p.rgs
-    # Each string is canonical (a restricted-growth string read through one),
-    # and the walk's lexicographic order over p's blocks is canonical order.
-    return tuple(
-        Partition._canonical(ambient, tuple([grouping[b] for b in rgs]))
-        for grouping in _set_partition_rgs(p.num_blocks)
-    )
+    return tuple(iter_coarsenings(p))
 
 
 def all_partitions(ambient: AmbientSet) -> tuple[Partition, ...]:

@@ -196,6 +196,42 @@ def oracle_h_table(pair, source, target) -> list[int]:
     return [target.index[(overlap_join(c, a), overlap_join(c, b))] for c in source.elements]
 
 
+def oracle_adjunction_certificate(pair, source, target, h, g) -> str | None:
+    """The order checks of g -| h on the tables h (C_{A v B} -> C_A x_M C_B)
+    and g (back): h monotone along every Hasse cover of C_{A v B}, q <=
+    h(g(q)) and g(h(C)) <= C everywhere, and g(q) the join q1 v q2, which is
+    monotone.  The message of the first that fails, or None when all hold:
+    the certificate that exactness of h and g replaced."""
+    src, tgt = source.elements, target.elements
+
+    def leq(x, y):
+        return is_coarser(x[0], y[0]) and is_coarser(x[1], y[1])
+
+    if any(not leq(tgt[h[i]], tgt[h[j]]) for i, j in source.covers()):
+        return "h is not monotone"
+    if any(not leq(q, tgt[h[p]]) for q, p in zip(tgt, g)):
+        return "q <= h(g(q)) fails"
+    if any(not is_coarser(src[g[q]], c) for c, q in zip(src, h)):
+        return "g(h(C)) <= C fails"
+    if any(src[p] != common_refinement(c1, c2) for (c1, c2), p in zip(tgt, g)):
+        return "g is not the join"
+    return None
+
+
+def oracle_strong_locality_witness(a: Partition, b: Partition):
+    """The first (C, D, side, actual) in C_A x C_B, in canonical order, with
+    (C v D) n side-algebra != that context, from the full context tuples:
+    the walk that the lazy one replaced."""
+    for c in coarsenings(a):
+        for d in coarsenings(b):
+            joined = common_refinement(c, d)
+            for side, context, algebra in (("left", c, a), ("right", d, b)):
+                actual = overlap_join(joined, algebra)
+                if actual != context:
+                    return c, d, side, actual
+    return None
+
+
 def oracle_unit_law_witnesses(a: Partition, b: Partition) -> tuple[Partition, ...]:
     """All contexts C of A v B with (C n A) v (C n B) != C, in canonical
     order, by one overlap join per side and context: the Partition route
@@ -223,6 +259,29 @@ def oracle_covering_stability(pair):
 
 
 # -- spacetime posets -------------------------------------------------------------
+
+def oracle_closure(n: int, pairs) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Up and down masks of the reflexive-transitive closure of index pairs
+    on n regions, by OR-ing successors' masks until no mask changes: the
+    fixed-point loop that SpacetimePoset ran before Warshall's pass."""
+    up = [1 << i for i in range(n)]
+    for a, b in pairs:
+        up[a] |= 1 << b
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            m, acc = up[i], up[i]
+            while m:
+                j = (m & -m).bit_length() - 1
+                m &= m - 1
+                acc |= up[j]
+            if acc != up[i]:
+                up[i] = acc
+                changed = True
+    down = [sum(1 << i for i in range(n) if (up[i] >> j) & 1) for j in range(n)]
+    return tuple(up), tuple(down)
+
 
 def oracle_bound(spacetime, a: str, b: str, kind: str) -> str | None:
     """The meet or join of two regions by pairwise filtering of the common

@@ -232,6 +232,29 @@ def test_contexts_enumeration(capsys):
     assert len(data["result"]["contexts"]) == 5
 
 
+PARTITION_FIXTURES = ("adjacent_pairs", "overlapping_halves", "square_pair", "trivial_pair")
+
+
+def test_no_command_walks_the_hasse_covers_without_dot(monkeypatch, capsys):
+    # the Hasse-cover walk serves only the DOT export: every other command,
+    # on every partition fixture and in both output modes, prints the same
+    # bytes when the walk raises
+    runs = []
+    for name in PARTITION_FIXTURES:
+        path = FIXTURES / f"{name}.json"
+        runs += [[command, str(path)] for command in ("check-pair", "check-net", "descent")]
+        algebras = json.loads(path.read_text())["algebras"]
+        runs += [["contexts", str(path), "--algebra", algebra] for algebra in algebras]
+    runs += [argv + ["--json"] for argv in runs]
+    expected = [run(capsys, *argv) for argv in runs]
+
+    def no_walk(*_):
+        raise AssertionError("Hasse covers walked outside the DOT export")
+
+    monkeypatch.setattr(netsheaf.contexts, "_merge_walk", no_walk)
+    assert [run(capsys, *argv) for argv in runs] == expected
+
+
 def test_contexts_defaults_to_single_algebra(tmp_path, capsys):
     doc = {"ambient": ["x", "y"], "algebras": {"only": [["x"], ["y"]]}}
     path = tmp_path / "one.json"
@@ -382,7 +405,27 @@ def test_check_net_refuses_two_full_regions_over_the_scalars(monkeypatch, tmp_pa
     code, out, err = run(capsys, "check-net", str(path), "--json")
     assert code == 1
     assert out == ""
-    assert f"{203**2} elements" in err and "guard" in err
+    assert err == (
+        "error: fibered context product of {a}{b}{c}{d}{e}{f} | {a}{b}{c}{d}{e}{f} "
+        "over {a,b,c,d,e,f} would have 41209 elements, exceeding the guard of 10000\n"
+    )
+
+
+def test_context_and_dimension_guards_refuse_with_their_messages(tmp_path, capsys):
+    code, out, err = run(capsys, "check-pair", SQUARE, "--max-bell", "3")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: context poset of {a}{b}{c}{d} would have Bell(4) = 15 elements and "
+        "60 comparable pairs, exceeding the guard of 3\n"
+    )
+    path = tmp_path / "large_matrix.json"
+    path.write_text(json.dumps({
+        "algebras": {"M": {"dimension": 9}, "N": {"dimension": 2}},
+        "pair": {"left": "M", "right": "N"},
+    }))
+    code, out, err = run(capsys, "check-pair", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: matrix algebra 'M' has dimension 9, exceeding the guard of 7\n"
 
 
 def test_each_pair_is_decided_once(monkeypatch, tmp_path, capsys):

@@ -50,6 +50,7 @@ from conftest import (
     all_pairs_section_monotone,
     ambient,
     monotone_map_from_function,
+    oracle_adjunction_certificate,
     oracle_covering_stability,
     oracle_h_table,
     poset_leq,
@@ -279,9 +280,10 @@ def test_descent_report_json_shape(square_pair):
 
 
 @st.composite
-def fibered_inputs(draw, max_points=4):
-    """(A, B, M) on one ambient set of at most max_points points, M <= A and B."""
-    a = draw(random_partitions(1, max_points))
+def fibered_inputs(draw, max_points=4, min_points=1):
+    """(A, B, M) on one ambient set of min_points to max_points points,
+    M <= A and B."""
+    a = draw(random_partitions(min_points, max_points))
     n = len(a.ambient)
     b = draw(random_partitions(n, n))
     meet = draw(st.sampled_from(coarsenings(overlap_join(a, b))))
@@ -309,10 +311,6 @@ def test_hashed_fibered_product_equals_the_nested_scan(inputs):
     )
     product = FiberedContextProduct(Contexts(a), Contexts(b), meet)
     assert product.elements == oracle.elements
-    k = len(product)
-    assert all(
-        product.leq_idx(i, j) == oracle.leq_idx(i, j) for i in range(k) for j in range(k)
-    )
     assert product.covers() == oracle.covers()
 
 
@@ -567,35 +565,107 @@ def sabotage_table(monkeypatch, name, change):
     monkeypatch.setattr(netsheaf.descent, name, sabotaged)
 
 
+H_NOT_EXACT = "descent map has no left adjoint: h(C) != (C n A, C n B)"
+G_NOT_JOIN = "computed left adjoint differs from the algebraic join"
+
+
 def test_certificate_traps_a_non_monotone_h(monkeypatch, tmp_path, capsys, square_pair):
     # h({a}{b}{c,d}) := (trivial, trivial): the unit and counit checks still
-    # hold there (that context is no join g(q)), but h({a,b}{c,d}) is larger
+    # hold there (that context is no join g(q)), but h({a,b}{c,d}) is larger;
+    # the exactness check names the edited row
     def change(table, source, target):
         table[source.index[Partition(square_pair[0].ambient, (0, 1, 2, 2))]] = 0
 
     sabotage_table(monkeypatch, "_h_table", change)
     code, err = run_net(tmp_path, capsys, *square_net(square_pair))
     assert code == 3
-    assert "descent map has no left adjoint: h is not monotone" in err
+    assert H_NOT_EXACT in err and '"context": "{a}{b}{c,d}"' in err
 
 
 def test_certificate_traps_a_failed_unit(monkeypatch, tmp_path, capsys, square_pair):
-    # g(A, B) := trivial, so h(g(A, B)) = (trivial, trivial) lies below (A, B)
+    # g(A, B) := trivial, so h(g(A, B)) = (trivial, trivial) lies below (A, B);
+    # h is exact, so the join check on g fires
     sabotage_table(monkeypatch, "_g_table", lambda table, source, target: table.__setitem__(-1, 0))
     code, err = run_net(tmp_path, capsys, *square_net(square_pair))
     assert code == 3
-    assert "descent map has no left adjoint: q <= h(g(q)) fails" in err
+    assert H_NOT_EXACT not in err and G_NOT_JOIN in err
 
 
 def test_certificate_traps_a_failed_counit(monkeypatch, tmp_path, capsys, square_pair):
-    # g(trivial, trivial) := the top context, which is not below h^-1 of it
+    # g(trivial, trivial) := the top context, which is not below h^-1 of it;
+    # h is exact, so the join check on g fires
     def change(table, source, target):
         table[0] = len(source) - 1
 
     sabotage_table(monkeypatch, "_g_table", change)
     code, err = run_net(tmp_path, capsys, *square_net(square_pair))
     assert code == 3
-    assert "descent map has no left adjoint: g(h(C)) <= C fails" in err
+    assert H_NOT_EXACT not in err and G_NOT_JOIN in err
+
+
+def certificate_rejects(pair, source, target, h, g) -> bool:
+    try:
+        netsheaf.descent._certify_adjunction(pair, source, target, h, g)
+    except InternalConsistencyError:
+        return True
+    return False
+
+
+def descent_tables(pair):
+    source = Contexts(common_refinement(pair.left, pair.right))
+    target = fibered_context_product(pair)
+    h = netsheaf.descent._h_table(pair, source, target)
+    return source, target, h, netsheaf.descent._g_table(source, target)
+
+
+def edited_tables(source, target, h, g):
+    """Every (h, g) that differs from the given tables in one entry."""
+    for i, value in enumerate(h):
+        for other in range(len(target)):
+            if other != value:
+                yield h[:i] + [other] + h[i + 1:], g
+    for i, value in enumerate(g):
+        for other in range(len(source)):
+            if other != value:
+                yield h, g[:i] + [other] + g[i + 1:]
+
+
+def test_exactness_certificate_rejects_what_the_order_checks_reject_up_to_three_points():
+    # every (A, B, M <= A n B) on at most three points: the real tables,
+    # which both certificates accept, and every single-entry edit of them
+    cases = 0
+    for n in range(1, 4):
+        contexts = all_partitions(ambient(n))
+        for a in contexts:
+            for b in contexts:
+                for meet in coarsenings(overlap_join(a, b)):
+                    pair = AlgebraPair(a, b, meet_algebra=meet)
+                    source, target, h, g = descent_tables(pair)
+                    assert oracle_adjunction_certificate(pair, source, target, h, g) is None
+                    assert not certificate_rejects(pair, source, target, h, g)
+                    cases += 1
+                    for edited in edited_tables(source, target, h, g):
+                        oracle = oracle_adjunction_certificate(pair, source, target, *edited)
+                        assert certificate_rejects(pair, source, target, *edited) == (
+                            oracle is not None
+                        )
+                        cases += 1
+    assert cases == 1744
+
+
+@settings(max_examples=60, deadline=None)
+@given(fibered_inputs(max_points=5, min_points=4), st.data())
+def test_exactness_certificate_rejects_what_the_order_checks_reject(inputs, data):
+    a, b, meet = inputs
+    pair = AlgebraPair(a, b, meet_algebra=meet)
+    source, target, h, g = descent_tables(pair)
+    side = data.draw(st.sampled_from(["h", "g"]))
+    table, size = (h, len(target)) if side == "h" else (g, len(source))
+    i = data.draw(st.integers(0, len(table) - 1))
+    edited = table[:i] + [data.draw(st.integers(0, size - 1))] + table[i + 1:]
+    tables = (edited, g) if side == "h" else (h, edited)
+    oracle = oracle_adjunction_certificate(pair, source, target, *tables)
+    assert certificate_rejects(pair, source, target, *tables) == (oracle is not None)
 
 
 def test_unit_law_trap_fires_on_a_forced_mismatch(monkeypatch, tmp_path, capsys, square_pair):
@@ -704,7 +774,8 @@ def test_stability_trap_fires_on_a_comparable_cover_with_a_violation(monkeypatch
     # every meet made the bottom context, so the comparable cover (bottom, B)
     # of the square pair reports its top context B as a violation; every meet
     # that `descent` takes before the sweep is over A n B, the scalars, so
-    # stays right
+    # stays right, and the exactness check of h takes its meets through
+    # `descent`'s own binding of `_overlap_rgs`, which the patch leaves alone
     monkeypatch.setattr(netsheaf.partitions, "_overlap_rgs", lambda x, y: (0,) * len(x))
     assert main(["descent", str(FIXTURES / "square_pair.json")]) == 3
     err = capsys.readouterr().err

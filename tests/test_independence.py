@@ -30,7 +30,7 @@ from netsheaf import (
 from netsheaf.partitions import overlap_join
 from netsheaf.staralg import commutant
 
-from conftest import ambient, oracle_unit_law_witnesses
+from conftest import ambient, oracle_strong_locality_witness, oracle_unit_law_witnesses
 
 SZ = [[1, 0], [0, -1]]
 SX = [[0, 1], [1, 0]]
@@ -144,6 +144,38 @@ def test_strong_locality_witness_is_lemma_style(square_pair):
     w = report.witnesses["strong_locality"]
     assert w["context_of_left"] == "{a,b,c,d}"
     assert w["context_of_right"] == str(a)
+
+
+def test_strong_locality_witness_equals_the_full_walk_up_to_five_points():
+    for n in range(1, 6):
+        contexts = all_partitions(ambient(n))
+        for a in contexts:
+            for b in contexts:
+                assert netsheaf.independence._strong_locality_witness(a, b) == (
+                    oracle_strong_locality_witness(a, b)
+                )
+
+
+def test_strong_locality_witness_stops_at_the_first_failing_pair(monkeypatch):
+    # A = {p0,p1}{p2}...{p9}, B = {p0}{p1,p2}{p3}...{p9}: the walk fails at
+    # its second pair, (C*1, {p0,p1,...,p8}{p9}), where the full walk built
+    # Bell(9) = 21,147 contexts of each side
+    walk = netsheaf.independence.iter_coarsenings
+    built = []
+
+    def counted(p):
+        for c in walk(p):
+            built.append(c)
+            yield c
+
+    monkeypatch.setattr(netsheaf.independence, "iter_coarsenings", counted)
+    amb = AmbientSet([f"p{i}" for i in range(10)])
+    a = Partition(amb, [0, 0, 1, 2, 3, 4, 5, 6, 7, 8])
+    b = Partition(amb, [0, 1, 1, 2, 3, 4, 5, 6, 7, 8])
+    c, d, side, actual = netsheaf.independence._strong_locality_witness(a, b)
+    assert len(built) == 3
+    assert (c, d, side) == (Partition.trivial(amb), built[2], "left")
+    assert str(d) == "{p0,p1,p2,p3,p4,p5,p6,p7,p8}{p9}" and actual == d
 
 
 def test_extended_does_not_imply_strong_in_the_finite_engine(amb4):

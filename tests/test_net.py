@@ -15,7 +15,7 @@ from netsheaf import (
     validate_net,
 )
 
-from conftest import oracle_bound
+from conftest import oracle_bound, oracle_closure
 
 
 def diamond(spacelike=(("O1", "O2"),)):
@@ -64,6 +64,23 @@ def test_meets_and_joins_equal_the_pairwise_filter(spacetime):
         for b in spacetime.regions:
             assert spacetime.meet(a, b) == oracle_bound(spacetime, a, b, "meet")
             assert spacetime.join(a, b) == oracle_bound(spacetime, a, b, "join")
+
+
+@st.composite
+def relations(draw):
+    """Up to eight regions and any index pairs on them, cycles included."""
+    n = draw(st.integers(1, 8))
+    index = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(index, index), max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations())
+def test_warshall_closure_equals_the_fixed_point_loop(relation):
+    n, pairs = relation
+    regions = [f"r{i}" for i in range(n)]
+    spacetime = SpacetimePoset(regions, [(regions[a], regions[b]) for a, b in pairs], [])
+    assert (spacetime.leq, spacetime.down) == oracle_closure(n, pairs)
 
 
 def test_a_chain_of_160_regions_validates_in_under_a_second():
