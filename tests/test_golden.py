@@ -29,13 +29,17 @@ OUTPUTS = GOLDEN / "cli.json"
 COMMANDS = ("check-pair", "descent", "check-net", "valuations", "contexts")
 # adjacent_pairs ({a,b}{c}{d} against {a}{b,c}{d}) is the one whose unit-law
 # witnesses come from the sweep over C_(A v B): Bell(3)^2 > Bell(4).
-FIXTURE_NAMES = (
-    "square_pair", "overlapping_halves", "trivial_pair", "adjacent_pairs", "pauli_pair"
+# three_regions is the one net with several spacelike pairs, and invalid_net
+# the one whose net fails validation, so `check-net` lists its violations.
+PARTITION_FIXTURES = (
+    "square_pair", "overlapping_halves", "trivial_pair", "adjacent_pairs",
+    "three_regions", "invalid_net",
 )
-PARTITION_FIXTURES = FIXTURE_NAMES[:4]
+FIXTURE_NAMES = PARTITION_FIXTURES + ("pauli_pair",)
 # Each fixture defines several algebras, so `contexts` also runs on one by name.
 LEFT_ALGEBRA = {"square_pair": "A", "overlapping_halves": "L", "trivial_pair": "full",
-                "adjacent_pairs": "A", "pauli_pair": "Z"}
+                "adjacent_pairs": "A", "three_regions": "B", "invalid_net": "A",
+                "pauli_pair": "Z"}
 # Full M_4 against the scalars, M_2 (x) 1 against 1 (x) M_2, and M_2 on each
 # summand of M_2 (+) M_2: the pairs of the benchmark's `matrix` workload.
 MATRIX_FIXTURES = ("full_vs_scalars_pair", "tensor_pair", "block_diagonal_pair")
