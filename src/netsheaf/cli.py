@@ -30,7 +30,7 @@ from .errors import (
     SizeGuardError,
 )
 from .independence import CONDITIONS, hierarchy_report
-from .net import analyze_net, validate_net
+from .net import NetValidationError, analyze_net
 from .partitions import bell_number, is_coarser
 from .valuations import (
     Spectrum,
@@ -233,7 +233,7 @@ def cmd_descent(args) -> int:
             "violations": [v.to_json() for v in violations],
             "count": len(violations),
         },
-    }
+    } if args.json else {}
     if args.dot:
         Path(args.dot).write_text(dot_export(report.h), encoding="utf-8")
         result["dot_written_to"] = str(args.dot)
@@ -267,15 +267,16 @@ def cmd_check_net(args) -> int:
     doc, digest = _load(args.input, args)
     if doc.net is None:
         raise InputError("input document has no net section")
-    validation = validate_net(doc.net)
-    if not validation.ok:
+    try:
+        report = analyze_net(doc.net, max_bell=doc.options.max_bell)
+    except NetValidationError as exc:
+        validation = exc.validation
         lines = ["net validation FAILED:"]
         lines += [f"  [{v['kind']}] {v['regions']}: {v['detail']}" for v in validation.violations]
         envelope = ReportEnvelope(
             "check-net", digest, {"validation": validation.to_json()}, EXIT_REQUIREMENT
         )
         return _emit(envelope, args.json, lines)
-    report = analyze_net(doc.net, max_bell=doc.options.max_bell)
     lines = ["net validation: ok", ""]
     for p in report.pairs:
         lines.append(
@@ -300,7 +301,7 @@ def cmd_check_net(args) -> int:
         f"C*-independent net {_show(report.cstar_independent_net)}, "
         f"sheaf net {_show(report.sheaf_net)}"
     )
-    envelope = ReportEnvelope("check-net", digest, report.to_json())
+    envelope = ReportEnvelope("check-net", digest, report.to_json() if args.json else {})
     return _emit(envelope, args.json, lines)
 
 

@@ -4,9 +4,10 @@ The context poset of a partition A is the set of all partitions coarser than
 A (equivalently, all unital subalgebras of S_A) ordered by subalgebra
 inclusion.  A context's lower covers merge two of its blocks, so a k-block
 context has k(k-1)/2 of them, and the Hasse covers come from one walk over
-restricted-growth strings.  Of the commands, only a DOT export takes that
-walk: through ``Contexts.covers()``, or through ``ContextPoset``, which also
-stores the order as bitmasks, for the DOT export of a fibered product.
+the block strings that ``Contexts`` makes.  Of the commands, only a DOT
+export takes that walk: through ``Contexts.covers()``, or through
+``ContextPoset``, which also stores the order as bitmasks, for the DOT
+export of a fibered product.
 
 For a generic monotone map between finite posets, ``left_adjoint`` and
 ``thickening_report`` decide adjoints, unit/counit strictness, coreflectors
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .errors import Immutable, InputError, InternalConsistencyError, guard
-from .partitions import Partition, bell_number, block_strings, coarsenings, overlap_join
+from .partitions import Partition, _set_partition_rgs, bell_number, coarsenings, overlap_join
 
 DEFAULT_MAX_BELL = 115975  # Bell(10)
 
@@ -126,16 +127,13 @@ class FinitePoset(Immutable):
         return cand if (self.up[cand] & member_mask) == member_mask else None
 
 
-def _merge_walk(algebra: Partition, elements: Sequence[Partition]) -> Iterator[tuple[int, int]]:
-    """Every Hasse cover (i, j), j covering i, of the contexts of algebra,
-    given as ``elements = coarsenings(algebra)``.
+def _merge_walk(keys: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
+    """Every Hasse cover (i, j), j covering i, of the contexts whose block
+    strings, in canonical order, are ``keys = tuple(Contexts(A).strings())``.
 
-    Read at each block's first point, a context is a restricted-growth string
-    over the algebra's blocks, and its lower covers are exactly the strings
-    that merge two of its groups (Knuth, TAOCP 4A 7.2.1.5).  The finer
-    context j is taken by decreasing block count, so j comes after all its
-    upper covers."""
-    keys = block_strings(algebra, elements)
+    A context's lower covers are exactly the strings that merge two of its
+    groups (Knuth, TAOCP 4A 7.2.1.5).  The finer context j is taken by
+    decreasing block count, so j comes after all its upper covers."""
     index = {key: i for i, key in enumerate(keys)}
     for j in sorted(range(len(keys)), key=lambda i: -max(keys[i])):
         key = keys[j]
@@ -156,33 +154,55 @@ class ContextPoset(FinitePoset):
 
     def __init__(self, algebra: Partition):
         object.__setattr__(self, "algebra", algebra)
-        elements = coarsenings(algebra)
+        contexts = Contexts(algebra)
         # The walk yields j after all its upper covers, so up[j] = {k : j <= k}
         # is complete when it is OR-ed into j's lower covers.
-        up = [1 << i for i in range(len(elements))]
-        for i, j in _merge_walk(algebra, elements):
+        up = [1 << i for i in range(len(contexts))]
+        for i, j in _merge_walk(tuple(contexts.strings())):
             up[i] |= up[j]
-        super().__init__(elements, up_masks=up)
+        super().__init__(contexts.elements, up_masks=up)
+
+
+def block_map(p: Partition, j: Partition) -> tuple[int, ...]:
+    """The block of p holding each block of a refinement j: p read over j's blocks."""
+    return tuple([p.rgs[block[0]] for block in j.blocks])
 
 
 class Contexts(Immutable):
-    """The contexts of a partition in canonical order; no order masks are
-    built, and the Hasse covers only for the DOT export."""
+    """The contexts of a partition in canonical order: block strings made on
+    each call, Partitions (``elements``, ``index``) built on first use.  No
+    order masks are built, and the Hasse covers only for the DOT export."""
 
     __slots__ = ("algebra", "elements", "index")
 
     def __init__(self, algebra: Partition):
-        elements = coarsenings(algebra)
         object.__setattr__(self, "algebra", algebra)
+
+    def __getattr__(self, name):  # reached only while a slot is unset
+        if name not in ("elements", "index"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        elements = coarsenings(self.algebra)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "index", {e: i for i, e in enumerate(elements)})
+        return getattr(self, name)
 
     def __len__(self):
         return len(self.elements)
 
+    def strings(self) -> Iterator[tuple[int, ...]]:
+        """Each context read at the first point of each block of the algebra: the
+        restricted-growth strings in lexicographic order, which is canonical
+        order since blocks go by least point (Knuth, TAOCP 4A 7.2.1.5)."""
+        return _set_partition_rgs(self.algebra.num_blocks)
+
+    def over(self, j: Partition) -> Iterator[tuple[int, ...]]:
+        """Each context read at the first point of each block of a refinement j."""
+        blocks = block_map(self.algebra, j)
+        return (tuple([s[b] for b in blocks]) for s in self.strings())
+
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction, in FinitePoset.covers() order."""
-        return tuple(sorted(_merge_walk(self.algebra, self.elements)))
+        return tuple(sorted(_merge_walk(tuple(self.strings()))))
 
 
 def _comparable_pairs(n: int) -> int:

@@ -33,6 +33,7 @@ from .contexts import (
     FinitePoset,
     MonotoneMap,
     ThickeningReport,
+    block_map,
     guard_contexts,
 )
 from .errors import Immutable, InputError, InternalConsistencyError, guard
@@ -42,7 +43,6 @@ from .partitions import (
     Partition,
     _overlap_rgs,
     bell_number,
-    block_strings,
     coarsenings,
     common_refinement,
     is_coarser,
@@ -70,14 +70,13 @@ class FiberedContextProduct(Immutable):
 
     def __init__(self, left_poset: Contexts, right_poset: Contexts, meet: Partition):
         # Group the right contexts by their restriction to M, so each left
-        # context meets only the right contexts it agrees with.
+        # context meets only the ones it agrees with, in canonical order.
         by_restriction = _restriction_groups(right_poset.elements, meet)
         elements = [
             (c1, c2)
             for c1 in left_poset.elements
             for c2 in by_restriction.get(overlap_join(c1, meet), ())
         ]
-        elements.sort(key=lambda pair: (pair[0].rgs, pair[1].rgs))
         fields = {
             "left_poset": left_poset,
             "right_poset": right_poset,
@@ -180,20 +179,16 @@ def ring_component(c: Partition, pair: AlgebraPair) -> RingComponent:
     if not is_coarser(c, joined):
         raise InputError(f"{c} is not a context of the join {joined}")
     c1, c2, amalgam = (overlap_join(c, p) for p in (pair.left, pair.right, pair.meet_algebra))
-    # Containing-block maps: C refines C1 and C2, so representatives
-    # determine the block indices.
-    image = {(c1.block_of(b[0]), c2.block_of(b[0])) for b in c.blocks}
+    # Containing-block maps: C refines C1 and C2.
+    image = set(zip(block_map(c1, c), block_map(c2, c)))
     return _ring_component(c, image, _fibered_blocks(c1, c2, amalgam))
 
 
 def _fibered_blocks(c1: Partition, c2: Partition, amalgam: Partition) -> set[tuple[int, int]]:
     """The fibered product of blocks(C1) and blocks(C2) over blocks(C n M),
     as block-index pairs; C1 and C2 both refine the amalgam."""
-    sides: dict[int, tuple[list[int], list[int]]] = {}
-    for k, part in enumerate((c1, c2)):
-        for i, block in enumerate(part.blocks):
-            sides.setdefault(amalgam.rgs[block[0]], ([], []))[k].append(i)
-    return {(i, j) for left, right in sides.values() for i in left for j in right}
+    left, right = block_map(amalgam, c1), block_map(amalgam, c2)
+    return {(i, j) for i, x in enumerate(left) for j, y in enumerate(right) if x == y}
 
 
 def _ring_component(
@@ -360,18 +355,17 @@ def _h_table(pair: AlgebraPair, source: Contexts, target: FiberedContextProduct)
     one A-block and one B-block.  C n A is then the components of A's blocks
     linked by C's groups: OR one mask of A-blocks per group, merge the masks
     that overlap, and label the blocks in order of first occurrence, which is
-    C n A read at each A-block's first point.  Likewise for B.  Each side
-    depends only on the set of its group masks, so each set is resolved once."""
+    C n A's block string over A's blocks.  Likewise for B.  Each side depends
+    only on the set of its group masks, so each set is resolved once."""
     a, b, joined = pair.left, pair.right, source.algebra
-    firsts = [block[0] for block in joined.blocks]
-    left_bits, right_bits = ([1 << p.rgs[f] for f in firsts] for p in (a, b))
-    lefts = block_strings(a, (c1 for c1, _ in target.elements))
-    rights = block_strings(b, (c2 for _, c2 in target.elements))
-    position = {left + right: q for q, (left, right) in enumerate(zip(lefts, rights))}
+    left_bits, right_bits = ([1 << k for k in block_map(p, joined)] for p in (a, b))
+    factors = target.left_poset, target.right_poset
+    lefts, rights = (dict(zip(f.elements, f.strings())) for f in factors)
+    position = {lefts[c1] + rights[c2]: q for q, (c1, c2) in enumerate(target.elements)}
     linked = lru_cache(maxsize=None)(_linked)  # freed with this call
     na, nb = a.num_blocks, b.num_blocks
     table = []
-    for key in block_strings(joined, source.elements):
+    for key in source.strings():
         left_masks, right_masks = [0] * len(key), [0] * len(key)
         for group, left_bit, right_bit in zip(key, left_bits, right_bits):
             left_masks[group] |= left_bit
@@ -465,14 +459,15 @@ def _ring_components(report: DescentReport) -> tuple[RingComponent, ...]:
     it depends only on q = h(C), as does the fibered block set; both are
     computed once per q.  Since M <= A, the amalgam C n M is (C n A) n M,
     which the product build has already computed."""
-    tgt, meet = report.target.elements, report.pair.meet_algebra
-    firsts = [block[0] for block in report.source.algebra.blocks]
+    tgt, meet, joined = report.target.elements, report.pair.meet_algebra, report.source.algebra
+    factors = report.target.left_poset, report.target.right_poset
+    lefts, rights = (dict(zip(f.elements, f.over(joined))) for f in factors)
     spectra: dict[int, tuple[set, set]] = {}
     components = []
     for c, q in zip(report.source.elements, report.h.table):
         if q not in spectra:
             c1, c2 = tgt[q]
-            image = {(c1.rgs[f], c2.rgs[f]) for f in firsts}
+            image = set(zip(lefts[c1], rights[c2]))
             spectra[q] = image, _fibered_blocks(c1, c2, overlap_join(c1, meet))
         components.append(_ring_component(c, *spectra[q]))
     return tuple(components)
@@ -525,10 +520,10 @@ def covering_stability(
     That requirement is the unit law of the pair (C, D): C <= A and D <= B
     give C v D <= A v B, so the E below C v D are the contexts of C v D.
     Every context involved is a context of A v B, read as its block string
-    over A v B's blocks, and each cover is swept by one call-local
-    `BlockStringTables`, the sweep that the unit-law witnesses of a pair
-    also take: it builds no Partition per visit and adds no entry to the
-    partition caches.  The unit law of a pair holds iff the pair is
+    over A v B's blocks (`Contexts.over`), and each cover is swept by one
+    call-local `BlockStringTables`, the sweep that the unit-law witnesses of
+    a pair also take: it builds no Partition per visit and adds no entry to
+    the partition caches.  The unit law of a pair holds iff the pair is
     comparable (see `unit_law`), so a cover has failures iff C v D is
     neither C nor D; a cover whose sweep disagrees is a bug.
 
@@ -539,14 +534,12 @@ def covering_stability(
     _guard_stability(pair)
     joined = common_refinement(pair.left, pair.right)
     guard_contexts(max_bell, joined, pair.left, pair.right)
-    source = coarsenings(joined)
-    strings = block_strings(joined, source)
-    context = dict(zip(strings, source))
-    left_contexts, right_contexts = coarsenings(pair.left), coarsenings(pair.right)
-    lefts, rights = (block_strings(joined, cs) for cs in (left_contexts, right_contexts))
+    source, left, right = Contexts(joined), Contexts(pair.left), Contexts(pair.right)
+    context = dict(zip(source.strings(), source.elements))
+    lefts, rights = tuple(left.over(joined)), tuple(right.over(joined))
     tables = BlockStringTables()
     # Violations by E, each list in cover order: C, then D.
-    found: dict = {e: [] for e in strings}
+    found: dict = {e: [] for e in context}
     for i, c in enumerate(lefts):
         for j, d in enumerate(rights):
             failing = list(tables.unit_law_failures(c, d))
@@ -557,7 +550,7 @@ def covering_stability(
                     "covering stability disagrees with the unit law's closed form on a cover",
                     dump={
                         "pair": pair.describe(),
-                        "cover": [str(left_contexts[i]), str(right_contexts[j])],
+                        "cover": [str(left.elements[i]), str(right.elements[j])],
                         "comparable": comparable,
                         "violations": len(failing),
                     },
@@ -565,7 +558,7 @@ def covering_stability(
             for e, g in failing:
                 found[e].append((i, j, g))
     return tuple(
-        StabilityViolation(e, left_contexts[i], right_contexts[j], context[g])
-        for e, rows in zip(source, found.values())
+        StabilityViolation(e, left.elements[i], right.elements[j], context[g])
+        for e, rows in zip(source.elements, found.values())
         for i, j, g in rows
     )

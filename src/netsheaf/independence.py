@@ -28,17 +28,14 @@ from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import NamedTuple, Optional, Union
 
-from .contexts import DEFAULT_MAX_BELL, guard_contexts
+from .contexts import DEFAULT_MAX_BELL, Contexts, block_map, guard_contexts
 from .errors import EngineError, Immutable, InputError, InternalConsistencyError
 from .linalg import mat_str
 from .partitions import (
     BlockStringTables,
     Partition,
     _canonical_rgs,
-    _set_partition_rgs,
     bell_number,
-    block_strings,
-    coarsenings,
     common_refinement,
     is_coarser,
     iter_coarsenings,
@@ -316,20 +313,19 @@ def strong_locality(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> bool
 
 def _join_image_failures(a: Partition, b: Partition) -> tuple[int, tuple[Partition, ...]]:
     """The contexts of A v B outside the joins C v D over C_A x C_B: their
-    number, and the first WITNESS_LIMIT of them in canonical order, from a
-    lazy walk over the restricted-growth strings of A v B's blocks.  That
-    walk is canonical order because blocks are ordered by their least point."""
+    number, and the first WITNESS_LIMIT of them in canonical order.  Every
+    context is read as its block string over A v B's blocks, the joins from
+    C_A and C_B read over them, and C_{A v B} is walked lazily; only the
+    witnesses listed become Partitions."""
     joined = common_refinement(a, b)
-    rights = coarsenings(b)
-    joins = {_canonical_rgs(tuple(zip(c.rgs, d.rgs))) for c in coarsenings(a) for d in rights}
-    first = []
-    for grouping in _set_partition_rgs(joined.num_blocks):
-        rgs = tuple(grouping[k] for k in joined.rgs)
-        if rgs not in joins:
-            first.append(Partition(joined.ambient, rgs))
-            if len(first) == WITNESS_LIMIT:
-                break
-    return bell_number(joined.num_blocks) - len(joins), tuple(first)
+    rights = tuple(Contexts(b).over(joined))
+    joins = {_canonical_rgs(tuple(zip(c, d))) for c in Contexts(a).over(joined) for d in rights}
+    missing = (e for e in Contexts(joined).strings() if e not in joins)
+    first = tuple(
+        Partition._canonical(joined.ambient, tuple([e[k] for k in joined.rgs]))
+        for e in islice(missing, WITNESS_LIMIT)
+    )
+    return bell_number(joined.num_blocks) - len(joins), first
 
 
 def _unit_law_failures(a: Partition, b: Partition) -> tuple[int, tuple[Partition, ...]]:
@@ -354,7 +350,7 @@ def _sweep_failures(a: Partition, b: Partition) -> tuple[int, tuple[Partition, .
     covering stability runs on each of its covers.  Only the witnesses
     listed become Partitions."""
     joined = common_refinement(a, b)
-    failures = BlockStringTables().unit_law_failures(*block_strings(joined, (a, b)))
+    failures = BlockStringTables().unit_law_failures(block_map(a, joined), block_map(b, joined))
     first = tuple(
         Partition._canonical(joined.ambient, tuple(e[k] for k in joined.rgs))
         for e, _ in islice(failures, WITNESS_LIMIT)

@@ -130,6 +130,14 @@ class NetValidation:
         return {"ok": self.ok, "violations": [dict(v) for v in self.violations]}
 
 
+class NetValidationError(InputError):
+    """``analyze_net`` refused a net; ``validation`` lists the violations."""
+
+    def __init__(self, validation: NetValidation):
+        super().__init__("net failed validation; run validate_net for the violation list")
+        self.validation = validation
+
+
 def validate_net(spec: NetSpec) -> NetValidation:
     """Check lattice axioms, the spacelike relation shape, and isotony.
 
@@ -241,9 +249,7 @@ def analyze_net(spec: NetSpec, max_bell: int = DEFAULT_MAX_BELL) -> NetReport:
     """
     validation = validate_net(spec)
     if not validation.ok:
-        raise InputError(
-            "net failed validation; run validate_net for the violation list"
-        )
+        raise NetValidationError(validation)
     st = spec.spacetime
     analyses = []
     for a, b in st.spacelike_pairs():

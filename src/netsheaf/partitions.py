@@ -16,7 +16,6 @@ the ordering and hashing key for every poset built on top of this module.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import Immutable, InputError
@@ -276,18 +275,6 @@ def _set_partition_rgs(k: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 0)
 
 
-def block_strings(p: Partition, contexts: Iterable[Partition]) -> list[tuple[int, ...]]:
-    """Each context of p read at the first point of each block of p: a
-    restricted-growth string over p's blocks, since they are ordered by least
-    point (Knuth, TAOCP 4A 7.2.1.5).  Ordering contexts by these strings is
-    ordering them by their own."""
-    firsts = [block[0] for block in p.blocks]
-    if len(firsts) == 1:
-        return [(c.rgs[firsts[0]],) for c in contexts]
-    read = itemgetter(*firsts)
-    return [read(c.rgs) for c in contexts]
-
-
 class _Memo(dict):
     """A table whose value at a missing key is computed once, on first use."""
 
@@ -307,7 +294,7 @@ def _strings_below(k: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 class BlockStringTables:
     """Contexts of one partition J, each read as its block string over J's
-    blocks (see `block_strings`), with three tables filled on first use:
+    blocks (see `contexts.Contexts.over`), with three tables filled on first use:
     `joins[x, y]`, `meets[c][e]` (E n C) and `below[k]` (`_strings_below`).
     An instance lives for one sweep, so its tables go with it: it builds no
     Partition and adds no entry to this module's caches."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .contexts import DEFAULT_MAX_BELL, guard_contexts
+from .contexts import DEFAULT_MAX_BELL, block_map, guard_contexts
 from .errors import Immutable, InputError, InternalConsistencyError
 from .independence import AlgebraPair, cstar_independent
 from .partitions import Partition, common_refinement, is_coarser
@@ -53,9 +53,7 @@ class RestrictionMap(Immutable):
                 f"{target.context} is not a subalgebra of {source.context}; "
                 "no restriction map exists"
             )
-        table = tuple(
-            target.context.block_of(block[0]) for block in source.context.blocks
-        )
+        table = block_map(target.context, source.context)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "table", table)
@@ -203,10 +201,8 @@ def product_extension(
                             witness_mass=mass,
                         )
     joined = common_refinement(c, d)
-    weights = [
-        mu1.weights[c.block_of(block[0])] * mu2.weights[d.block_of(block[0])]
-        for block in joined.blocks
-    ]
+    pairs = zip(block_map(c, joined), block_map(d, joined))
+    weights = [mu1.weights[i] * mu2.weights[j] for i, j in pairs]
     return ProductExtensionResult(valuation=Valuation(Spectrum(joined), weights), witness=None)
 
 

@@ -188,6 +188,15 @@ def all_pairs_section_monotone(f):
     )
 
 
+def oracle_block_strings(p: Partition, contexts) -> list[tuple[int, ...]]:
+    """Each context of p read at the first point of each block of p: a
+    restricted-growth string over p's blocks, since they are ordered by least
+    point.  The read-back off Partitions that `Contexts.strings` and
+    `Contexts.over` replaced."""
+    firsts = [block[0] for block in p.blocks]
+    return [tuple(c.rgs[f] for f in firsts) for c in contexts]
+
+
 def oracle_h_table(pair, source, target) -> list[int]:
     """h(C) = (C n A, C n B) as target indices, with one overlap join per
     side and context: the Partition route that the block-string table

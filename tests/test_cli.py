@@ -232,7 +232,10 @@ def test_contexts_enumeration(capsys):
     assert len(data["result"]["contexts"]) == 5
 
 
-PARTITION_FIXTURES = ("adjacent_pairs", "overlapping_halves", "square_pair", "trivial_pair")
+PARTITION_FIXTURES = (
+    "adjacent_pairs", "overlapping_halves", "square_pair", "trivial_pair",
+    "three_regions", "invalid_net",
+)
 
 
 def test_no_command_walks_the_hasse_covers_without_dot(monkeypatch, capsys):
@@ -253,6 +256,25 @@ def test_no_command_walks_the_hasse_covers_without_dot(monkeypatch, capsys):
 
     monkeypatch.setattr(netsheaf.contexts, "_merge_walk", no_walk)
     assert [run(capsys, *argv) for argv in runs] == expected
+
+
+def test_check_net_validates_the_net_once(monkeypatch, capsys):
+    # one validate_net call per run, whether the net is valid or its
+    # violations are listed (exit 2), in both output modes
+    calls = []
+    validate = netsheaf.net.validate_net
+
+    def counted(spec):
+        calls.append(spec)
+        return validate(spec)
+
+    monkeypatch.setattr(netsheaf.net, "validate_net", counted)
+    monkeypatch.setattr(netsheaf.cli, "validate_net", counted, raising=False)
+    for name, status in (("square_pair", 0), ("three_regions", 0), ("invalid_net", 2)):
+        for extra in ((), ("--json",)):
+            calls.clear()
+            code, _, _ = run(capsys, "check-net", str(FIXTURES / f"{name}.json"), *extra)
+            assert (code, len(calls)) == (status, 1), (name, extra)
 
 
 def test_contexts_defaults_to_single_algebra(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import netsheaf.contexts
 from netsheaf import (
     AlgebraPair,
     ContextPoset,
@@ -25,13 +26,20 @@ from netsheaf import (
     unit_law,
     valuation_independence_test,
 )
-from netsheaf.partitions import coarsenings, is_coarser, overlap_join
+from netsheaf.partitions import (
+    all_partitions,
+    coarsenings,
+    common_refinement,
+    is_coarser,
+    overlap_join,
+)
 
 from conftest import (
     all_pairs_section_monotone,
     ambient,
     monotone_map_from_function,
     oracle_bell,
+    oracle_block_strings,
     poset_bottom,
     random_partitions,
 )
@@ -332,6 +340,48 @@ def test_context_cover_walk_equals_the_mask_covers(a):
     assert contexts.elements == oracle.elements
     assert contexts.covers() == oracle.covers()
     assert dot_export(contexts) == dot_export(oracle)
+
+
+def test_context_strings_equal_the_read_back_up_to_six_points():
+    # each context of p read at the first point of each of p's blocks, in
+    # canonical order, for every partition on at most 6 points
+    partitions = 0
+    for n in range(1, 7):
+        for p in all_partitions(ambient(n)):
+            assert list(Contexts(p).strings()) == oracle_block_strings(p, coarsenings(p))
+            partitions += 1
+    assert partitions == 1 + 2 + 5 + 15 + 52 + 203
+
+
+def test_context_strings_over_the_join_equal_the_read_back_up_to_five_points():
+    # C_A and C_B read over the blocks of A v B, for all 1 + 4 + 25 + 225 +
+    # 2,704 ordered pairs of partitions on at most 5 points
+    pairs = 0
+    for n in range(1, 6):
+        partitions = all_partitions(ambient(n))
+        for a in partitions:
+            for b in partitions:
+                joined = common_refinement(a, b)
+                for p in (a, b):
+                    expected = oracle_block_strings(joined, coarsenings(p))
+                    assert list(Contexts(p).over(joined)) == expected, (a, b)
+                pairs += 1
+    assert pairs == 2959
+
+
+def test_context_strings_build_no_partition(monkeypatch):
+    # the strings come from the walk alone; the Partitions are built only
+    # when `elements` or `index` is first read
+    def no_enumeration(*_):
+        raise AssertionError("contexts built as Partitions")
+
+    monkeypatch.setattr(netsheaf.contexts, "coarsenings", no_enumeration)
+    full, halves = Partition.discrete(ambient(4)), Partition(ambient(4), (0, 0, 1, 1))
+    contexts = Contexts(halves)
+    assert list(contexts.strings()) == [(0, 0), (0, 1)]
+    assert list(contexts.over(full)) == [(0, 0, 0, 0), (0, 0, 1, 1)]
+    with pytest.raises(AssertionError, match="contexts built as Partitions"):
+        contexts.elements
 
 
 def stirling2(n: int, k: int) -> int:

@@ -321,6 +321,7 @@ def test_covering_stability_guard_refuses_before_enumerating(monkeypatch):
         raise AssertionError("contexts enumerated before the triple guard")
 
     monkeypatch.setattr(netsheaf.descent, "coarsenings", no_enumeration)
+    monkeypatch.setattr(netsheaf.contexts, "coarsenings", no_enumeration)
     full = Partition.discrete(ambient(6))
     with pytest.raises(SizeGuardError) as err:
         covering_stability(AlgebraPair(full, full))
@@ -601,6 +602,29 @@ def test_certificate_traps_a_failed_counit(monkeypatch, tmp_path, capsys, square
     code, err = run_net(tmp_path, capsys, *square_net(square_pair))
     assert code == 3
     assert H_NOT_EXACT not in err and G_NOT_JOIN in err
+
+
+def test_exactness_trap_fires_on_swapped_join_strings(monkeypatch, capsys):
+    # the first and last block strings of A v B swapped as `_h_table` reads
+    # them: h(C*1) becomes (A, B), which the certificate's own route, one
+    # union-find per side on each context's point string, does not confirm
+    class Swapped(Contexts):
+        __slots__ = ()
+
+        def strings(self):
+            keys = list(super().strings())
+            keys[0], keys[-1] = keys[-1], keys[0]
+            return iter(keys)
+
+    original = netsheaf.descent._h_table
+    monkeypatch.setattr(
+        netsheaf.descent, "_h_table",
+        lambda pair, source, target: original(pair, Swapped(source.algebra), target),
+    )
+    code = main(["descent", str(FIXTURES / "square_pair.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert H_NOT_EXACT in err and '"context": "{a,b,c,d}"' in err
 
 
 def certificate_rejects(pair, source, target, h, g) -> bool:

@@ -21,6 +21,8 @@ import pytest
 
 from netsheaf.cli import main
 from netsheaf.contexts import FinitePoset
+from netsheaf.descent import DescentReport, StabilityViolation
+from netsheaf.net import NetReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -125,6 +127,20 @@ def test_no_command_but_descent_dot_builds_order_masks(recorded, tmp_path, monke
             continue
         actual, _ = run_case(case, tmp_path)
         assert actual == recorded[name], name
+
+
+def test_text_runs_build_no_json_result(recorded, tmp_path, monkeypatch):
+    # text `check-net` and `descent` print the same bytes when every to_json
+    # of their results raises: only --json builds the result it prints
+    def no_json(*_):
+        raise AssertionError("--json result built for a text run")
+
+    for holder in (NetReport, DescentReport, StabilityViolation):
+        monkeypatch.setattr(holder, "to_json", no_json)
+    for name, case in sorted(CASES.items()):
+        if case["argv"][0] in ("check-net", "descent") and "--json" not in case["argv"]:
+            actual, _ = run_case(case, tmp_path)
+            assert actual == recorded[name], name
 
 
 def record():

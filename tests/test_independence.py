@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import netsheaf.contexts
 import netsheaf.independence
 import netsheaf.staralg
 from netsheaf import (
@@ -383,6 +384,20 @@ def test_unit_law_failures_take_the_cheaper_route(monkeypatch):
     refuse("_join_image_failures")
     count, first = netsheaf.independence._unit_law_failures(*NEAR_EQUAL)
     assert count == len(first) == 37
+
+
+def test_join_image_builds_only_the_listed_witnesses(monkeypatch):
+    # grid 2x3: C_A, C_B and the 203 contexts of A v B are all read as block
+    # strings, so no context is built as a Partition; the 50 witnesses are
+    failing = oracle_unit_law_witnesses(*GRID_2X3)
+
+    def no_enumeration(*_):
+        raise AssertionError("contexts built as Partitions")
+
+    monkeypatch.setattr(netsheaf.contexts, "coarsenings", no_enumeration)
+    monkeypatch.setattr(netsheaf.independence, "coarsenings", no_enumeration, raising=False)
+    count, first = netsheaf.independence._join_image_failures(*GRID_2X3)
+    assert (count, first) == (len(failing), failing[:50]) and count == 203 - 2 * 5
 
 
 def test_unit_law_sweep_on_nine_points_equals_the_oracle_without_overlap_joins():
