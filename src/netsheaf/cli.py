@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .contexts import Contexts, dot_export, guard_contexts
-from .descent import covering_stability, guard_descent, sheaf_report
+from .descent import guard_descent, sheaf_report, stability_rows
 from .documents import InputDocument, parse_input_document
 from .errors import (
     InputError,
@@ -97,32 +97,50 @@ def _parse_weights(text: str) -> list[Fraction]:
 
 # -- rendering -----------------------------------------------------------------
 
-def _dumps(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte.  Each container whose
-    members are all scalars is encoded in one call to the C encoder, whose
-    item separator carries the newline and indent; only containers holding
-    containers are walked here."""
+class _Rendered:
+    """A JSON value that renders itself: ``render(depth, out)`` appends to
+    out the text that ``json.dumps(indent=2)`` writes for it at that depth."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        self.render = render
+
+
+_CONTAINERS = (dict, list, tuple, _Rendered)
+
+
+def _json_parts(value) -> list[str]:
+    """``json.dumps(value, indent=2)``, byte for byte, as a list of parts; a
+    `_Rendered` value appends its own.  Each container whose members are all
+    scalars is encoded in one call to the C encoder (the pure-Python one with
+    the same separators where there is none), whose item separator carries
+    the newline and indent; only containers holding containers are walked."""
     encoders: dict[int, object] = {}
 
     def encoder(depth: int):
         if depth not in encoders:
+            item = ",\n" + "  " * depth
             encoders[depth] = c_make_encoder(
                 None, _unserializable, encode_basestring_ascii, None,
-                ": ", ",\n" + "  " * depth, False, False, True,
-            )
+                ": ", item, False, False, True,
+            ) if c_make_encoder else json.JSONEncoder(separators=(item, ": ")).iterencode
         return encoders[depth]
 
     def encode(value, depth: int, out: list) -> None:
         is_dict = isinstance(value, dict)
         if not (is_dict or isinstance(value, (list, tuple))):
-            out.extend(encoder(depth)(value, 0))
+            if isinstance(value, _Rendered):
+                value.render(depth, out)
+            else:
+                out.extend(encoder(depth)(value, 0))
             return
         if not value:
             out.append("{}" if is_dict else "[]")
             return
         members = value.values() if is_dict else value
         inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-        if not any(isinstance(m, (dict, list, tuple)) for m in members):
+        if not any(isinstance(m, _CONTAINERS) for m in members):
             text = "".join(encoder(depth + 1)(value, 0))
             out += (text[0], inner, text[1:-1], outer, text[-1])
             return
@@ -134,11 +152,35 @@ def _dumps(value) -> str:
             encode(member, depth + 1, out)
         out += (outer, "}" if is_dict else "]")
 
-    if c_make_encoder is None:  # no C accelerator in this interpreter
-        return json.dumps(value, indent=2)
     out: list[str] = []
     encode(value, 0, out)
-    return "".join(out)
+    return out
+
+
+def _violation_rows(contexts, rows) -> _Rendered:
+    """The covering-stability violations (`descent.stability_rows`) as the
+    list of dicts "covered", "left_context", "right_context", "generated"
+    that they name: each context's label is encoded once, and each row is
+    one template filled with four labels."""
+    joined, lefts, rights = (
+        [encode_basestring_ascii(str(c)) for c in side.elements] for side in contexts
+    )
+
+    def render(depth: int, out: list) -> None:
+        if not rows:
+            out.append("[]")
+            return
+        member, field = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+        row = (
+            f',{member}{{{field}"covered": %s,{field}"left_context": %s,'
+            f'{field}"right_context": %s,{field}"generated": %s{member}}}'
+        )
+        first = len(out)
+        out.extend([row % (joined[e], lefts[i], rights[j], joined[g]) for e, i, j, g in rows])
+        out[first] = "[" + out[first][1:]
+        out.append("\n" + "  " * depth + "]")
+
+    return _Rendered(render)
 
 
 def _json_key(key) -> str:
@@ -159,9 +201,20 @@ def _unserializable(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+# Parts of the JSON text joined per write: few writes, and no second copy
+# of the whole text.
+_WRITE_BATCH = 4096
+
+
 def _emit(envelope: ReportEnvelope, as_json: bool, lines: list[str]) -> int:
     if as_json:
-        sys.stdout.write(_dumps(envelope.to_json()) + "\n")
+        # Every part is built before the first is written, so a value that
+        # cannot be encoded prints nothing.  The parts are written in joined
+        # batches: an unbuffered stdout makes one system call per write.
+        parts = _json_parts(envelope.to_json())
+        parts.append("\n")
+        for k in range(0, len(parts), _WRITE_BATCH):
+            sys.stdout.write("".join(parts[k:k + _WRITE_BATCH]))
     else:
         header = (
             f"netsheaf {__version__} | {envelope.command} | {envelope.input_digest}"
@@ -226,11 +279,11 @@ def cmd_descent(args) -> int:
     max_bell = doc.options.max_bell
     guard_descent(pair, max_bell=max_bell)
     report = sheaf_report(pair, max_bell=max_bell)
-    violations = covering_stability(pair, max_bell=max_bell)
+    contexts, violations = stability_rows(pair, max_bell=max_bell)
     result = {
         "descent": report.to_json(),
         "covering_stability": {
-            "violations": [v.to_json() for v in violations],
+            "violations": _violation_rows(contexts, violations),
             "count": len(violations),
         },
     } if args.json else {}

@@ -61,6 +61,20 @@ MAX_STABILITY_TRIPLES = 10**6
 MAX_FIBERED_ELEMENTS = 10**4
 
 
+# C1 n M for each context C1 of A in canonical order, and the contexts of B
+# grouped by their restriction to M.
+_Restrictions = tuple[list[Partition], dict[Partition, list[Partition]]]
+
+
+def _restrictions(
+    lefts: Sequence[Partition], rights: Sequence[Partition], meet: Partition
+) -> _Restrictions:
+    groups: dict[Partition, list[Partition]] = {}
+    for c in rights:
+        groups.setdefault(overlap_join(c, meet), []).append(c)
+    return [overlap_join(c, meet) for c in lefts], groups
+
+
 class FiberedContextProduct(Immutable):
     """Pairs (C1, C2) of contexts with C1 n M = C2 n M, ordered componentwise
     by refinement.  The factors are plain Contexts: neither they nor the
@@ -68,14 +82,18 @@ class FiberedContextProduct(Immutable):
 
     __slots__ = ("left_poset", "right_poset", "meet", "elements", "index")
 
-    def __init__(self, left_poset: Contexts, right_poset: Contexts, meet: Partition):
-        # Group the right contexts by their restriction to M, so each left
-        # context meets only the ones it agrees with, in canonical order.
-        by_restriction = _restriction_groups(right_poset.elements, meet)
+    def __init__(self, left_poset: Contexts, right_poset: Contexts, meet: Partition,
+                 restrictions: Optional[_Restrictions] = None):
+        # Each left context meets only the right ones it agrees with on M, in
+        # canonical order.  `fibered_context_product` passes the restrictions
+        # that its guard counted the product from.
+        if restrictions is None:
+            restrictions = _restrictions(left_poset.elements, right_poset.elements, meet)
+        left, by_restriction = restrictions
         elements = [
             (c1, c2)
-            for c1 in left_poset.elements
-            for c2 in by_restriction.get(overlap_join(c1, meet), ())
+            for c1, key in zip(left_poset.elements, left)
+            for c2 in by_restriction.get(key, ())
         ]
         fields = {
             "left_poset": left_poset,
@@ -101,16 +119,6 @@ class FiberedContextProduct(Immutable):
         return FinitePoset(self.elements, up_masks=up).covers()
 
 
-def _restriction_groups(
-    contexts: Sequence[Partition], meet: Partition
-) -> dict[Partition, list[Partition]]:
-    """The contexts grouped by their restriction C n M to the meet algebra."""
-    groups: dict[Partition, list[Partition]] = {}
-    for c in contexts:
-        groups.setdefault(overlap_join(c, meet), []).append(c)
-    return groups
-
-
 def _above(poset: FinitePoset, components: Sequence[int]) -> list[int]:
     """Per element i of a factor poset, the mask of the product positions
     whose component (a factor index, one per position) lies at or above i."""
@@ -127,18 +135,20 @@ def _above(poset: FinitePoset, components: Sequence[int]) -> list[int]:
     return above
 
 
-def _guard_fibered_product(pair: AlgebraPair, max_bell: int) -> None:
+def _guard_fibered_product(pair: AlgebraPair, max_bell: int) -> _Restrictions:
     """The Bell guards of both sides, then the size of C_A x_M C_B counted
-    from the contexts' restrictions to M, before the product is built."""
+    from the contexts' restrictions to M, before the product is built;
+    returns those restrictions."""
     guard_contexts(max_bell, pair.left, pair.right)
     meet = pair.meet_algebra
-    left = _restriction_groups(coarsenings(pair.left), meet)
-    right = _restriction_groups(coarsenings(pair.right), meet)
-    count = sum(len(cs) * len(right.get(key, ())) for key, cs in left.items())
+    restrictions = _restrictions(coarsenings(pair.left), coarsenings(pair.right), meet)
+    left, right = restrictions
+    count = sum(len(right.get(key, ())) for key in left)
     guard(count, MAX_FIBERED_ELEMENTS, lambda: (
         f"fibered context product of {pair.left} | {pair.right} over {meet} "
         f"would have {count} elements"
     ))
+    return restrictions
 
 
 def fibered_context_product(
@@ -147,8 +157,10 @@ def fibered_context_product(
     """C_A x_M C_B.  More than MAX_FIBERED_ELEMENTS elements raise
     SizeGuardError before any context is paired."""
     pair.require_partition_engine("the fibered context product")
-    _guard_fibered_product(pair, max_bell)
-    return FiberedContextProduct(Contexts(pair.left), Contexts(pair.right), pair.meet_algebra)
+    restrictions = _guard_fibered_product(pair, max_bell)
+    return FiberedContextProduct(
+        Contexts(pair.left), Contexts(pair.right), pair.meet_algebra, restrictions
+    )
 
 
 @dataclass(frozen=True)
@@ -482,14 +494,6 @@ class StabilityViolation:
     right_context: Partition
     generated: Partition
 
-    def to_json(self) -> dict:
-        return {
-            "covered": str(self.covered),
-            "left_context": str(self.left_context),
-            "right_context": str(self.right_context),
-            "generated": str(self.generated),
-        }
-
 
 def guard_descent(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> None:
     """Every guard of sheaf_report and then of covering_stability, in the
@@ -515,7 +519,22 @@ def covering_stability(
 ) -> tuple[StabilityViolation, ...]:
     """Check the Grothendieck stability requirement E = (E n C) v (E n D) for
     every E in C_{A v B} below a cover C v D; return every violating triple,
-    ordered by E, then C, then D.
+    ordered by E, then C, then D.  These are `stability_rows` with each
+    index read as its context."""
+    (source, left, right), rows = stability_rows(pair, max_bell)
+    joined, lefts, rights = source.elements, left.elements, right.elements
+    return tuple(
+        StabilityViolation(joined[e], lefts[i], rights[j], joined[g]) for e, i, j, g in rows
+    )
+
+
+def stability_rows(
+    pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL
+) -> tuple[tuple[Contexts, Contexts, Contexts], list[tuple[int, int, int, int]]]:
+    """The violations of covering stability as rows (e, i, j, g) of indices
+    into C_{A v B}, C_A, C_B and C_{A v B}: E, C, D and the generated
+    (E n C) v (E n D), ordered by E, then C, then D; returned with those
+    three Contexts.
 
     That requirement is the unit law of the pair (C, D): C <= A and D <= B
     give C v D <= A v B, so the E below C v D are the contexts of C v D.
@@ -534,15 +553,14 @@ def covering_stability(
     _guard_stability(pair)
     joined = common_refinement(pair.left, pair.right)
     guard_contexts(max_bell, joined, pair.left, pair.right)
-    source, left, right = Contexts(joined), Contexts(pair.left), Contexts(pair.right)
-    context = dict(zip(source.strings(), source.elements))
+    contexts = source, left, right = Contexts(joined), Contexts(pair.left), Contexts(pair.right)
+    position = {e: k for k, e in enumerate(source.strings())}
     lefts, rights = tuple(left.over(joined)), tuple(right.over(joined))
     tables = BlockStringTables()
-    # Violations by E, each list in cover order: C, then D.
-    found: dict = {e: [] for e in context}
+    rows = []
     for i, c in enumerate(lefts):
         for j, d in enumerate(rights):
-            failing = list(tables.unit_law_failures(c, d))
+            failing = [(position[e], i, j, position[g]) for e, g in tables.unit_law_failures(c, d)]
             # The closed form of the unit law of (C, D): failures iff incomparable.
             comparable = tables.joins[c, d] in (c, d)
             if bool(failing) == comparable:
@@ -555,10 +573,8 @@ def covering_stability(
                         "violations": len(failing),
                     },
                 )
-            for e, g in failing:
-                found[e].append((i, j, g))
-    return tuple(
-        StabilityViolation(e, left.elements[i], right.elements[j], context[g])
-        for e, rows in zip(source.elements, found.values())
-        for i, j, g in rows
-    )
+            rows += failing
+    # One row per (E, C, D), found in (C, D) order: sorting the rows puts
+    # them in (E, C, D) order.
+    rows.sort()
+    return contexts, rows

@@ -11,9 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netsheaf
-from netsheaf.cli import _dumps, main
+import netsheaf.cli
+from netsheaf import AlgebraPair, AmbientSet, Partition
+from netsheaf.cli import _json_parts, _violation_rows, main
+from netsheaf.descent import stability_rows
+from netsheaf.partitions import all_partitions
 
-from conftest import FIXTURES
+from conftest import FIXTURES, ambient, oracle_covering_stability
 
 SQUARE = str(FIXTURES / "square_pair.json")
 HALVES = str(FIXTURES / "overlapping_halves.json")
@@ -700,7 +704,7 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_emitter_equals_json_dumps_indent_2(value):
     # non-str keys, empty containers, non-ASCII text, NaN and infinities
-    assert _dumps(value) == json.dumps(value, indent=2)
+    assert "".join(_json_parts(value)) == json.dumps(value, indent=2)
 
 
 def test_emitter_refuses_what_json_dumps_refuses():
@@ -708,7 +712,70 @@ def test_emitter_refuses_what_json_dumps_refuses():
         with pytest.raises(TypeError):
             json.dumps(value, indent=2)
         with pytest.raises(TypeError):
-            _dumps(value)
+            _json_parts(value)
+
+
+def violation_dicts(pair) -> list[dict]:
+    """The covering-stability violations of a pair as `descent --json`
+    listed them when each was a dict of its four contexts' labels."""
+    return [
+        {
+            "covered": str(v.covered),
+            "left_context": str(v.left_context),
+            "right_context": str(v.right_context),
+            "generated": str(v.generated),
+        }
+        for v in oracle_covering_stability(pair)
+    ]
+
+
+def test_violation_rows_render_as_json_dumps_of_the_violation_dicts(monkeypatch):
+    # every ordered pair on at most 4 points and the discrete 5-point
+    # self-pair, the list alone and at the depth `descent --json` writes it,
+    # with the C encoder and with the pure-Python one
+    pairs = [
+        AlgebraPair(a, b)
+        for n in range(1, 5)
+        for a in all_partitions(ambient(n))
+        for b in all_partitions(ambient(n))
+    ]
+    full = Partition.discrete(ambient(5))
+    pairs.append(AlgebraPair(full, full))
+    wraps = (
+        lambda v, n: v,
+        lambda v, n: {"result": {"covering_stability": {"violations": v, "count": n}}},
+    )
+    c_encoder = netsheaf.cli.c_make_encoder
+    for pair in pairs:
+        expected = violation_dicts(pair)
+        rendered = _violation_rows(*stability_rows(pair))
+        for wrap in wraps:
+            text = json.dumps(wrap(expected, len(expected)), indent=2)
+            for encoder in (c_encoder, None):
+                monkeypatch.setattr(netsheaf.cli, "c_make_encoder", encoder)
+                assert "".join(_json_parts(wrap(rendered, len(expected)))) == text, pair
+
+
+def test_descent_json_escapes_point_names(tmp_path, capsys):
+    # a quote, a backslash and a non-ASCII character in the point names
+    points = ['a"', "b\\", "cé", "d"]
+    algebras = {
+        "A": [points[:2], points[2:]],
+        "B": [[points[0], points[2]], [points[1], points[3]]],
+    }
+    path = tmp_path / "escaped.json"
+    path.write_text(json.dumps({
+        "ambient": points, "algebras": algebras, "pair": {"left": "A", "right": "B"},
+    }), encoding="utf-8")
+    code, out, _ = run(capsys, "descent", str(path), "--json")
+    assert code == 0
+    assert '"{a\\"' in out and 'b\\\\' in out and "c\\u00e9" in out
+    data = json.loads(out)
+    assert out == json.dumps(data, indent=2) + "\n"
+    amb = AmbientSet(points)
+    pair = AlgebraPair(*(Partition.from_blocks(amb, algebras[k]) for k in ("A", "B")))
+    assert data["result"]["covering_stability"]["count"] > 0
+    assert data["result"]["covering_stability"]["violations"] == violation_dicts(pair)
 
 
 def test_internal_consistency_failures_exit_3(capsys):

@@ -887,6 +887,26 @@ def test_fibered_product_guard_refuses_before_any_poset(monkeypatch):
         assert str(MAX_FIBERED_ELEMENTS) in str(err.value)
 
 
+def test_fibered_product_is_built_from_the_restrictions_its_guard_counted(monkeypatch):
+    # one restriction to M per context of A and of B per product build: the
+    # guard's groups are handed to the product, which does not regroup
+    calls = []
+    restrictions = netsheaf.descent._restrictions
+
+    def counted(*args):
+        calls.append(args)
+        return restrictions(*args)
+
+    monkeypatch.setattr(netsheaf.descent, "_restrictions", counted)
+    a = Partition.discrete(ambient(4))
+    b = Partition.from_blocks(ambient(4), [["a", "b"], ["c"], ["d"]])
+    product = fibered_context_product(AlgebraPair(a, b))
+    assert len(calls) == 1
+    assert product.elements == FiberedContextProduct(
+        Contexts(a), Contexts(b), product.meet
+    ).elements
+
+
 def test_fibered_product_guard_admits_the_constant_seven_point_net():
     # the diagonal of C_A x C_A over M = A: Bell(7) = 877 elements
     full = Partition.discrete(ambient(7))

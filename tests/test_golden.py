@@ -19,9 +19,11 @@ from pathlib import Path
 
 import pytest
 
+import netsheaf.cli
+import netsheaf.descent
 from netsheaf.cli import main
 from netsheaf.contexts import FinitePoset
-from netsheaf.descent import DescentReport, StabilityViolation
+from netsheaf.descent import DescentReport
 from netsheaf.net import NetReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -131,14 +133,30 @@ def test_no_command_but_descent_dot_builds_order_masks(recorded, tmp_path, monke
 
 def test_text_runs_build_no_json_result(recorded, tmp_path, monkeypatch):
     # text `check-net` and `descent` print the same bytes when every to_json
-    # of their results raises: only --json builds the result it prints
+    # of their results, and the renderer of the stability rows, raises: only
+    # --json builds the result it prints
     def no_json(*_):
         raise AssertionError("--json result built for a text run")
 
-    for holder in (NetReport, DescentReport, StabilityViolation):
+    for holder in (NetReport, DescentReport):
         monkeypatch.setattr(holder, "to_json", no_json)
+    monkeypatch.setattr(netsheaf.cli, "_violation_rows", no_json)
     for name, case in sorted(CASES.items()):
         if case["argv"][0] in ("check-net", "descent") and "--json" not in case["argv"]:
+            actual, _ = run_case(case, tmp_path)
+            assert actual == recorded[name], name
+
+
+def test_descent_builds_no_violation_object(recorded, tmp_path, monkeypatch):
+    # every `descent` case, text, --json and --dot, prints the same bytes
+    # when a StabilityViolation cannot be built: text counts the stability
+    # rows and --json renders them straight from the contexts
+    def no_violation(*_):
+        raise AssertionError("StabilityViolation built by `descent`")
+
+    monkeypatch.setattr(netsheaf.descent, "StabilityViolation", no_violation)
+    for name, case in sorted(CASES.items()):
+        if case["argv"][0] == "descent":
             actual, _ = run_case(case, tmp_path)
             assert actual == recorded[name], name
 
