@@ -496,7 +496,7 @@ class StabilityViolation:
 
 
 def guard_descent(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> None:
-    """Every guard of sheaf_report and then of covering_stability, in the
+    """Every guard of sheaf_report and then of stability_rows, in the
     order they raise, so the `descent` command refuses before any work."""
     pair.require_partition_engine("the descent map")
     guard_contexts(max_bell, common_refinement(pair.left, pair.right))
@@ -522,9 +522,9 @@ def covering_stability(
     ordered by E, then C, then D.  These are `stability_rows` with each
     index read as its context."""
     (source, left, right), rows = stability_rows(pair, max_bell)
-    joined, lefts, rights = source.elements, left.elements, right.elements
+    sources, lefts, rights = source.elements, left.elements, right.elements
     return tuple(
-        StabilityViolation(joined[e], lefts[i], rights[j], joined[g]) for e, i, j, g in rows
+        StabilityViolation(sources[e], lefts[i], rights[j], sources[g]) for e, i, j, g in rows
     )
 
 

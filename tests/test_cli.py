@@ -778,6 +778,27 @@ def test_descent_json_escapes_point_names(tmp_path, capsys):
     assert data["result"]["covering_stability"]["violations"] == violation_dicts(pair)
 
 
+def test_json_output_is_written_whole_in_few_writes_or_not_at_all(monkeypatch):
+    # 35,000 parts go out in a few joined writes, each one system call on an
+    # unbuffered stdout; a value that cannot be encoded, even the last one,
+    # leaves stdout untouched
+    from types import SimpleNamespace
+
+    from netsheaf.cli import ReportEnvelope, _emit
+
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    envelope = ReportEnvelope("descent", "sha256:0", {"rows": [[k] for k in range(5000)]})
+    assert _emit(envelope, True, []) == 0
+    assert "".join(writes) == json.dumps(envelope.to_json(), indent=2) + "\n"
+    assert 1 < len(writes) < 100
+    writes.clear()
+    envelope.result["last"] = object()
+    with pytest.raises(TypeError):
+        _emit(envelope, True, [])
+    assert writes == []
+
+
 def test_internal_consistency_failures_exit_3(capsys):
     import argparse
 
