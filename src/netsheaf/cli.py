@@ -15,12 +15,11 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
-from .contexts import Contexts, dot_export, guard_contexts
+from .contexts import Contexts, dot_export, guard_contexts, hasse_edges
 from .descent import guard_descent, sheaf_report, stability_rows
 from .documents import InputDocument, parse_input_document
 from .errors import (
@@ -30,6 +29,7 @@ from .errors import (
     SizeGuardError,
 )
 from .independence import CONDITIONS, hierarchy_report
+from .jsontext import Rendered, json_parts
 from .net import NetValidationError, analyze_net
 from .partitions import bell_number, is_coarser
 from .valuations import (
@@ -97,73 +97,13 @@ def _parse_weights(text: str) -> list[Fraction]:
 
 # -- rendering -----------------------------------------------------------------
 
-class _Rendered:
-    """A JSON value that renders itself: ``render(depth, out)`` appends to
-    out the text that ``json.dumps(indent=2)`` writes for it at that depth."""
-
-    __slots__ = ("render",)
-
-    def __init__(self, render):
-        self.render = render
-
-
-_CONTAINERS = (dict, list, tuple, _Rendered)
-
-
-def _json_parts(value) -> list[str]:
-    """``json.dumps(value, indent=2)``, byte for byte, as a list of parts; a
-    `_Rendered` value appends its own.  Each container whose members are all
-    scalars is encoded in one call to the C encoder (the pure-Python one with
-    the same separators where there is none), whose item separator carries
-    the newline and indent; only containers holding containers are walked."""
-    encoders: dict[int, object] = {}
-
-    def encoder(depth: int):
-        if depth not in encoders:
-            item = ",\n" + "  " * depth
-            encoders[depth] = c_make_encoder(
-                None, _unserializable, encode_basestring_ascii, None,
-                ": ", item, False, False, True,
-            ) if c_make_encoder else json.JSONEncoder(separators=(item, ": ")).iterencode
-        return encoders[depth]
-
-    def encode(value, depth: int, out: list) -> None:
-        is_dict = isinstance(value, dict)
-        if not (is_dict or isinstance(value, (list, tuple))):
-            if isinstance(value, _Rendered):
-                value.render(depth, out)
-            else:
-                out.extend(encoder(depth)(value, 0))
-            return
-        if not value:
-            out.append("{}" if is_dict else "[]")
-            return
-        members = value.values() if is_dict else value
-        inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-        if not any(isinstance(m, _CONTAINERS) for m in members):
-            text = "".join(encoder(depth + 1)(value, 0))
-            out += (text[0], inner, text[1:-1], outer, text[-1])
-            return
-        out.append("{" if is_dict else "[")
-        for k, (key, member) in enumerate(zip(value, members)):
-            out += ("," if k else "", inner)
-            if is_dict:
-                out += (_json_key(key), ": ")
-            encode(member, depth + 1, out)
-        out += (outer, "}" if is_dict else "]")
-
-    out: list[str] = []
-    encode(value, 0, out)
-    return out
-
-
-def _violation_rows(contexts, rows) -> _Rendered:
+def _violation_rows(contexts, rows) -> Rendered:
     """The covering-stability violations (`descent.stability_rows`) as the
     list of dicts "covered", "left_context", "right_context", "generated"
     that they name: each context's label is encoded once, and each row is
     one template filled with four labels."""
     joined, lefts, rights = (
-        [encode_basestring_ascii(str(c)) for c in side.elements] for side in contexts
+        list(map(encode_basestring_ascii, side.labels())) for side in contexts
     )
 
     def render(depth: int, out: list) -> None:
@@ -180,25 +120,7 @@ def _violation_rows(contexts, rows) -> _Rendered:
         out[first] = "[" + out[first][1:]
         out.append("\n" + "  " * depth + "]")
 
-    return _Rendered(render)
-
-
-def _json_key(key) -> str:
-    """A dict key as ``json`` writes it: str as is; float, bool, None and int
-    coerced to their JSON text; anything else refused."""
-    if isinstance(key, str):
-        pass
-    elif isinstance(key, float) or key is True or key is False or key is None:
-        key = json.dumps(key)
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring_ascii(key)
-
-
-def _unserializable(value):
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return Rendered(render)
 
 
 # Parts of the JSON text joined per write: few writes, and no second copy
@@ -211,7 +133,7 @@ def _emit(envelope: ReportEnvelope, as_json: bool, lines: list[str]) -> int:
         # Every part is built before the first is written, so a value that
         # cannot be encoded prints nothing.  The parts are written in joined
         # batches: an unbuffered stdout makes one system call per write.
-        parts = _json_parts(envelope.to_json())
+        parts = json_parts(envelope.to_json())
         parts.append("\n")
         for k in range(0, len(parts), _WRITE_BATCH):
             sys.stdout.write("".join(parts[k:k + _WRITE_BATCH]))
@@ -435,14 +357,14 @@ def cmd_contexts(args) -> int:
     algebra = doc.partition(name)
     guard_contexts(doc.options.max_bell, algebra)
     poset = Contexts(algebra)
+    labels = list(poset.labels())
     result = {
         "algebra": name,
         "partition": str(algebra),
-        "count": len(poset),
+        "count": len(labels),
         "bell": bell_number(algebra.num_blocks),
-        "contexts": [str(p) for p in poset.elements],
-        # a k-block context has one lower cover per two of its blocks merged
-        "hasse_edges": sum(comb(c.num_blocks, 2) for c in poset.elements),
+        "contexts": labels,
+        "hasse_edges": hasse_edges(algebra.num_blocks),
     }
     if args.dot:
         Path(args.dot).write_text(dot_export(poset), encoding="utf-8")
@@ -451,7 +373,7 @@ def cmd_contexts(args) -> int:
         f"algebra {name} = {algebra}",
         f"contexts: {len(poset)} (Bell({algebra.num_blocks}))",
         f"hasse edges: {result['hasse_edges']}",
-    ] + [f"  {p}" for p in poset.elements]
+    ] + [f"  {label}" for label in labels]
     if args.dot:
         lines.append(f"DOT written to {args.dot}")
     envelope = ReportEnvelope("contexts", digest, result)

@@ -3,11 +3,13 @@
 The context poset of a partition A is the set of all partitions coarser than
 A (equivalently, all unital subalgebras of S_A) ordered by subalgebra
 inclusion.  A context's lower covers merge two of its blocks, so a k-block
-context has k(k-1)/2 of them, and the Hasse covers come from one walk over
-the block strings that ``Contexts`` makes.  Of the commands, only a DOT
-export takes that walk: through ``Contexts.covers()``, or through
-``ContextPoset``, which also stores the order as bitmasks, for the DOT
-export of a fibered product.
+context has k(k-1)/2 of them, which ``hasse_edges`` sums in closed form,
+and the Hasse covers come from one walk over the block strings that
+``Contexts`` makes.  The commands read contexts as those strings and their
+labels; only a DOT export takes the walk, or builds the contexts of A v B
+as Partitions: through ``Contexts.covers()``, or through ``ContextPoset``,
+which also stores the order as bitmasks, for the DOT export of a fibered
+product.
 
 For a generic monotone map between finite posets, ``left_adjoint`` and
 ``thickening_report`` decide adjoints, unit/counit strictness, coreflectors
@@ -19,10 +21,18 @@ in ``descent.py``, and these scans are kept as its test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .errors import Immutable, InputError, InternalConsistencyError, guard
-from .partitions import Partition, _set_partition_rgs, bell_number, coarsenings, overlap_join
+from .partitions import (
+    Partition,
+    _Memo,
+    _set_partition_rgs,
+    bell_number,
+    coarsenings,
+    overlap_join,
+)
 
 DEFAULT_MAX_BELL = 115975  # Bell(10)
 
@@ -169,9 +179,12 @@ def block_map(p: Partition, j: Partition) -> tuple[int, ...]:
 
 
 class Contexts(Immutable):
-    """The contexts of a partition in canonical order: block strings made on
-    each call, Partitions (``elements``, ``index``) built on first use.  No
-    order masks are built, and the Hasse covers only for the DOT export."""
+    """The contexts of a partition in canonical order: block strings and
+    labels made on each call, Partitions (``elements``, ``index``) built on
+    first use.  Of the commands, only the DOT exports (``descent --dot``,
+    ``contexts --dot``) build the contexts of A v B as Partitions; the
+    fibered product builds those of A and of B.  No order masks are built,
+    and the Hasse covers only for the DOT export."""
 
     __slots__ = ("algebra", "elements", "index")
 
@@ -187,7 +200,7 @@ class Contexts(Immutable):
         return getattr(self, name)
 
     def __len__(self):
-        return len(self.elements)
+        return bell_number(self.algebra.num_blocks)
 
     def strings(self) -> Iterator[tuple[int, ...]]:
         """Each context read at the first point of each block of the algebra: the
@@ -200,19 +213,44 @@ class Contexts(Immutable):
         blocks = block_map(self.algebra, j)
         return (tuple([s[b] for b in blocks]) for s in self.strings())
 
+    def labels(self) -> Iterator[str]:
+        """Each context's label, as str() of its Partition writes it, made
+        from its block string: the points of each group of blocks, in point
+        order, with the groups in order of least point.  A group's text is
+        made once, on first use."""
+        names, rgs = self.algebra.ambient.points, self.algebra.rgs
+        texts = _Memo(lambda mask: ",".join([x for x, b in zip(names, rgs) if mask >> b & 1]))
+        bits = [1 << b for b in range(self.algebra.num_blocks)]
+        for key in self.strings():
+            masks = [0] * (max(key) + 1)
+            for group, bit in zip(key, bits):
+                masks[group] |= bit
+            yield "{%s}" % "}{".join([texts[m] for m in masks])
+
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction, in FinitePoset.covers() order."""
         return tuple(sorted(_merge_walk(tuple(self.strings()))))
 
 
-def _comparable_pairs(n: int) -> int:
-    """Comparable pairs of the context poset of an n-block algebra: the
-    S(n, k) contexts with k blocks have Bell(k) coarsenings each."""
-    row = [1]  # S(m, k) for k = 0..m, by S(m + 1, k) = k S(m, k) + S(m, k - 1)
+def _stirling_row(n: int) -> list[int]:
+    """S(n, k) for k = 0..n, by S(m + 1, k) = k S(m, k) + S(m, k - 1)."""
+    row = [1]
     for _ in range(n):
         padded = row + [0]
         row = [0] + [k * padded[k] + padded[k - 1] for k in range(1, len(padded))]
-    return sum(s * bell_number(k) for k, s in enumerate(row))
+    return row
+
+
+def _comparable_pairs(n: int) -> int:
+    """Comparable pairs of the context poset of an n-block algebra: the
+    S(n, k) contexts with k blocks have Bell(k) coarsenings each."""
+    return sum(s * bell_number(k) for k, s in enumerate(_stirling_row(n)))
+
+
+def hasse_edges(n: int) -> int:
+    """Hasse covers of the context poset of an n-block algebra: the S(n, k)
+    contexts with k blocks have one lower cover per two blocks merged."""
+    return sum(s * comb(k, 2) for k, s in enumerate(_stirling_row(n)))
 
 
 def guard_contexts(max_bell: int, *algebras: Partition) -> None:

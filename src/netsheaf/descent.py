@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import NoReturn, Optional, Sequence
 
 from .contexts import (
@@ -38,9 +40,11 @@ from .contexts import (
 )
 from .errors import Immutable, InputError, InternalConsistencyError, guard
 from .independence import AlgebraPair, HierarchyReport, hierarchy_report
+from .jsontext import rendered_object
 from .partitions import (
     BlockStringTables,
     Partition,
+    _canonical_rgs,
     _overlap_rgs,
     bell_number,
     coarsenings,
@@ -166,9 +170,9 @@ def fibered_context_product(
 @dataclass(frozen=True)
 class RingComponent:
     """Injectivity/surjectivity of the multiplication map
-    (C n A) (x)_E (C n B) -> C at one context C."""
+    (C n A) (x)_E (C n B) -> C at one context C; a report lists them in the
+    order of its contexts of A v B."""
 
-    context: Partition
     injective: bool
     surjective: bool
 
@@ -193,7 +197,9 @@ def ring_component(c: Partition, pair: AlgebraPair) -> RingComponent:
     c1, c2, amalgam = (overlap_join(c, p) for p in (pair.left, pair.right, pair.meet_algebra))
     # Containing-block maps: C refines C1 and C2.
     image = set(zip(block_map(c1, c), block_map(c2, c)))
-    return _ring_component(c, image, _fibered_blocks(c1, c2, amalgam))
+    fibered = _fibered_blocks(c1, c2, amalgam)
+    _check_spectrum(image, fibered, lambda: str(c))
+    return RingComponent(injective=image == fibered, surjective=len(image) == c.num_blocks)
 
 
 def _fibered_blocks(c1: Partition, c2: Partition, amalgam: Partition) -> set[tuple[int, int]]:
@@ -203,22 +209,17 @@ def _fibered_blocks(c1: Partition, c2: Partition, amalgam: Partition) -> set[tup
     return {(i, j) for i, x in enumerate(left) for j, y in enumerate(right) if x == y}
 
 
-def _ring_component(
-    c: Partition, image: set[tuple[int, int]], fibered: set[tuple[int, int]]
-) -> RingComponent:
-    """The multiplication map at C, from the image of blocks(C) in
+def _check_spectrum(image: set[tuple[int, int]], fibered: set[tuple[int, int]], label) -> None:
+    """The multiplication map at C is decided from the image of blocks(C) in
     blocks(C n A) x blocks(C n B) and the fibered product of those block sets
-    over blocks(C n M).  Surjectivity of that spectrum map is injectivity of
+    over blocks(C n M): surjectivity of that spectrum map is injectivity of
     the algebra map, and injectivity is its surjectivity.  An image outside
-    the fibered product is a bug."""
+    the fibered product is a bug, reported with C's label, label()."""
     if not image <= fibered:
         raise InternalConsistencyError(
             "ring component's spectrum map leaves the fibered product of block sets",
-            dump={"context": str(c), "image": sorted(image), "fibered": sorted(fibered)},
+            dump={"context": label(), "image": sorted(image), "fibered": sorted(fibered)},
         )
-    return RingComponent(
-        context=c, injective=image == fibered, surjective=len(image) == c.num_blocks
-    )
 
 
 @dataclass(frozen=True)
@@ -238,26 +239,34 @@ class DescentReport:
     sheaf_by_characterization: Optional[bool] = None
 
     def to_json(self) -> dict:
-        src, tgt, adjunction = self.source.elements, self.target.elements, self.adjunction
-        pairs = [f"({c1}, {c2})" for c1, c2 in tgt]
+        """The report as JSON.  Its five maps keyed by contexts of A v B or
+        by fibered pairs are templates (`jsontext.rendered_object`) filled
+        with labels made from block strings (`Contexts.labels`) and encoded
+        once, so no context of A v B becomes a Partition."""
+        target, adjunction = self.target, self.adjunction
+        labels = list(self.source.labels())
+        keys = list(map(encode_basestring_ascii, labels))
+        lefts, rights = (dict(zip(f.elements, f.labels()))
+                         for f in (target.left_poset, target.right_poset))
+        pairs = [(lefts[c1], rights[c2]) for c1, c2 in target.elements]
+        pair_keys = [encode_basestring_ascii(f"({x}, {y})") for x, y in pairs]
+        flags = (False, True)
         out = {
             "pair": self.pair.describe(),
             "h": {
-                "source_size": len(src),
-                "target_size": len(tgt),
+                "source_size": len(labels),
+                "target_size": len(pairs),
                 "injective": self.h.is_injective(),
                 "surjective": self.h.is_surjective(),
-                "table": {
-                    str(c): [str(tgt[i][0]), str(tgt[i][1])] for c, i in zip(src, self.h.table)
-                },
+                "table": rendered_object(keys, pairs, self.h.table),
             },
             "adjunction": {
                 "adjoint_exists": adjunction.adjoint_exists,
                 "is_coreflector": adjunction.is_coreflector,
                 "is_iso": adjunction.is_iso,
-                "adjoint": {q: str(src[i]) for q, i in zip(pairs, adjunction.adjoint.table)},
-                "unit_strict": {str(c): strict for c, strict in zip(src, adjunction.unit_strict)},
-                "counit_strict": dict(zip(pairs, adjunction.counit_strict)),
+                "adjoint": rendered_object(pair_keys, labels, adjunction.adjoint.table),
+                "unit_strict": rendered_object(keys, flags, adjunction.unit_strict),
+                "counit_strict": rendered_object(pair_keys, flags, adjunction.counit_strict),
             },
             "thickening": {
                 "surjective": self.thickening.surjective,
@@ -269,9 +278,9 @@ class DescentReport:
             "unit_law": self.hierarchy.unit_law,
         }
         if self.ring_components is not None:
-            out["ring_components"] = {
-                str(rc.context): rc.to_json() for rc in self.ring_components
-            }
+            kinds: dict[RingComponent, int] = {}
+            choice = [kinds.setdefault(rc, len(kinds)) for rc in self.ring_components]
+            out["ring_components"] = rendered_object(keys, [rc.to_json() for rc in kinds], choice)
         out["sheaf"] = self.sheaf
         out["sheaf_by_characterization"] = self.sheaf_by_characterization
         return out
@@ -346,18 +355,30 @@ def _certify_adjunction(pair: AlgebraPair, source: Contexts,
     checks of g -| h accept (h monotone along the Hasse covers of C_{A v B},
     q <= h(g(q)) and g(h(C)) <= C everywhere, g the join).  Exact meets are
     monotone, and so is a join."""
-    src, tgt = source.elements, target.elements
+    tgt, joined = target.elements, source.algebra
     position = {(c1.rgs, c2.rgs): q for q, (c1, c2) in enumerate(tgt)}
     a, b = pair.left.rgs, pair.right.rgs
-    for c, q in zip(src, h):
-        if position.get((_overlap_rgs(c.rgs, a), _overlap_rgs(c.rgs, b))) != q:
+    named = set(g)
+    points = {}  # the point strings of the contexts that g names
+    for k, (key, q) in enumerate(zip(source.strings(), h)):
+        c = tuple(map(key.__getitem__, joined.rgs))
+        if position.get((_overlap_rgs(c, a), _overlap_rgs(c, b))) != q:
             _trap(pair, "descent map has no left adjoint: h(C) != (C n A, C n B)",
-                  context=c, h=tgt[q])
-    for (c1, c2), z in zip(tgt, (src[p] for p in g)):
-        if not (is_coarser(c1, z) and is_coarser(c2, z)
-                and z.num_blocks == len(set(zip(c1.rgs, c2.rgs)))):
+                  context=_label(source, k), h=tgt[q])
+        if k in named:
+            points[k] = c
+    for (c1, c2), p in zip(tgt, g):
+        z = points[p]
+        if not (len(set(zip(z, c1.rgs))) == len(set(zip(z, c2.rgs))) == max(z) + 1
+                == len(set(zip(c1.rgs, c2.rgs)))):
             _trap(pair, "computed left adjoint differs from the algebraic join",
-                  target_element=(c1, c2), computed=z, join=common_refinement(c1, c2))
+                  target_element=(c1, c2), computed=_label(source, p),
+                  join=common_refinement(c1, c2))
+
+
+def _label(source: Contexts, k: int) -> str:
+    """The label of context k, for a trap's dump."""
+    return next(islice(source.labels(), k, None))
 
 
 def _h_table(pair: AlgebraPair, source: Contexts, target: FiberedContextProduct) -> list[int]:
@@ -407,8 +428,16 @@ def _linked(masks: frozenset[int], width: int) -> tuple[int, ...]:
 
 
 def _g_table(source: Contexts, target: FiberedContextProduct) -> list[int]:
-    """g(C1, C2) = C1 v C2 for every element of the product, as source indices."""
-    return [source.index[common_refinement(c1, c2)] for c1, c2 in target.elements]
+    """g(C1, C2) = C1 v C2 for every element of the product, as source
+    indices: the join of C1's and C2's block strings over A v B's blocks,
+    looked up among the source's strings."""
+    position = {key: p for p, key in enumerate(source.strings())}
+    factors = target.left_poset, target.right_poset
+    lefts, rights = (dict(zip(f.elements, f.over(source.algebra))) for f in factors)
+    return [
+        position[_canonical_rgs(tuple(zip(lefts[c1], rights[c2])))]
+        for c1, c2 in target.elements
+    ]
 
 
 def _thickening(h: MonotoneMap, adjunction: AdjunctionReport) -> ThickeningReport:
@@ -453,7 +482,7 @@ def sheaf_report(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> Descent
                 "characterized": characterized,
                 "h_is_iso": base.adjunction.is_iso,
                 "ring_components": {
-                    str(rc.context): rc.to_json() for rc in components
+                    label: rc.to_json() for label, rc in zip(base.source.labels(), components)
                 },
             },
         )
@@ -469,19 +498,27 @@ def _ring_components(report: DescentReport) -> tuple[RingComponent, ...]:
     """Every ring component, read off h's table.  The image of blocks(C) is
     the pair (C n A, C n B) of containing blocks of each block of A v B, so
     it depends only on q = h(C), as does the fibered block set; both are
-    computed once per q.  Since M <= A, the amalgam C n M is (C n A) n M,
-    which the product build has already computed."""
-    tgt, meet, joined = report.target.elements, report.pair.meet_algebra, report.source.algebra
+    computed once per q, and C's block count is read off its string.  Since
+    M <= A, the amalgam C n M is (C n A) n M, which the product build has
+    already computed."""
+    tgt, meet, source = report.target.elements, report.pair.meet_algebra, report.source
     factors = report.target.left_poset, report.target.right_poset
-    lefts, rights = (dict(zip(f.elements, f.over(joined))) for f in factors)
-    spectra: dict[int, tuple[set, set]] = {}
+    lefts, rights = (dict(zip(f.elements, f.over(source.algebra))) for f in factors)
+    spectra: dict[int, tuple[bool, int]] = {}
+    kinds: dict[tuple[bool, bool], RingComponent] = {}
     components = []
-    for c, q in zip(report.source.elements, report.h.table):
+    for k, (key, q) in enumerate(zip(source.strings(), report.h.table)):
         if q not in spectra:
             c1, c2 = tgt[q]
             image = set(zip(lefts[c1], rights[c2]))
-            spectra[q] = image, _fibered_blocks(c1, c2, overlap_join(c1, meet))
-        components.append(_ring_component(c, *spectra[q]))
+            fibered = _fibered_blocks(c1, c2, overlap_join(c1, meet))
+            _check_spectrum(image, fibered, lambda: _label(source, k))
+            spectra[q] = image == fibered, len(image)
+        injective, size = spectra[q]
+        kind = injective, size == max(key) + 1
+        if kind not in kinds:
+            kinds[kind] = RingComponent(*kind)
+        components.append(kinds[kind])
     return tuple(components)
 
 

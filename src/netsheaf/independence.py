@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, islice
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .contexts import DEFAULT_MAX_BELL, Contexts, block_map, guard_contexts
 from .errors import EngineError, Immutable, InputError, InternalConsistencyError
@@ -274,9 +274,19 @@ def product_sense(pair: AlgebraPair) -> bool:
 
 def _strong_locality_witness(a: Partition, b: Partition) -> Optional[tuple]:
     """First (C, D, side, actual) with (C v D) n side-algebra != that context,
-    in canonical order, from a walk that builds each context as it visits it."""
+    in canonical order, from a walk that builds each context as it first
+    visits it: C_B goes into a list that the first pass extends."""
+    seen: list[Partition] = []
+    rest = iter_coarsenings(b)
+
+    def contexts_of_b() -> Iterator[Partition]:
+        yield from seen
+        for d in rest:
+            seen.append(d)
+            yield d
+
     for c in iter_coarsenings(a):
-        for d in iter_coarsenings(b):
+        for d in contexts_of_b():
             joined = common_refinement(c, d)
             back_left = overlap_join(joined, a)
             if back_left != c:

@@ -258,21 +258,26 @@ def bell_number(n: int) -> int:
 
 
 def _set_partition_rgs(k: int) -> Iterator[tuple[int, ...]]:
-    """All restricted-growth strings of length k, lexicographically."""
-    if k == 0:
-        yield ()
+    """All restricted-growth strings of length k, lexicographically.  The
+    last entry runs fastest, so each prefix of length k - 1 is made once and
+    extended by every value it admits; the prefix advances as an odometer
+    whose digit i may reach 1 + the largest digit before it."""
+    if k <= 1:
+        yield (0,) * k
         return
-    rgs = [0] * k
-
-    def rec(i: int, maxval: int):
-        if i == k:
-            yield tuple(rgs)
+    digits, tops = [0] * (k - 1), [0] * (k - 1)  # tops[i] = max(digits[:i + 1])
+    while True:
+        prefix = tuple(digits)
+        yield from [prefix + (v,) for v in range(tops[-1] + 2)]
+        i = k - 2
+        while i and digits[i] > tops[i - 1]:
+            i -= 1
+        if not i:
             return
-        for v in range(maxval + 2):
-            rgs[i] = v
-            yield from rec(i + 1, max(maxval, v))
-
-    yield from rec(1, 0)
+        digits[i] += 1
+        top = tops[i] = max(tops[i - 1], digits[i])
+        for j in range(i + 1, k - 1):
+            digits[j], tops[j] = 0, top
 
 
 class _Memo(dict):

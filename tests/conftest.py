@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from netsheaf import AmbientSet, MonotoneMap, Partition, all_partitions
 from netsheaf.descent import StabilityViolation
 from netsheaf.linalg import as_matrix, flatten, identity, adjoint, unflatten
-from netsheaf.partitions import coarsenings, common_refinement, is_coarser, overlap_join
+from netsheaf.partitions import (
+    coarsenings,
+    common_refinement,
+    is_coarser,
+    iter_coarsenings,
+    overlap_join,
+)
 from netsheaf.scalars import ONE, ZERO, GaussianRational
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -197,6 +203,69 @@ def oracle_block_strings(p: Partition, contexts) -> list[tuple[int, ...]]:
     return [tuple(c.rgs[f] for f in firsts) for c in contexts]
 
 
+def oracle_set_partition_rgs(k: int):
+    """All restricted-growth strings of length k, lexicographically, by a
+    recursive walk yielding through one generator per position: the walk
+    that the odometer replaced."""
+    if k == 0:
+        yield ()
+        return
+    rgs = [0] * k
+
+    def rec(i: int, maxval: int):
+        if i == k:
+            yield tuple(rgs)
+            return
+        for v in range(maxval + 2):
+            rgs[i] = v
+            yield from rec(i + 1, max(maxval, v))
+
+    yield from rec(1, 0)
+
+
+def oracle_descent_json(report) -> dict:
+    """`DescentReport.to_json` as a dict of dicts keyed by each context's
+    str(): what the rendered templates replaced, so json.dumps of it is
+    the text they must render."""
+    src, tgt, adjunction = report.source.elements, report.target.elements, report.adjunction
+    pairs = [f"({c1}, {c2})" for c1, c2 in tgt]
+    out = {
+        "pair": report.pair.describe(),
+        "h": {
+            "source_size": len(src),
+            "target_size": len(tgt),
+            "injective": report.h.is_injective(),
+            "surjective": report.h.is_surjective(),
+            "table": {
+                str(c): [str(tgt[i][0]), str(tgt[i][1])] for c, i in zip(src, report.h.table)
+            },
+        },
+        "adjunction": {
+            "adjoint_exists": adjunction.adjoint_exists,
+            "is_coreflector": adjunction.is_coreflector,
+            "is_iso": adjunction.is_iso,
+            "adjoint": {q: str(src[i]) for q, i in zip(pairs, adjunction.adjoint.table)},
+            "unit_strict": {str(c): strict for c, strict in zip(src, adjunction.unit_strict)},
+            "counit_strict": dict(zip(pairs, adjunction.counit_strict)),
+        },
+        "thickening": {
+            "surjective": report.thickening.surjective,
+            "every_fiber_has_minimum": all(report.thickening.fiber_has_minimum),
+            "section_monotone": report.thickening.section_monotone,
+            "overall": report.thickening.overall,
+        },
+        "strong_locality": report.hierarchy.strong_locality,
+        "unit_law": report.hierarchy.unit_law,
+    }
+    if report.ring_components is not None:
+        out["ring_components"] = {
+            str(c): rc.to_json() for c, rc in zip(src, report.ring_components)
+        }
+    out["sheaf"] = report.sheaf
+    out["sheaf_by_characterization"] = report.sheaf_by_characterization
+    return out
+
+
 def oracle_h_table(pair, source, target) -> list[int]:
     """h(C) = (C n A, C n B) as target indices, with one overlap join per
     side and context: the Partition route that the block-string table
@@ -238,6 +307,22 @@ def oracle_strong_locality_witness(a: Partition, b: Partition):
                 actual = overlap_join(joined, algebra)
                 if actual != context:
                     return c, d, side, actual
+    return None
+
+
+def oracle_rebuilt_strong_locality_witness(a: Partition, b: Partition):
+    """The same first witness as `oracle_strong_locality_witness`, from a
+    walk that builds each context as it visits it, C_B anew for every
+    context of A: the walk that the lazily extended list of C_B replaced."""
+    for c in iter_coarsenings(a):
+        for d in iter_coarsenings(b):
+            joined = common_refinement(c, d)
+            back_left = overlap_join(joined, a)
+            if back_left != c:
+                return (c, d, "left", back_left)
+            back_right = overlap_join(joined, b)
+            if back_right != d:
+                return (c, d, "right", back_right)
     return None
 
 

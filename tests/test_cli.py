@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import netsheaf
 import netsheaf.cli
 from netsheaf import AlgebraPair, AmbientSet, Partition
-from netsheaf.cli import _json_parts, _violation_rows, main
+from netsheaf.cli import _violation_rows, main
+from netsheaf.jsontext import json_parts
 from netsheaf.descent import stability_rows
 from netsheaf.partitions import all_partitions
 
@@ -704,7 +705,7 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_emitter_equals_json_dumps_indent_2(value):
     # non-str keys, empty containers, non-ASCII text, NaN and infinities
-    assert "".join(_json_parts(value)) == json.dumps(value, indent=2)
+    assert "".join(json_parts(value)) == json.dumps(value, indent=2)
 
 
 def test_emitter_refuses_what_json_dumps_refuses():
@@ -712,7 +713,7 @@ def test_emitter_refuses_what_json_dumps_refuses():
         with pytest.raises(TypeError):
             json.dumps(value, indent=2)
         with pytest.raises(TypeError):
-            _json_parts(value)
+            json_parts(value)
 
 
 def violation_dicts(pair) -> list[dict]:
@@ -745,15 +746,15 @@ def test_violation_rows_render_as_json_dumps_of_the_violation_dicts(monkeypatch)
         lambda v, n: v,
         lambda v, n: {"result": {"covering_stability": {"violations": v, "count": n}}},
     )
-    c_encoder = netsheaf.cli.c_make_encoder
+    c_encoder = netsheaf.jsontext.c_make_encoder
     for pair in pairs:
         expected = violation_dicts(pair)
         rendered = _violation_rows(*stability_rows(pair))
         for wrap in wraps:
             text = json.dumps(wrap(expected, len(expected)), indent=2)
             for encoder in (c_encoder, None):
-                monkeypatch.setattr(netsheaf.cli, "c_make_encoder", encoder)
-                assert "".join(_json_parts(wrap(rendered, len(expected)))) == text, pair
+                monkeypatch.setattr(netsheaf.jsontext, "c_make_encoder", encoder)
+                assert "".join(json_parts(wrap(rendered, len(expected)))) == text, pair
 
 
 def test_descent_json_escapes_point_names(tmp_path, capsys):

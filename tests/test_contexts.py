@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import netsheaf.contexts
 from netsheaf import (
     AlgebraPair,
+    AmbientSet,
     ContextPoset,
     Contexts,
     FinitePoset,
@@ -26,7 +27,9 @@ from netsheaf import (
     unit_law,
     valuation_independence_test,
 )
+from netsheaf.contexts import hasse_edges
 from netsheaf.partitions import (
+    _set_partition_rgs,
     all_partitions,
     coarsenings,
     common_refinement,
@@ -40,6 +43,7 @@ from conftest import (
     monotone_map_from_function,
     oracle_bell,
     oracle_block_strings,
+    oracle_set_partition_rgs,
     poset_bottom,
     random_partitions,
 )
@@ -382,6 +386,51 @@ def test_context_strings_build_no_partition(monkeypatch):
     assert list(contexts.over(full)) == [(0, 0, 0, 0), (0, 0, 1, 1)]
     with pytest.raises(AssertionError, match="contexts built as Partitions"):
         contexts.elements
+
+
+ESCAPED_POINTS = ['a"', "b\\", "c\u00e9", "d%", "e", "f\u2603", "g"]
+
+
+@st.composite
+def escaped_partitions(draw, max_points=7):
+    """A partition of 1 to max_points points named with a quote, a
+    backslash, non-ASCII letters and a percent sign among plain ones."""
+    n = draw(st.integers(1, max_points))
+    names = draw(st.permutations(ESCAPED_POINTS))[:n]
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return Partition(AmbientSet(names), labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_partitions(1, 7) | escaped_partitions())
+@example(Partition.discrete(ambient(7)))
+@example(Partition(AmbientSet(ESCAPED_POINTS), (0, 1, 0, 2, 1, 3, 0)))
+def test_context_labels_equal_str_of_each_context(p):
+    assert list(Contexts(p).labels()) == [str(c) for c in coarsenings(p)]
+
+
+def test_context_labels_build_no_partition(monkeypatch):
+    def no_enumeration(*_):
+        raise AssertionError("contexts built as Partitions")
+
+    monkeypatch.setattr(netsheaf.contexts, "coarsenings", no_enumeration)
+    contexts = Contexts(Partition(ambient(4), (0, 0, 1, 1)))
+    assert list(contexts.labels()) == ["{a,b,c,d}", "{a,b}{c,d}"]
+    assert len(contexts) == 2
+
+
+def test_hasse_edges_equal_the_lower_covers_of_every_context_up_to_eight_points():
+    # a k-block context has one lower cover per two of its blocks merged
+    for n in range(9):
+        contexts = coarsenings(Partition.discrete(ambient(n))) if n else ()
+        per_context = sum(comb(c.num_blocks, 2) for c in contexts)
+        assert hasse_edges(n) == per_context
+    assert hasse_edges(8) == 28337
+
+
+def test_restricted_growth_walk_equals_the_recursive_walk_up_to_ten():
+    for k in range(11):
+        assert list(_set_partition_rgs(k)) == list(oracle_set_partition_rgs(k))
 
 
 def stirling2(n: int, k: int) -> int:

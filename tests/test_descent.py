@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import netsheaf.contexts
 import netsheaf.descent
 import netsheaf.independence
+import netsheaf.jsontext
 import netsheaf.partitions
 from netsheaf import (
     MAX_FIBERED_ELEMENTS,
@@ -37,6 +38,7 @@ from netsheaf import (
     thickening_report,
 )
 from netsheaf.cli import main
+from netsheaf.jsontext import json_parts
 from netsheaf.partitions import (
     all_partitions,
     coarsenings,
@@ -52,6 +54,7 @@ from conftest import (
     monotone_map_from_function,
     oracle_adjunction_certificate,
     oracle_covering_stability,
+    oracle_descent_json,
     oracle_h_table,
     poset_leq,
     random_partitions,
@@ -271,12 +274,32 @@ def test_counit_identity_iff_strong_locality(square_pair):
 
 def test_descent_report_json_shape(square_pair):
     a, b = square_pair
-    data = sheaf_report(AlgebraPair(a, b)).to_json()
+    data = json.loads("".join(json_parts(sheaf_report(AlgebraPair(a, b)).to_json())))
     assert data["h"]["source_size"] == 15
     assert data["h"]["target_size"] == 4
     assert data["sheaf"] is False
     assert len(data["ring_components"]) == 15
     assert data["adjunction"]["is_coreflector"] is True
+
+
+def test_descent_json_renders_as_json_dumps_of_the_report_dicts(monkeypatch):
+    # every (A, B, M <= A n B) on at most three points, with and without ring
+    # components, the report alone and nested at the depth `check-net
+    # --json` writes it, with the C encoder and with the pure-Python one
+    c_encoder = netsheaf.jsontext.c_make_encoder
+    for n in range(1, 4):
+        contexts = all_partitions(ambient(n))
+        for a in contexts:
+            for b in contexts:
+                for meet in coarsenings(overlap_join(a, b)):
+                    pair = AlgebraPair(a, b, meet_algebra=meet)
+                    for report in (descent_map(pair), sheaf_report(pair)):
+                        expected = oracle_descent_json(report)
+                        for wrap in (lambda v: v, lambda v: {"pairs": [{"descent": v}]}):
+                            text = json.dumps(wrap(expected), indent=2)
+                            for encoder in (c_encoder, None):
+                                monkeypatch.setattr(netsheaf.jsontext, "c_make_encoder", encoder)
+                                assert "".join(json_parts(wrap(report.to_json()))) == text
 
 
 @st.composite
@@ -288,6 +311,15 @@ def fibered_inputs(draw, max_points=4, min_points=1):
     b = draw(random_partitions(n, n))
     meet = draw(st.sampled_from(coarsenings(overlap_join(a, b))))
     return a, b, meet
+
+
+@settings(max_examples=40, deadline=None)
+@given(fibered_inputs(max_points=6, min_points=4))
+def test_descent_json_renders_the_report_dicts_up_to_six_points(inputs):
+    a, b, meet = inputs
+    report = sheaf_report(AlgebraPair(a, b, meet_algebra=meet))
+    text = "".join(json_parts(report.to_json()))
+    assert text == json.dumps(oracle_descent_json(report), indent=2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -416,6 +448,25 @@ def test_ring_component_trap_fires_on_an_image_outside_the_fibered_blocks(
     code, err = run_net(tmp_path, capsys, *square_net(square_pair))
     assert code == 3
     assert "ring component's spectrum map leaves the fibered product of block sets" in err
+    assert '"context": "{a,b,c,d}"' in err
+
+
+def test_sheaf_route_trap_names_every_context_by_its_label(monkeypatch):
+    # the scalars against the full 3-point algebra are a sheaf under
+    # extended locality; with every ring component forced to fail, the
+    # direct route disagrees and the dump lists them by context label
+    amb = ambient(3)
+    full = Partition.discrete(amb)
+    pair = AlgebraPair(Partition.trivial(amb), full)
+    assert sheaf_report(pair).sheaf is True
+    failing = netsheaf.descent.RingComponent(injective=False, surjective=True)
+    monkeypatch.setattr(netsheaf.descent, "_ring_components",
+                        lambda report: (failing,) * len(report.source))
+    with pytest.raises(InternalConsistencyError, match="sheaf decision routes disagree") as exc:
+        sheaf_report(pair)
+    components = exc.value.dump["ring_components"]
+    assert list(components) == [str(c) for c in coarsenings(full)]
+    assert all(rc == failing.to_json() for rc in components.values())
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,10 +28,15 @@ from netsheaf import (
     strong_locality,
     unit_law,
 )
-from netsheaf.partitions import overlap_join
+from netsheaf.partitions import coarsenings, overlap_join
 from netsheaf.staralg import commutant
 
-from conftest import ambient, oracle_strong_locality_witness, oracle_unit_law_witnesses
+from conftest import (
+    ambient,
+    oracle_rebuilt_strong_locality_witness,
+    oracle_strong_locality_witness,
+    oracle_unit_law_witnesses,
+)
 
 SZ = [[1, 0], [0, -1]]
 SX = [[0, 1], [1, 0]]
@@ -177,6 +182,40 @@ def test_strong_locality_witness_stops_at_the_first_failing_pair(monkeypatch):
     assert len(built) == 3
     assert (c, d, side) == (Partition.trivial(amb), built[2], "left")
     assert str(d) == "{p0,p1,p2,p3,p4,p5,p6,p7,p8}{p9}" and actual == d
+
+
+@st.composite
+def partition_pairs(draw, max_points=6):
+    """Two partitions of one ambient set of 1 to max_points points."""
+    n = draw(st.integers(1, max_points))
+    a, b = (
+        Partition(ambient(n), draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+        for _ in range(2)
+    )
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(partition_pairs())
+@example((Partition(ambient(6), [0, 1, 2, 3, 4, 5]), Partition(ambient(6), [0, 0, 0, 0, 0, 0])))
+@example((Partition(ambient(6), [0, 1, 0, 2, 1, 3]), Partition(ambient(6), [0, 1, 2, 3, 2, 0])))
+def test_strong_locality_witness_builds_each_context_at_most_once(pair):
+    # the witness of the walk that rebuilt C_B per context of A, from at
+    # most |C_A| + |C_B| contexts built
+    a, b = pair
+    walk = netsheaf.independence.iter_coarsenings
+    built = []
+
+    def counted(p):
+        for c in walk(p):
+            built.append(c)
+            yield c
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(netsheaf.independence, "iter_coarsenings", counted)
+        witness = netsheaf.independence._strong_locality_witness(a, b)
+    assert witness == oracle_rebuilt_strong_locality_witness(a, b)
+    assert len(built) <= len(coarsenings(a)) + len(coarsenings(b))
 
 
 def test_extended_does_not_imply_strong_in_the_finite_engine(amb4):

@@ -6,7 +6,8 @@ stdout, in text and --json, for `descent` on grid 2x3, `check-net` on grid
 The documents are built here, written as ``json.dumps(document,
 sort_keys=True)`` (the input digest in every envelope reads those bytes),
 and each command runs in process.  A digest changes only when an output is
-meant to change.
+meant to change.  The --json runs on grid 2x4 also must not build the
+contexts of A v B as Partitions.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import pytest
 
 from netsheaf.cli import main
+from netsheaf.contexts import Contexts
 
 
 def square_net(assignment: dict) -> dict:
@@ -99,3 +101,27 @@ def test_workload_stdout_digest(case, as_json, tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         json_digest if as_json else text_digest
     )
+
+
+@pytest.mark.parametrize("command", ["check-net", "descent"])
+def test_json_runs_build_no_partition_per_context_of_the_join(command, tmp_path, capsys,
+                                                             monkeypatch):
+    # on grid 2x4, A v B is the discrete 8-point algebra: reading its
+    # contexts' `elements` or `index` would build Bell(8) = 4,140 Partitions
+    reads = []
+    lookup = Contexts.__getattr__
+
+    def guarded(self, name):
+        if name in ("elements", "index") and self.algebra.num_blocks == 8:
+            reads.append(name)
+            raise AssertionError(f"Contexts(A v B).{name} read")
+        return lookup(self, name)
+
+    monkeypatch.setattr(Contexts, "__getattr__", guarded)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(grid_document(2, 4), sort_keys=True), encoding="utf-8")
+    assert main([command, str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert reads == []
+    if command == "check-net":
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CASES["check-net:grid2x4"][3]
