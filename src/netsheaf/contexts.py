@@ -6,10 +6,11 @@ inclusion.  A context's lower covers merge two of its blocks, so a k-block
 context has k(k-1)/2 of them, which ``hasse_edges`` sums in closed form,
 and the Hasse covers come from one walk over the block strings that
 ``Contexts`` makes.  The commands read contexts as those strings and their
-labels; only a DOT export takes the walk, or builds the contexts of A v B
-as Partitions: through ``Contexts.covers()``, or through ``ContextPoset``,
-which also stores the order as bitmasks, for the DOT export of a fibered
-product.
+labels; only a DOT export (``descent --dot``, ``contexts --dot``) takes the
+walk, or builds the contexts of A v B as Partitions: through
+``Contexts.covers()``, or through ``ContextPoset``, which also stores the
+order as bitmasks, for the DOT export of a fibered product.  The fibered
+product builds the contexts of A and of B.
 
 For a generic monotone map between finite posets, ``left_adjoint`` and
 ``thickening_report`` decide adjoints, unit/counit strictness, coreflectors
@@ -181,10 +182,8 @@ def block_map(p: Partition, j: Partition) -> tuple[int, ...]:
 class Contexts(Immutable):
     """The contexts of a partition in canonical order: block strings and
     labels made on each call, Partitions (``elements``, ``index``) built on
-    first use.  Of the commands, only the DOT exports (``descent --dot``,
-    ``contexts --dot``) build the contexts of A v B as Partitions; the
-    fibered product builds those of A and of B.  No order masks are built,
-    and the Hasse covers only for the DOT export."""
+    first use.  No order masks are built, and the Hasse covers only for the
+    DOT export."""
 
     __slots__ = ("algebra", "elements", "index")
 
