@@ -72,6 +72,13 @@ def _digest(path: Path) -> tuple[bytes, str]:
     return raw, "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
+def _write_dot(path: str, obj) -> None:
+    try:
+        Path(path).write_text(dot_export(obj), encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write DOT file {path}: {exc}") from exc
+
+
 def _load(path: Path, args=None) -> tuple[InputDocument, str]:
     raw, digest = _digest(path)
     try:
@@ -210,7 +217,7 @@ def cmd_descent(args) -> int:
         },
     } if args.json else {}
     if args.dot:
-        Path(args.dot).write_text(dot_export(report.h), encoding="utf-8")
+        _write_dot(args.dot, report.h)
         result["dot_written_to"] = str(args.dot)
     comps = report.ring_components or ()
     iso_count = sum(1 for rc in comps if rc.is_isomorphism)
@@ -367,7 +374,7 @@ def cmd_contexts(args) -> int:
         "hasse_edges": hasse_edges(algebra.num_blocks),
     }
     if args.dot:
-        Path(args.dot).write_text(dot_export(poset), encoding="utf-8")
+        _write_dot(args.dot, poset)
         result["dot_written_to"] = str(args.dot)
     lines = [
         f"algebra {name} = {algebra}",

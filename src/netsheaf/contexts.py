@@ -6,11 +6,11 @@ inclusion.  A context's lower covers merge two of its blocks, so a k-block
 context has k(k-1)/2 of them, which ``hasse_edges`` sums in closed form,
 and the Hasse covers come from one walk over the block strings that
 ``Contexts`` makes.  The commands read contexts as those strings and their
-labels; only a DOT export (``descent --dot``, ``contexts --dot``) takes the
-walk, or builds the contexts of A v B as Partitions: through
-``Contexts.covers()``, or through ``ContextPoset``, which also stores the
-order as bitmasks, for the DOT export of a fibered product.  The fibered
-product builds the contexts of A and of B.
+labels, the fibered product too; only a DOT export (``descent --dot``,
+``contexts --dot``) takes the walk, or builds the contexts of A v B, of A
+or of B as Partitions: through ``Contexts.covers()``, or through
+``ContextPoset``, which also stores the order as bitmasks, for the DOT
+export of a fibered product.
 
 For a generic monotone map between finite posets, ``left_adjoint`` and
 ``thickening_report`` decide adjoints, unit/counit strictness, coreflectors
@@ -181,22 +181,19 @@ def block_map(p: Partition, j: Partition) -> tuple[int, ...]:
 
 class Contexts(Immutable):
     """The contexts of a partition in canonical order: block strings and
-    labels made on each call, Partitions (``elements``, ``index``) built on
-    first use.  No order masks are built, and the Hasse covers only for the
-    DOT export."""
+    labels made on each call, Partitions only when ``elements`` is read.  No
+    order masks are built, and the Hasse covers only for the DOT export."""
 
-    __slots__ = ("algebra", "elements", "index")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: Partition):
         object.__setattr__(self, "algebra", algebra)
 
-    def __getattr__(self, name):  # reached only while a slot is unset
-        if name not in ("elements", "index"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        elements = coarsenings(self.algebra)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "index", {e: i for i, e in enumerate(elements)})
-        return getattr(self, name)
+    @property
+    def elements(self) -> tuple[Partition, ...]:
+        """The contexts as Partitions, for the DOT export, the exit-3 dumps
+        and `covering_stability`'s violations."""
+        return coarsenings(self.algebra)
 
     def __len__(self):
         return bell_number(self.algebra.num_blocks)

@@ -47,7 +47,6 @@ from .partitions import (
     _canonical_rgs,
     _overlap_rgs,
     bell_number,
-    coarsenings,
     common_refinement,
     is_coarser,
     overlap_join,
@@ -57,70 +56,77 @@ from .partitions import (
 MAX_STABILITY_TRIPLES = 10**6
 
 # Bound on the elements of a fibered context product C_A x_M C_B.  The descent
-# map is linear in it, and the product is ordered by refinement, with no
-# masks: with the guard lifted, on 2 vCPUs, `sheaf_report` took 3.5 s / 170 MB
-# and `check-net` 4.0 s / 208 MB for 42,294 elements (a full 9-point algebra
-# against a 2-block one over the scalars); masked factor posets took 18 s /
-# 223 MB and 16 s / 300 MB.  10^4 keeps every factor at Bell(8) or less.
+# map is linear in it, and the product is index pairs into the factors' block
+# strings, with no masks: with the guard lifted, on 2 vCPUs (Python 3.11), one
+# cold process each, `sheaf_report` took 1.4 s / 50 MB and `check-net --json`
+# 2.0 s / 85 MB for 42,294 elements (a full 9-point algebra against a 2-block
+# one over the scalars); a product of Partitions took 1.7 s / 74 MB and
+# 2.4 s / 109 MB, masked factor posets 18 s and 16 s.  10^4 keeps every
+# factor at Bell(8) or less.
 MAX_FIBERED_ELEMENTS = 10**4
-
-
-# C1 n M for each context C1 of A in canonical order, and the contexts of B
-# grouped by their restriction to M.
-_Restrictions = tuple[list[Partition], dict[Partition, list[Partition]]]
-
-
-def _restrictions(
-    lefts: Sequence[Partition], rights: Sequence[Partition], meet: Partition
-) -> _Restrictions:
-    groups: dict[Partition, list[Partition]] = {}
-    for c in rights:
-        groups.setdefault(overlap_join(c, meet), []).append(c)
-    return [overlap_join(c, meet) for c in lefts], groups
 
 
 class FiberedContextProduct(Immutable):
     """Pairs (C1, C2) of contexts with C1 n M = C2 n M, ordered componentwise
-    by refinement.  The factors are plain Contexts: neither they nor the
-    product carry order masks, which only the DOT export's covers() builds."""
+    by refinement, held as index pairs (i, j) into the canonical orders of
+    the factors, which are plain Contexts.  Each restriction C n M is read
+    once, as a block string over M's blocks, the one labelling that both
+    sides share; `restrictions[i]` keeps it for left context i.  Neither the
+    factors nor the product carry order masks, which only the DOT export's
+    covers() builds, and no context becomes a Partition unless `elements`
+    is read."""
 
-    __slots__ = ("left_poset", "right_poset", "meet", "elements", "index")
+    __slots__ = ("left_poset", "right_poset", "meet", "pairs", "restrictions")
 
-    def __init__(self, left_poset: Contexts, right_poset: Contexts, meet: Partition,
-                 restrictions: Optional[_Restrictions] = None):
+    def __init__(self, left_poset: Contexts, right_poset: Contexts, meet: Partition):
+        left_algebra, right_algebra = left_poset.algebra, right_poset.algebra
+        if not (is_coarser(meet, left_algebra) and is_coarser(meet, right_algebra)):
+            raise InputError(f"meet algebra {meet} is not contained in both members")
+        left, right = (_meet_strings(meet, f) for f in (left_poset, right_poset))
+        by_restriction: dict[tuple[int, ...], list[int]] = {}
+        for j, key in enumerate(right):
+            by_restriction.setdefault(key, []).append(j)
+        count = sum(len(by_restriction.get(key, ())) for key in left)
+        guard(count, MAX_FIBERED_ELEMENTS, lambda: (
+            f"fibered context product of {left_algebra} | {right_algebra} over {meet} "
+            f"would have {count} elements"
+        ))
         # Each left context meets only the right ones it agrees with on M, in
-        # canonical order.  `fibered_context_product` passes the restrictions
-        # that its guard counted the product from.
-        if restrictions is None:
-            restrictions = _restrictions(left_poset.elements, right_poset.elements, meet)
-        left, by_restriction = restrictions
-        elements = [
-            (c1, c2)
-            for c1, key in zip(left_poset.elements, left)
-            for c2 in by_restriction.get(key, ())
-        ]
-        fields = {
-            "left_poset": left_poset,
-            "right_poset": right_poset,
-            "meet": meet,
-            "elements": tuple(elements),
-            "index": {e: i for i, e in enumerate(elements)},
-        }
+        # canonical order.
+        pairs = tuple((i, j) for i, key in enumerate(left) for j in by_restriction.get(key, ()))
+        fields = {"left_poset": left_poset, "right_poset": right_poset, "meet": meet,
+                  "pairs": pairs, "restrictions": left}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.pairs)
+
+    @property
+    def elements(self) -> tuple[tuple[Partition, Partition], ...]:
+        """The pairs as Partitions, for the DOT export and the exit-3 dumps."""
+        lefts, rights = self.left_poset.elements, self.right_poset.elements
+        return tuple([(lefts[i], rights[j]) for i, j in self.pairs])
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction, for the DOT export only: a cover in one
         coordinate can leave the fiber, so the order is materialised here,
         from the factors' context posets."""
         posets = [ContextPoset(f.algebra) for f in (self.left_poset, self.right_poset)]
-        left, right = ([p.index[e[k]] for e in self.elements] for k, p in enumerate(posets))
-        above_left, above_right = _above(posets[0], left), _above(posets[1], right)
-        up = [above_left[i] & above_right[j] for i, j in zip(left, right)]
-        return FinitePoset(self.elements, up_masks=up).covers()
+        above = [_above(p, [e[k] for e in self.pairs]) for k, p in enumerate(posets)]
+        up = [above[0][i] & above[1][j] for i, j in self.pairs]
+        return FinitePoset(self.pairs, up_masks=up).covers()
+
+
+def _meet_strings(meet: Partition, contexts: Contexts) -> list[tuple[int, ...]]:
+    """C n M for each context C, in canonical order, as its block string over
+    M's blocks.  Each block of the algebra lies in one block of M, so C n M
+    is the overlap join of C and M over the algebra's blocks, read at the
+    first of them in each block of M, which keeps its labels canonical."""
+    meets = block_map(meet, contexts.algebra)
+    firsts = [meets.index(m) for m in range(meet.num_blocks)]
+    joins = (_overlap_rgs(s, meets) for s in contexts.strings())
+    return [tuple([r[k] for k in firsts]) for r in joins]
 
 
 def _above(poset: FinitePoset, components: Sequence[int]) -> list[int]:
@@ -139,32 +145,15 @@ def _above(poset: FinitePoset, components: Sequence[int]) -> list[int]:
     return above
 
 
-def _guard_fibered_product(pair: AlgebraPair, max_bell: int) -> _Restrictions:
-    """The Bell guards of both sides, then the size of C_A x_M C_B counted
-    from the contexts' restrictions to M, before the product is built;
-    returns those restrictions."""
-    guard_contexts(max_bell, pair.left, pair.right)
-    meet = pair.meet_algebra
-    restrictions = _restrictions(coarsenings(pair.left), coarsenings(pair.right), meet)
-    left, right = restrictions
-    count = sum(len(right.get(key, ())) for key in left)
-    guard(count, MAX_FIBERED_ELEMENTS, lambda: (
-        f"fibered context product of {pair.left} | {pair.right} over {meet} "
-        f"would have {count} elements"
-    ))
-    return restrictions
-
-
 def fibered_context_product(
     pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL
 ) -> FiberedContextProduct:
-    """C_A x_M C_B.  More than MAX_FIBERED_ELEMENTS elements raise
-    SizeGuardError before any context is paired."""
+    """C_A x_M C_B, after the Bell guards of both sides.  More than
+    MAX_FIBERED_ELEMENTS elements raise SizeGuardError before any context is
+    paired."""
     pair.require_partition_engine("the fibered context product")
-    restrictions = _guard_fibered_product(pair, max_bell)
-    return FiberedContextProduct(
-        Contexts(pair.left), Contexts(pair.right), pair.meet_algebra, restrictions
-    )
+    guard_contexts(max_bell, pair.left, pair.right)
+    return FiberedContextProduct(Contexts(pair.left), Contexts(pair.right), pair.meet_algebra)
 
 
 @dataclass(frozen=True)
@@ -197,15 +186,15 @@ def ring_component(c: Partition, pair: AlgebraPair) -> RingComponent:
     c1, c2, amalgam = (overlap_join(c, p) for p in (pair.left, pair.right, pair.meet_algebra))
     # Containing-block maps: C refines C1 and C2.
     image = set(zip(block_map(c1, c), block_map(c2, c)))
-    fibered = _fibered_blocks(c1, c2, amalgam)
+    fibered = _fibered_blocks(block_map(amalgam, c1), block_map(amalgam, c2))
     _check_spectrum(image, fibered, lambda: str(c))
     return RingComponent(injective=image == fibered, surjective=len(image) == c.num_blocks)
 
 
-def _fibered_blocks(c1: Partition, c2: Partition, amalgam: Partition) -> set[tuple[int, int]]:
+def _fibered_blocks(left: Sequence[int], right: Sequence[int]) -> set[tuple[int, int]]:
     """The fibered product of blocks(C1) and blocks(C2) over blocks(C n M),
-    as block-index pairs; C1 and C2 both refine the amalgam."""
-    left, right = block_map(amalgam, c1), block_map(amalgam, c2)
+    as block-index pairs, from the block of C n M holding each block of C1
+    (left) and of C2 (right)."""
     return {(i, j) for i, x in enumerate(left) for j, y in enumerate(right) if x == y}
 
 
@@ -246,9 +235,8 @@ class DescentReport:
         target, adjunction = self.target, self.adjunction
         labels = list(self.source.labels())
         keys = list(map(encode_basestring_ascii, labels))
-        lefts, rights = (dict(zip(f.elements, f.labels()))
-                         for f in (target.left_poset, target.right_poset))
-        pairs = [(lefts[c1], rights[c2]) for c1, c2 in target.elements]
+        lefts, rights = (list(f.labels()) for f in (target.left_poset, target.right_poset))
+        pairs = [(lefts[i], rights[j]) for i, j in target.pairs]
         pair_keys = [encode_basestring_ascii(f"({x}, {y})") for x, y in pairs]
         flags = (False, True)
         out = {
@@ -355,22 +343,25 @@ def _certify_adjunction(pair: AlgebraPair, source: Contexts,
     checks of g -| h accept (h monotone along the Hasse covers of C_{A v B},
     q <= h(g(q)) and g(h(C)) <= C everywhere, g the join).  Exact meets are
     monotone, and so is a join."""
-    tgt, joined = target.elements, source.algebra
-    position = {(c1.rgs, c2.rgs): q for q, (c1, c2) in enumerate(tgt)}
-    a, b = pair.left.rgs, pair.right.rgs
+    joined, a, b = source.algebra, pair.left.rgs, pair.right.rgs
+    # the factors' contexts as point strings: read over the discrete algebra
+    discrete = Partition.discrete(joined.ambient)
+    lefts, rights = (list(f.over(discrete)) for f in (target.left_poset, target.right_poset))
+    position = {(lefts[i], rights[j]): q for q, (i, j) in enumerate(target.pairs)}
     named = set(g)
     points = {}  # the point strings of the contexts that g names
     for k, (key, q) in enumerate(zip(source.strings(), h)):
         c = tuple(map(key.__getitem__, joined.rgs))
         if position.get((_overlap_rgs(c, a), _overlap_rgs(c, b))) != q:
             _trap(pair, "descent map has no left adjoint: h(C) != (C n A, C n B)",
-                  context=_label(source, k), h=tgt[q])
+                  context=_label(source, k), h=target.elements[q])
         if k in named:
             points[k] = c
-    for (c1, c2), p in zip(tgt, g):
-        z = points[p]
-        if not (len(set(zip(z, c1.rgs))) == len(set(zip(z, c2.rgs))) == max(z) + 1
-                == len(set(zip(c1.rgs, c2.rgs)))):
+    for q, ((i, j), p) in enumerate(zip(target.pairs, g)):
+        z, x, y = points[p], lefts[i], rights[j]
+        if not (len(set(zip(z, x))) == len(set(zip(z, y))) == max(z) + 1
+                == len(set(zip(x, y)))):
+            c1, c2 = target.elements[q]
             _trap(pair, "computed left adjoint differs from the algebraic join",
                   target_element=(c1, c2), computed=_label(source, p),
                   join=common_refinement(c1, c2))
@@ -392,9 +383,8 @@ def _h_table(pair: AlgebraPair, source: Contexts, target: FiberedContextProduct)
     only on the set of its group masks, so each set is resolved once."""
     a, b, joined = pair.left, pair.right, source.algebra
     left_bits, right_bits = ([1 << k for k in block_map(p, joined)] for p in (a, b))
-    factors = target.left_poset, target.right_poset
-    lefts, rights = (dict(zip(f.elements, f.strings())) for f in factors)
-    position = {lefts[c1] + rights[c2]: q for q, (c1, c2) in enumerate(target.elements)}
+    lefts, rights = (list(f.strings()) for f in (target.left_poset, target.right_poset))
+    position = {lefts[i] + rights[j]: q for q, (i, j) in enumerate(target.pairs)}
     linked = lru_cache(maxsize=None)(_linked)  # freed with this call
     na, nb = a.num_blocks, b.num_blocks
     table = []
@@ -433,11 +423,8 @@ def _g_table(source: Contexts, target: FiberedContextProduct) -> list[int]:
     looked up among the source's strings."""
     position = {key: p for p, key in enumerate(source.strings())}
     factors = target.left_poset, target.right_poset
-    lefts, rights = (dict(zip(f.elements, f.over(source.algebra))) for f in factors)
-    return [
-        position[_canonical_rgs(tuple(zip(lefts[c1], rights[c2])))]
-        for c1, c2 in target.elements
-    ]
+    lefts, rights = (list(f.over(source.algebra)) for f in factors)
+    return [position[_canonical_rgs(tuple(zip(lefts[i], rights[j])))] for i, j in target.pairs]
 
 
 def _thickening(h: MonotoneMap, adjunction: AdjunctionReport) -> ThickeningReport:
@@ -499,19 +486,24 @@ def _ring_components(report: DescentReport) -> tuple[RingComponent, ...]:
     the pair (C n A, C n B) of containing blocks of each block of A v B, so
     it depends only on q = h(C), as does the fibered block set; both are
     computed once per q, and C's block count is read off its string.  Since
-    M <= A, the amalgam C n M is (C n A) n M, which the product build has
-    already computed."""
-    tgt, meet, source = report.target.elements, report.pair.meet_algebra, report.source
-    factors = report.target.left_poset, report.target.right_poset
-    lefts, rights = (dict(zip(f.elements, f.over(source.algebra))) for f in factors)
+    M <= A, the amalgam C n M is (C n A) n M: the product keeps it, as the
+    block string over M's blocks of each left factor, and it is read here
+    at M's block holding each block of A v B."""
+    target, source = report.target, report.source
+    lefts, rights = (list(f.over(source.algebra)) for f in (target.left_poset, target.right_poset))
+    meets = block_map(report.pair.meet_algebra, source.algebra)
     spectra: dict[int, tuple[bool, int]] = {}
     kinds: dict[tuple[bool, bool], RingComponent] = {}
     components = []
     for k, (key, q) in enumerate(zip(source.strings(), report.h.table)):
         if q not in spectra:
-            c1, c2 = tgt[q]
-            image = set(zip(lefts[c1], rights[c2]))
-            fibered = _fibered_blocks(c1, c2, overlap_join(c1, meet))
+            i, j = target.pairs[q]
+            amalgam = [target.restrictions[i][m] for m in meets]
+            image = set(zip(lefts[i], rights[j]))
+            # the block of C n M holding each group of C1 and of C2: block
+            # strings are restricted-growth, so each dict lists them in order
+            left, right = (list(dict(zip(s, amalgam)).values()) for s in (lefts[i], rights[j]))
+            fibered = _fibered_blocks(left, right)
             _check_spectrum(image, fibered, lambda: _label(source, k))
             spectra[q] = image == fibered, len(image)
         injective, size = spectra[q]
@@ -534,10 +526,11 @@ class StabilityViolation:
 
 def guard_descent(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> None:
     """Every guard of sheaf_report and then of stability_rows, in the
-    order they raise, so the `descent` command refuses before any work."""
+    order they raise, so the `descent` command refuses before any descent
+    table is built; the product's guard runs by building the product."""
     pair.require_partition_engine("the descent map")
     guard_contexts(max_bell, common_refinement(pair.left, pair.right))
-    _guard_fibered_product(pair, max_bell)
+    fibered_context_product(pair, max_bell)
     _guard_stability(pair)
 
 

@@ -271,7 +271,8 @@ def oracle_h_table(pair, source, target) -> list[int]:
     side and context: the Partition route that the block-string table
     replaced."""
     a, b = pair.left, pair.right
-    return [target.index[(overlap_join(c, a), overlap_join(c, b))] for c in source.elements]
+    position = {e: q for q, e in enumerate(target.elements)}
+    return [position[(overlap_join(c, a), overlap_join(c, b))] for c in source.elements]
 
 
 def oracle_adjunction_certificate(pair, source, target, h, g) -> str | None:

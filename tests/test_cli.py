@@ -131,6 +131,20 @@ def test_descent_writes_dot(tmp_path, capsys):
     assert "cluster_source" in text
 
 
+@pytest.mark.parametrize("command", ["descent", "contexts"])
+@pytest.mark.parametrize("target", ["missing/h.dot", "."], ids=["missing-dir", "a-dir"])
+def test_unwritable_dot_path_is_an_input_error(command, target, tmp_path, capsys):
+    # a missing directory or a directory: exit 1 with one error line, no traceback
+    path = tmp_path / target
+    argv = [command, SQUARE, "--dot", str(path)]
+    if command == "contexts":
+        argv[2:2] = ["--algebra", "A"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write DOT file {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_check_net_square(capsys):
     code, data, _ = run_json(capsys, "check-net", SQUARE)
     assert code == 0

@@ -375,7 +375,7 @@ def test_context_strings_over_the_join_equal_the_read_back_up_to_five_points():
 
 def test_context_strings_build_no_partition(monkeypatch):
     # the strings come from the walk alone; the Partitions are built only
-    # when `elements` or `index` is first read
+    # when `elements` is read
     def no_enumeration(*_):
         raise AssertionError("contexts built as Partitions")
 

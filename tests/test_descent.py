@@ -1,4 +1,6 @@
+import inspect
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -315,9 +317,18 @@ def fibered_inputs(draw, max_points=4, min_points=1):
 
 @settings(max_examples=40, deadline=None)
 @given(fibered_inputs(max_points=6, min_points=4))
+@example((  # 52 * 203 = 10,556 fibered elements: refused by the product guard
+    Partition(ambient(6), (0, 0, 1, 2, 3, 4)),
+    Partition.discrete(ambient(6)),
+    Partition.trivial(ambient(6)),
+))
 def test_descent_json_renders_the_report_dicts_up_to_six_points(inputs):
     a, b, meet = inputs
-    report = sheaf_report(AlgebraPair(a, b, meet_algebra=meet))
+    try:
+        report = sheaf_report(AlgebraPair(a, b, meet_algebra=meet))
+    except SizeGuardError as err:
+        assert err.bound == MAX_FIBERED_ELEMENTS
+        assume(False)
     text = "".join(json_parts(report.to_json()))
     assert text == json.dumps(oracle_descent_json(report), indent=2)
 
@@ -352,7 +363,7 @@ def test_covering_stability_guard_refuses_before_enumerating(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("contexts enumerated before the triple guard")
 
-    monkeypatch.setattr(netsheaf.descent, "coarsenings", no_enumeration)
+    monkeypatch.setattr(netsheaf.descent, "coarsenings", no_enumeration, raising=False)
     monkeypatch.setattr(netsheaf.contexts, "coarsenings", no_enumeration)
     full = Partition.discrete(ambient(6))
     with pytest.raises(SizeGuardError) as err:
@@ -444,7 +455,7 @@ def test_descent_map_adds_no_overlap_join_per_context():
 def test_ring_component_trap_fires_on_an_image_outside_the_fibered_blocks(
     monkeypatch, tmp_path, capsys, square_pair
 ):
-    monkeypatch.setattr(netsheaf.descent, "_fibered_blocks", lambda c1, c2, amalgam: set())
+    monkeypatch.setattr(netsheaf.descent, "_fibered_blocks", lambda left, right: set())
     code, err = run_net(tmp_path, capsys, *square_net(square_pair))
     assert code == 3
     assert "ring component's spectrum map leaves the fibered product of block sets" in err
@@ -626,7 +637,7 @@ def test_certificate_traps_a_non_monotone_h(monkeypatch, tmp_path, capsys, squar
     # hold there (that context is no join g(q)), but h({a,b}{c,d}) is larger;
     # the exactness check names the edited row
     def change(table, source, target):
-        table[source.index[Partition(square_pair[0].ambient, (0, 1, 2, 2))]] = 0
+        table[source.elements.index(Partition(square_pair[0].ambient, (0, 1, 2, 2)))] = 0
 
     sabotage_table(monkeypatch, "_h_table", change)
     code, err = run_net(tmp_path, capsys, *square_net(square_pair))
@@ -872,7 +883,7 @@ def test_stability_trap_fires_on_an_incomparable_cover_without_violations(
 
 def constant_to_top(f):
     """A wrong adjoint for f: every target element to the top of the source."""
-    top = f.source.index[max(f.source.elements, key=lambda c: c.num_blocks)]
+    top = f.source.elements.index(max(f.source.elements, key=lambda c: c.num_blocks))
     return MonotoneMap.certified(f.target, f.source, [top] * len(f.target))
 
 
@@ -903,7 +914,7 @@ def test_adjoint_join_trap_fires_on_a_sabotaged_adjoint(monkeypatch, tmp_path, c
     ab_c = Partition(left.ambient, (0, 0, 1))
 
     def change(table, source, target):
-        table[target.index[(meet, ab_c)]] = len(source) - 1
+        table[target.elements.index((meet, ab_c))] = len(source) - 1
 
     sabotage_table(monkeypatch, "_g_table", change)
     code, err = run_net(tmp_path, capsys, left, right, meet)
@@ -922,11 +933,20 @@ def test_adjunction_law_trap_fires_on_a_wrong_adjoint(square_pair):
 # -- the fibered-product guard -----------------------------------------------------
 
 def test_fibered_product_guard_refuses_before_any_poset(monkeypatch):
-    # two full algebras on 6 points over the scalars: 203^2 = 41,209 pairs
-    def no_contexts(*args, **kwargs):
-        raise AssertionError("factor contexts built before the fibered-product guard")
+    # two full algebras on 6 points over the scalars: 203^2 = 41,209 pairs,
+    # counted from the factors' restrictions to M before any pair is formed,
+    # and with no context built as a Partition
+    def no_enumeration(*_):
+        raise AssertionError("factor contexts built as Partitions before the guard")
 
-    monkeypatch.setattr(netsheaf.descent, "Contexts", no_contexts)
+    guard = netsheaf.descent.guard
+
+    def unpaired(requested, bound, what):
+        assert "pairs" not in sys._getframe(1).f_locals, "pairs formed before the guard"
+        guard(requested, bound, what)
+
+    monkeypatch.setattr(netsheaf.contexts, "coarsenings", no_enumeration)
+    monkeypatch.setattr(netsheaf.descent, "guard", unpaired)
     full = Partition.discrete(ambient(6))
     pair = AlgebraPair(full, full, meet_algebra=Partition.trivial(full.ambient))
     for build in (fibered_context_product, descent_map, sheaf_report):
@@ -939,23 +959,43 @@ def test_fibered_product_guard_refuses_before_any_poset(monkeypatch):
 
 
 def test_fibered_product_is_built_from_the_restrictions_its_guard_counted(monkeypatch):
-    # one restriction to M per context of A and of B per product build: the
-    # guard's groups are handed to the product, which does not regroup
+    # one restriction to M per context of A and of B per product build, on
+    # block strings: the restrictions the guard counts are the ones that
+    # pair the contexts, and no overlap join of Partitions is taken
     calls = []
-    restrictions = netsheaf.descent._restrictions
+    overlap = netsheaf.descent._overlap_rgs
 
     def counted(*args):
         calls.append(args)
-        return restrictions(*args)
+        return overlap(*args)
 
-    monkeypatch.setattr(netsheaf.descent, "_restrictions", counted)
+    monkeypatch.setattr(netsheaf.descent, "_overlap_rgs", counted)
     a = Partition.discrete(ambient(4))
     b = Partition.from_blocks(ambient(4), [["a", "b"], ["c"], ["d"]])
-    product = fibered_context_product(AlgebraPair(a, b))
-    assert len(calls) == 1
-    assert product.elements == FiberedContextProduct(
-        Contexts(a), Contexts(b), product.meet
-    ).elements
+    pair = AlgebraPair(a, b)
+    overlap_join.cache_clear()
+    product = fibered_context_product(pair)
+    assert len(calls) == len(Contexts(a)) + len(Contexts(b)) == 15 + 5
+    assert overlap_join.cache_info().currsize == 0
+    meet = pair.meet_algebra
+    assert set(product.elements) == {
+        (c1, c2)
+        for c1 in coarsenings(a)
+        for c2 in coarsenings(b)
+        if overlap_join(c1, meet) == overlap_join(c2, meet)
+    }
+
+
+def test_fibered_product_refuses_a_meet_outside_a_factor():
+    amb = ambient(4)
+    a, b = Partition(amb, (0, 0, 1, 1)), Partition(amb, (0, 1, 0, 1))
+    assert list(inspect.signature(FiberedContextProduct).parameters) == [
+        "left_poset", "right_poset", "meet"
+    ]
+    for meet in (a, b, Partition.discrete(amb)):
+        with pytest.raises(InputError, match="is not contained in both members"):
+            FiberedContextProduct(Contexts(a), Contexts(b), meet)
+    assert len(FiberedContextProduct(Contexts(a), Contexts(b), Partition.trivial(amb))) == 4
 
 
 def test_fibered_product_guard_admits_the_constant_seven_point_net():

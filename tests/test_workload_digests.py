@@ -1,24 +1,25 @@
 """Byte-identity of the CLI on the large partition workloads: the sha256 of
-stdout, in text and --json, for `descent` on grid 2x3, `check-net` on grid
-2x4, `contexts` on the full 7-point algebra, `descent` on the discrete
+stdout, in text and --json, for `descent` on grids 2x3 and 2x4, `check-net`
+on grid 2x4, `contexts` on the full 7-point algebra, `descent` on the discrete
 5-point self-pair and `check-net` on the discrete 7-point self-pair.
 
 The documents are built here, written as ``json.dumps(document,
 sort_keys=True)`` (the input digest in every envelope reads those bytes),
 and each command runs in process.  A digest changes only when an output is
-meant to change.  The --json runs on grid 2x4 also must not build the
-contexts of A v B as Partitions.
+meant to change.  The --json runs of the partition cases also must not
+build the contexts of A v B, of A or of B as Partitions.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import pytest
 
 from netsheaf.cli import main
-from netsheaf.contexts import Contexts
+from netsheaf.partitions import overlap_join
 
 
 def square_net(assignment: dict) -> dict:
@@ -66,6 +67,11 @@ CASES = {
         "0ccd21f64d6e6bbe0c1c2bae54f7f27619c7ec6336871b3bf292124be6ed181d",
         "4e1dadbeee68a99ad1db0197cc4b760beebd50b8f548c1ad1ed77d2ceef8811e",
     ),
+    "descent:grid2x4": (
+        lambda: grid_document(2, 4), ["descent"],
+        "07e3b36ccc618c08e266584016e40e1f791aa168b9a8561c233f41489b4a1b09",
+        "73b886435b7bb878eebb898b30c35cf6f0eba6135e553e9b182f54732f4d4cef",
+    ),
     "check-net:grid2x4": (
         lambda: grid_document(2, 4), ["check-net"],
         "67e9585350ec315aa61c2a517921f3c681ce70e462787f7098d03f71b25272c7",
@@ -103,25 +109,26 @@ def test_workload_stdout_digest(case, as_json, tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("command", ["check-net", "descent"])
-def test_json_runs_build_no_partition_per_context_of_the_join(command, tmp_path, capsys,
+@pytest.mark.parametrize("case", [
+    "check-net:const7", "descent:discrete5", "descent:grid2x3", "descent:grid2x4",
+    "check-net:grid2x4",
+])
+def test_json_runs_build_no_partition_per_context_of_the_join(case, tmp_path, capsys,
                                                              monkeypatch):
-    # on grid 2x4, A v B is the discrete 8-point algebra: reading its
-    # contexts' `elements` or `index` would build Bell(8) = 4,140 Partitions
-    reads = []
-    lookup = Contexts.__getattr__
+    # no context of A v B, of A or of B is built as a Partition: every module
+    # that binds `coarsenings` has it refuse, and the fibered product leaves
+    # no overlap join per context (at most the pair's meet and its own)
+    def no_enumeration(*_):
+        raise AssertionError("contexts built as Partitions")
 
-    def guarded(self, name):
-        if name in ("elements", "index") and self.algebra.num_blocks == 8:
-            reads.append(name)
-            raise AssertionError(f"Contexts(A v B).{name} read")
-        return lookup(self, name)
-
-    monkeypatch.setattr(Contexts, "__getattr__", guarded)
+    for module in [m for name, m in sys.modules.items() if name.startswith("netsheaf")]:
+        if hasattr(module, "coarsenings"):
+            monkeypatch.setattr(module, "coarsenings", no_enumeration)
+    build, argv, _, json_digest = CASES[case]
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(grid_document(2, 4), sort_keys=True), encoding="utf-8")
-    assert main([command, str(path), "--json"]) == 0
+    path.write_text(json.dumps(build(), sort_keys=True), encoding="utf-8")
+    overlap_join.cache_clear()
+    assert main([argv[0], str(path), *argv[1:], "--json"]) == 0
+    assert overlap_join.cache_info().currsize <= 3
     out = capsys.readouterr().out
-    assert reads == []
-    if command == "check-net":
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CASES["check-net:grid2x4"][3]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == json_digest
