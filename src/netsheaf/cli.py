@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,8 +108,11 @@ def _parse_weights(text: str) -> list[Fraction]:
 def _violation_rows(contexts, rows) -> Rendered:
     """The covering-stability violations (`descent.stability_rows`) as the
     list of dicts "covered", "left_context", "right_context", "generated"
-    that they name: each context's label is encoded once, and each row is
-    one template filled with four labels."""
+    that they name.  Each context's label is encoded once, and those of C_A
+    and C_B once more with the JSON text that follows them in a row, so a
+    row is one f-string of six pieces.  E and the generated context get no
+    such piece: on grid 3x3 nearly every row has its own E, and a piece per
+    E would hold a second copy of the rows' text."""
     joined, lefts, rights = (
         list(map(encode_basestring_ascii, side.labels())) for side in contexts
     )
@@ -118,12 +122,11 @@ def _violation_rows(contexts, rows) -> Rendered:
             out.append("[]")
             return
         member, field = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
-        row = (
-            f',{member}{{{field}"covered": %s,{field}"left_context": %s,'
-            f'{field}"right_context": %s,{field}"generated": %s{member}}}'
-        )
+        head, end = f',{member}{{{field}"covered": ', member + "}"
+        mid = [f',{field}"left_context": {c},{field}"right_context": ' for c in lefts]
+        tail = [f'{d},{field}"generated": ' for d in rights]
         first = len(out)
-        out.extend([row % (joined[e], lefts[i], rights[j], joined[g]) for e, i, j, g in rows])
+        out.extend([f"{head}{joined[e]}{mid[i]}{tail[j]}{joined[g]}{end}" for e, i, j, g in rows])
         out[first] = "[" + out[first][1:]
         out.append("\n" + "  " * depth + "]")
 
@@ -136,6 +139,22 @@ _WRITE_BATCH = 4096
 
 
 def _emit(envelope: ReportEnvelope, as_json: bool, lines: list[str]) -> int:
+    try:
+        _write(envelope, as_json, lines)
+        sys.stdout.flush()
+    except OSError as exc:
+        # What is left in the buffer goes to the null device, so that the
+        # flush at exit cannot fail again (Python's note on SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            sys.stderr.write(f"error: cannot write output: {exc}\n")
+        return EXIT_INPUT
+    return envelope.exit_status
+
+
+def _write(envelope: ReportEnvelope, as_json: bool, lines: list[str]) -> None:
     if as_json:
         # Every part is built before the first is written, so a value that
         # cannot be encoded prints nothing.  The parts are written in joined
@@ -149,7 +168,6 @@ def _emit(envelope: ReportEnvelope, as_json: bool, lines: list[str]) -> int:
             f"netsheaf {__version__} | {envelope.command} | {envelope.input_digest}"
         )
         sys.stdout.write("\n".join([header] + lines) + "\n")
-    return envelope.exit_status
 
 
 def _condition_lines(report) -> list[str]:

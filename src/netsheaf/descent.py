@@ -568,13 +568,16 @@ def stability_rows(
 
     That requirement is the unit law of the pair (C, D): C <= A and D <= B
     give C v D <= A v B, so the E below C v D are the contexts of C v D.
-    Every context involved is a context of A v B, read as its block string
-    over A v B's blocks (`Contexts.over`), and each cover is swept by one
-    call-local `BlockStringTables`, the sweep that the unit-law witnesses of
-    a pair also take: it builds no Partition per visit and adds no entry to
-    the partition caches.  The unit law of a pair holds iff the pair is
-    comparable (see `unit_law`), so a cover has failures iff C v D is
-    neither C nor D; a cover whose sweep disagrees is a bug.
+    Every context involved is a context of A v B, named by its index in the
+    canonical order of C_{A v B}'s block strings: C_A and C_B are read over
+    A v B's blocks (`Contexts.over`) and looked up once.  Each cover is
+    swept by one call-local `BlockStringTables`, the sweep that the
+    unit-law witnesses of a pair also take: it builds no Partition per
+    visit and adds no entry to the partition caches.  Each row goes into
+    the bucket of its E, so the rows come out in order with no sort.  The
+    unit law of a pair holds iff the pair is comparable (see `unit_law`),
+    so a cover has failures iff C v D is neither C nor D; a cover whose
+    sweep disagrees is a bug.
 
     The sweep visits sum over (C, D) of Bell(|C v D|) contexts, at most
     |C_{A v B}|*|C_A|*|C_B|; more than MAX_STABILITY_TRIPLES of those
@@ -584,15 +587,18 @@ def stability_rows(
     joined = common_refinement(pair.left, pair.right)
     guard_contexts(max_bell, joined, pair.left, pair.right)
     contexts = source, left, right = Contexts(joined), Contexts(pair.left), Contexts(pair.right)
-    position = {e: k for k, e in enumerate(source.strings())}
-    lefts, rights = tuple(left.over(joined)), tuple(right.over(joined))
-    tables = BlockStringTables()
-    rows = []
+    tables = BlockStringTables(source.strings())
+    n, position = len(tables.strings), tables.position
+    lefts = [position[c] for c in left.over(joined)]
+    rights = [position[d] for d in right.over(joined)]
+    # One bucket per E: the rows are found in (C, D) order, so each bucket
+    # is in that order and the buckets laid end to end are in (E, C, D) order.
+    buckets = [[] for _ in range(n)]
     for i, c in enumerate(lefts):
         for j, d in enumerate(rights):
-            failing = [(position[e], i, j, position[g]) for e, g in tables.unit_law_failures(c, d)]
+            failing = list(tables.unit_law_failures(c, d))
             # The closed form of the unit law of (C, D): failures iff incomparable.
-            comparable = tables.joins[c, d] in (c, d)
+            comparable = tables.joins[c * n + d] in (c, d)
             if bool(failing) == comparable:
                 raise InternalConsistencyError(
                     "covering stability disagrees with the unit law's closed form on a cover",
@@ -603,8 +609,10 @@ def stability_rows(
                         "violations": len(failing),
                     },
                 )
-            rows += failing
-    # One row per (E, C, D), found in (C, D) order: sorting the rows puts
-    # them in (E, C, D) order.
-    rows.sort()
+            for e, g in failing:
+                buckets[e].append((e, i, j, g))
+    rows = []
+    for bucket in buckets:
+        rows += bucket
+        bucket.clear()  # freed as soon as copied: a lower peak than one list of lists
     return contexts, rows

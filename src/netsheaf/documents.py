@@ -186,6 +186,9 @@ def parse_input_document(data, option_overrides: Optional[dict] = None) -> Input
     for key, value in (option_overrides or {}).items():
         if value is not None:
             setattr(options, key, value)
+    for key in ("max_bell", "max_dim"):
+        value = getattr(options, key)
+        _expect(value > 0, f"option {key!r} must be a positive integer, got {value}")
 
     ambient = None
     if "ambient" in data:

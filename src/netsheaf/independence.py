@@ -356,13 +356,18 @@ def _unit_law_failures(a: Partition, b: Partition) -> tuple[int, tuple[Partition
 def _sweep_failures(a: Partition, b: Partition) -> tuple[int, tuple[Partition, ...]]:
     """The contexts C of A v B with (C n A) v (C n B) != C: their number, and
     the first WITNESS_LIMIT of them in canonical order, from one sweep of
-    the unit law of (A, B) over the block strings of A v B, the sweep that
-    covering stability runs on each of its covers.  Only the witnesses
-    listed become Partitions."""
+    the unit law of (A, B) over the contexts of A v B, indexed in the
+    canonical order of their block strings: the sweep that covering
+    stability runs on each of its covers.  Only the witnesses listed
+    become Partitions."""
     joined = common_refinement(a, b)
-    failures = BlockStringTables().unit_law_failures(block_map(a, joined), block_map(b, joined))
+    tables = BlockStringTables(Contexts(joined).strings())
+    strings, position = tables.strings, tables.position
+    failures = tables.unit_law_failures(
+        position[block_map(a, joined)], position[block_map(b, joined)]
+    )
     first = tuple(
-        Partition._canonical(joined.ambient, tuple(e[k] for k in joined.rgs))
+        Partition._canonical(joined.ambient, tuple(strings[e][k] for k in joined.rgs))
         for e, _ in islice(failures, WITNESS_LIMIT)
     )
     return len(first) + sum(1 for _ in failures), first

@@ -13,6 +13,10 @@ from netsheaf import AmbientSet, MonotoneMap, Partition, all_partitions
 from netsheaf.descent import StabilityViolation
 from netsheaf.linalg import as_matrix, flatten, identity, adjoint, unflatten
 from netsheaf.partitions import (
+    _Memo,
+    _canonical_rgs,
+    _overlap_rgs,
+    _strings_below,
     coarsenings,
     common_refinement,
     is_coarser,
@@ -336,6 +340,19 @@ def oracle_unit_law_witnesses(a: Partition, b: Partition) -> tuple[Partition, ..
         for c in coarsenings(common_refinement(a, b))
         if common_refinement(overlap_join(c, a), overlap_join(c, b)) != c
     )
+
+
+def oracle_unit_law_failures(c: tuple, d: tuple):
+    """Each context E of C v D with (E n C) v (E n D) != E, paired with that
+    join, in canonical order, for contexts C, D given as block strings over
+    one partition's blocks: the sweep keyed by the strings themselves, each
+    visit hashing tuples, that the indexed `BlockStringTables` replaced."""
+    joins = _Memo(lambda xy: _canonical_rgs(tuple(zip(*xy))))
+    left, right = (_Memo(lambda e, x=x: _overlap_rgs(e, x)) for x in (c, d))
+    for e in _strings_below(joins[c, d]):
+        g = joins[left[e], right[e]]
+        if g != e:
+            yield e, g
 
 
 def oracle_covering_stability(pair):

@@ -664,6 +664,22 @@ def test_valuations_refuses_a_denominator_below_the_block_count(tmp_path, capsys
     )
 
 
+@pytest.mark.parametrize("key, value", [("max_bell", 0), ("max_bell", -1), ("max_dim", -3)])
+def test_non_positive_guards_are_refused(tmp_path, capsys, key, value):
+    # by flag and by document option; a refused guard names itself, not a
+    # refused input
+    message = f"error: option '{key}' must be a positive integer, got {value}\n"
+    flag = "--" + key.replace("_", "-")
+    doc = json.loads(Path(SQUARE).read_text())
+    doc["options"] = {key: value}
+    path = tmp_path / "guard.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("check-pair", SQUARE, flag, str(value)), ("check-pair", str(path))):
+        assert run(capsys, *argv) == (1, "", message)
+    # a positive flag overrides a refused document option
+    assert run(capsys, "check-pair", str(path), flag, "50")[0] == 0
+
+
 def test_matrix_pair_hierarchy(capsys):
     code, data, _ = run_json(capsys, "check-pair", PAULI)
     assert code == 0
@@ -802,7 +818,7 @@ def test_json_output_is_written_whole_in_few_writes_or_not_at_all(monkeypatch):
     from netsheaf.cli import ReportEnvelope, _emit
 
     writes = []
-    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
     envelope = ReportEnvelope("descent", "sha256:0", {"rows": [[k] for k in range(5000)]})
     assert _emit(envelope, True, []) == 0
     assert "".join(writes) == json.dumps(envelope.to_json(), indent=2) + "\n"
@@ -850,3 +866,45 @@ def test_installed_entry_point_round_trip():
         env=env,
     )
     assert proc.stdout == proc2.stdout  # byte-identical across processes
+
+
+def descent_process(tmp_path, *flags, stdout, unbuffered=True):
+    """`descent` on the discrete 5-point self-pair in a child process."""
+    doc = {
+        "ambient": [f"p{i}" for i in range(5)],
+        "algebras": {"full": [[f"p{i}"] for i in range(5)]},
+        "pair": {"left": "full", "right": "full"},
+    }
+    path = tmp_path / "discrete5.json"
+    path.write_text(json.dumps(doc))
+    package_root = str(Path(netsheaf.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "netsheaf.cli", "descent", str(path), *flags],
+        stdout=stdout, stderr=subprocess.PIPE, env=env,
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_1_without_a_message(tmp_path, unbuffered):
+    # the reader takes the first 100 bytes of 6 MB and goes away
+    proc = descent_process(tmp_path, "--json", stdout=subprocess.PIPE, unbuffered=unbuffered)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+@pytest.mark.parametrize("flags, unbuffered", [(("--json",), True), ((), False)])
+def test_full_stdout_exits_1_with_one_error_line(tmp_path, flags, unbuffered):
+    # --json fails in a write, text (a few hundred bytes) in the flush
+    with open("/dev/full", "wb") as full:
+        proc = descent_process(tmp_path, *flags, stdout=full, unbuffered=unbuffered)
+        err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert err == "error: cannot write output: [Errno 28] No space left on device\n"

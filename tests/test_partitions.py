@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsheaf import (
     AmbientSet,
@@ -13,7 +15,8 @@ from netsheaf import (
     overlap_join,
 )
 from netsheaf.linalg import Span, flatten
-from netsheaf.partitions import _set_partition_rgs
+from netsheaf.contexts import Contexts
+from netsheaf.partitions import BlockStringTables, _canonical_rgs, _set_partition_rgs
 
 from conftest import (
     ambient,
@@ -22,6 +25,8 @@ from conftest import (
     oracle_is_coarser,
     oracle_join,
     oracle_meet,
+    oracle_unit_law_failures,
+    random_partitions,
     span_contains_span,
 )
 
@@ -237,3 +242,26 @@ def test_common_refinement_equals_the_checked_constructor_route():
                 old = Partition(p.ambient, tuple(zip(p.rgs, q.rgs)))
                 assert new == old
                 assert (new.rgs, new.blocks, hash(new)) == (old.rgs, old.blocks, hash(old))
+
+
+@st.composite
+def partitions_with_covers(draw):
+    """A partition J with at most 6 blocks and up to four pairs (C, D) of its
+    contexts, as block strings over J's blocks."""
+    j = draw(random_partitions(1, 6))
+    k = j.num_blocks
+    context = st.lists(st.integers(0, k - 1), min_size=k, max_size=k).map(_canonical_rgs)
+    return j, draw(st.lists(st.tuples(context, context), min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitions_with_covers())
+def test_indexed_unit_law_sweep_equals_the_string_keyed_oracle(drawn):
+    # one instance sweeps every pair, so later sweeps read tables that
+    # earlier ones filled
+    j, covers = drawn
+    tables = BlockStringTables(Contexts(j).strings())
+    strings, position = tables.strings, tables.position
+    for c, d in covers:
+        swept = tables.unit_law_failures(position[c], position[d])
+        assert [(strings[e], strings[g]) for e, g in swept] == list(oracle_unit_law_failures(c, d))
