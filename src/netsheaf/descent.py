@@ -331,9 +331,19 @@ def _certify_adjunction(pair: AlgebraPair, source: Contexts,
                         target: FiberedContextProduct, h: list[int], g: list[int]) -> None:
     """Certify g -| h by two exactness checks, each linear in its table, or
     raise InternalConsistencyError: h(C) = (C n A, C n B) at every context
-    C of A v B, recomputed by one union-find per side on C's point string
-    (not `_h_table`'s block masks), and g(q) = q1 v q2 at every q (g(q)
+    C of A v B, certified by counting, and g(q) = q1 v q2 at every q (g(q)
     refines q1 and q2, with one block per distinct (q1, q2) label pair).
+    Every string is read over A v B's blocks.
+
+    The count: let s(C) be h(C)'s coordinate in C_A, a context of A.  If C
+    refines s(C), then s(C) is coarser than both C and A, so it is a
+    coarsening of C n A: it has at most as many blocks, and as many only if
+    s(C) = C n A.  So h is exact on A's side iff C refines s(C) at every C
+    and the blocks of the s(C) add up to those of the C n A, a sum in closed
+    form (`_meet_block_total`); likewise on B's side.  On any failure the
+    union-find walk that the count replaced (`_first_inexact`) names the
+    first inexact context; a count that fails where the walk finds none is
+    trapped with both totals.
 
     A right adjoint is unique (Davey & Priestley, Introduction to Lattices
     and Order, ch. 7): g -| h means (C1, C2) <= h(C) iff g(C1, C2) <= C,
@@ -343,28 +353,90 @@ def _certify_adjunction(pair: AlgebraPair, source: Contexts,
     checks of g -| h accept (h monotone along the Hasse covers of C_{A v B},
     q <= h(g(q)) and g(h(C)) <= C everywhere, g the join).  Exact meets are
     monotone, and so is a join."""
-    joined, a, b = source.algebra, pair.left.rgs, pair.right.rgs
-    # the factors' contexts as point strings: read over the discrete algebra
-    discrete = Partition.discrete(joined.ambient)
-    lefts, rights = (list(f.over(discrete)) for f in (target.left_poset, target.right_poset))
-    position = {(lefts[i], rights[j]): q for q, (i, j) in enumerate(target.pairs)}
-    named = set(g)
-    points = {}  # the point strings of the contexts that g names
-    for k, (key, q) in enumerate(zip(source.strings(), h)):
-        c = tuple(map(key.__getitem__, joined.rgs))
-        if position.get((_overlap_rgs(c, a), _overlap_rgs(c, b))) != q:
-            _trap(pair, "descent map has no left adjoint: h(C) != (C n A, C n B)",
-                  context=_label(source, k), h=target.elements[q])
+    joined = source.algebra
+    lefts, rights = (list(f.over(joined)) for f in (target.left_poset, target.right_poset))
+    # each side's coordinate of every product element
+    sides = [lefts[i] for i, _ in target.pairs], [rights[j] for _, j in target.pairs]
+    firsts, seconds = sides
+    named, keys = set(g), {}  # the strings of the contexts that g names
+    refined = 0 <= min(h) and max(h) < len(target)
+    for k, (key, q) in enumerate(zip(source.strings(), h) if refined else ()):
+        # C refines both coordinates iff each of its groups meets one label pair
+        if len(set(zip(key, firsts[q], seconds[q]))) != max(key) + 1:
+            refined = False
+            break
         if k in named:
-            points[k] = c
+            keys[k] = key
+    totals = {}  # per side, the blocks of h(C)'s coordinate and of C's meet, summed over C
+    for side, strings, p in zip("AB", sides, (pair.left, pair.right)):
+        counted = sum(map([max(x) + 1 for x in strings].__getitem__, h)) if refined else None
+        totals[side] = counted, _meet_block_total(block_map(p, joined))
+    failed = [side for side, (counted, closed) in totals.items() if counted != closed]
+    if failed:
+        k = _first_inexact(pair, source, target, h)
+        if k is not None:
+            _trap(pair, "descent map has no left adjoint: h(C) != (C n A, C n B)",
+                  context=_label(source, k), h=target.elements[h[k]])
+        counted, closed = totals[failed[0]]
+        _trap(pair, "the union-find walk finds h exact, but its counting certificate fails",
+              side="C n " + failed[0], counted=counted, closed_form=closed)
     for q, ((i, j), p) in enumerate(zip(target.pairs, g)):
-        z, x, y = points[p], lefts[i], rights[j]
+        z, x, y = keys[p], lefts[i], rights[j]
         if not (len(set(zip(z, x))) == len(set(zip(z, y))) == max(z) + 1
                 == len(set(zip(x, y)))):
             c1, c2 = target.elements[q]
             _trap(pair, "computed left adjoint differs from the algebraic join",
                   target_element=(c1, c2), computed=_label(source, p),
                   join=common_refinement(c1, c2))
+
+
+def _meet_block_total(blocks: Sequence[int]) -> int:
+    """Sum over the contexts C of a partition J of the blocks of C n P, for
+    P coarser than J, given as `blocks`, the block of P holding each of J's
+    N blocks (`block_map(P, J)`).
+
+    A set S of P's blocks is a block of C n P iff C groups the J-blocks in S
+    among themselves and so links all of S: there are conn(S) such
+    groupings within S and Bell(N - |S|) groupings of the rest, where |S|
+    counts J-blocks.  A grouping within S that does not link S is counted
+    by the component T of S's least P-block, so conn(S) = Bell(|S|) - sum
+    over T < S holding that block of conn(T) Bell(|S - T|).  For P = J the
+    sum is Bell(N + 1) - Bell(N).  3^(#blocks of P) steps."""
+    n, width = len(blocks), max(blocks) + 1
+    bells = [bell_number(m) for m in range(n + 1)]
+    size = [0] * (1 << width)  # the J-blocks in each set of P's blocks
+    for b in blocks:
+        size[1 << b] += 1
+    conn, total = [0] * (1 << width), 0
+    for s in range(1, 1 << width):
+        low = s & -s
+        rest = s ^ low
+        size[s] = size[low] + size[rest]
+        c, sub = bells[size[s]], rest
+        while sub:  # every T = low | sub with sub a proper subset of rest
+            sub = (sub - 1) & rest
+            t = low | sub
+            c -= conn[t] * bells[size[s] - size[t]]
+        conn[s] = c
+        total += c * bells[n - size[s]]
+    return total
+
+
+def _first_inexact(pair: AlgebraPair, source: Contexts, target: FiberedContextProduct,
+                   h: list[int]) -> Optional[int]:
+    """The first context C of A v B, in canonical order, whose h(C) is not
+    (C n A, C n B) recomputed by one union-find per side on C's point
+    string, or None."""
+    joined, a, b = source.algebra, pair.left.rgs, pair.right.rgs
+    # the factors' contexts as point strings: read over the discrete algebra
+    discrete = Partition.discrete(joined.ambient)
+    lefts, rights = (list(f.over(discrete)) for f in (target.left_poset, target.right_poset))
+    position = {(lefts[i], rights[j]): q for q, (i, j) in enumerate(target.pairs)}
+    for k, (key, q) in enumerate(zip(source.strings(), h)):
+        c = tuple(map(key.__getitem__, joined.rgs))
+        if position.get((_overlap_rgs(c, a), _overlap_rgs(c, b))) != q:
+            return k
+    return None
 
 
 def _label(source: Contexts, k: int) -> str:
@@ -380,7 +452,9 @@ def _h_table(pair: AlgebraPair, source: Contexts, target: FiberedContextProduct)
     linked by C's groups: OR one mask of A-blocks per group, merge the masks
     that overlap, and label the blocks in order of first occurrence, which is
     C n A's block string over A's blocks.  Likewise for B.  Each side depends
-    only on the set of its group masks, so each set is resolved once."""
+    only on the set of its group masks, so each set is resolved once.  A
+    pair of strings that is no element of the product is a bug, trapped
+    with C's label."""
     a, b, joined = pair.left, pair.right, source.algebra
     left_bits, right_bits = ([1 << k for k in block_map(p, joined)] for p in (a, b))
     lefts, rights = (list(f.strings()) for f in (target.left_poset, target.right_poset))
@@ -394,7 +468,11 @@ def _h_table(pair: AlgebraPair, source: Contexts, target: FiberedContextProduct)
             left_masks[group] |= left_bit
             right_masks[group] |= right_bit
         left, right = linked(frozenset(left_masks), na), linked(frozenset(right_masks), nb)
-        table.append(position[left + right])
+        q = position.get(left + right)
+        if q is None:
+            _trap(pair, "h(C) = (C n A, C n B) is not an element of the fibered context product",
+                  context=_label(source, len(table)), restrictions=(left, right))
+        table.append(q)
     return table
 
 
@@ -420,11 +498,20 @@ def _linked(masks: frozenset[int], width: int) -> tuple[int, ...]:
 def _g_table(source: Contexts, target: FiberedContextProduct) -> list[int]:
     """g(C1, C2) = C1 v C2 for every element of the product, as source
     indices: the join of C1's and C2's block strings over A v B's blocks,
-    looked up among the source's strings."""
+    looked up among the source's strings.  A join that is not among them
+    is a bug, trapped with its element of the product."""
     position = {key: p for p, key in enumerate(source.strings())}
     factors = target.left_poset, target.right_poset
     lefts, rights = (list(f.over(source.algebra)) for f in factors)
-    return [position[_canonical_rgs(tuple(zip(lefts[i], rights[j])))] for i, j in target.pairs]
+    joins = (_canonical_rgs(tuple(zip(lefts[i], rights[j]))) for i, j in target.pairs)
+    table = list(map(position.get, joins))
+    if None in table:
+        c1, c2 = target.elements[table.index(None)]
+        raise InternalConsistencyError(
+            "g(C1, C2) = C1 v C2 is not a context of A v B",
+            dump={"target_element": f"({c1}, {c2})", "join": str(common_refinement(c1, c2))},
+        )
+    return table
 
 
 def _thickening(h: MonotoneMap, adjunction: AdjunctionReport) -> ThickeningReport:

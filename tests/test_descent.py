@@ -41,11 +41,15 @@ from netsheaf import (
 )
 from netsheaf.cli import main
 from netsheaf.jsontext import json_parts
+from netsheaf.contexts import _comparable_pairs, block_map
 from netsheaf.partitions import (
+    _overlap_rgs,
     all_partitions,
+    bell_number,
     coarsenings,
     common_refinement,
     is_coarser,
+    iter_coarsenings,
     overlap_join,
 )
 
@@ -754,6 +758,129 @@ def test_exactness_certificate_rejects_what_the_order_checks_reject(inputs, data
     assert certificate_rejects(pair, source, target, *tables) == (oracle is not None)
 
 
+def test_meet_block_total_equals_the_brute_force_sum_up_to_six_points():
+    # the sum over the contexts C of J of the blocks of C n A, for every A
+    # coarser than J and every J on at most six points, by one union-find
+    # per C on point strings, against the closed form over J's blocks
+    total = netsheaf.descent._meet_block_total
+    cases = 0
+    for n in range(1, 7):
+        for j in all_partitions(ambient(n)):
+            contexts = [c.rgs for c in iter_coarsenings(j)]
+            for a in iter_coarsenings(j):
+                brute = sum(max(_overlap_rgs(c, a.rgs)) + 1 for c in contexts)
+                assert total(block_map(a, j)) == brute
+                cases += 1
+    assert cases == sum(_comparable_pairs(n) for n in range(1, 7))
+
+
+def test_meet_block_total_of_the_algebra_itself():
+    # A = J: the blocks of every context of an n-block algebra add up to
+    # Bell(n + 1) - Bell(n)
+    for n in range(1, 11):
+        blocks = tuple(range(n))
+        assert netsheaf.descent._meet_block_total(blocks) == bell_number(n + 1) - bell_number(n)
+
+
+COUNT_FAILS = "the union-find walk finds h exact, but its counting certificate fails"
+
+
+def coarser_h_at_the_top(monkeypatch, square_pair):
+    """h(top) := (trivial, B) on the square pair: the top context refines
+    both coordinates, so only the block count on A's side can catch it."""
+    a, b = square_pair
+    trivial, top = Partition.trivial(a.ambient), common_refinement(a, b)
+    assert is_coarser(trivial, top) and is_coarser(b, top) and trivial != overlap_join(top, a)
+
+    def change(table, source, target):
+        table[source.elements.index(top)] = target.elements.index((trivial, b))
+
+    sabotage_table(monkeypatch, "_h_table", change)
+
+
+def test_block_count_traps_an_h_edited_to_a_coarser_element(
+    monkeypatch, tmp_path, capsys, square_pair
+):
+    coarser_h_at_the_top(monkeypatch, square_pair)
+    code, err = run_net(tmp_path, capsys, *square_net(square_pair))
+    assert code == 3
+    assert H_NOT_EXACT in err and '"context": "{a}{b}{c}{d}"' in err
+    # with the walk made to find nothing, the count is what fails: one
+    # block short on A's side, the second block of A at the top
+    monkeypatch.setattr(netsheaf.descent, "_first_inexact", lambda *args: None)
+    code, err = run_net(tmp_path, capsys, *square_net(square_pair))
+    assert code == 3 and H_NOT_EXACT not in err and COUNT_FAILS in err
+    dump = json.loads(err.split("\n", 1)[1])
+    closed = netsheaf.descent._meet_block_total((0, 0, 1, 1))
+    assert (dump["side"], dump["counted"], dump["closed_form"]) == (
+        "C n A", str(closed - 1), str(closed)
+    )
+
+
+def test_block_count_traps_a_wrong_closed_form(monkeypatch, tmp_path, capsys, square_pair):
+    # h is exact, so the walk finds no inexact context, and the count trap
+    # names the side whose closed form is off
+    total = netsheaf.descent._meet_block_total
+    monkeypatch.setattr(netsheaf.descent, "_meet_block_total", lambda blocks: total(blocks) + 1)
+    code, err = run_net(tmp_path, capsys, *square_net(square_pair))
+    assert code == 3
+    assert H_NOT_EXACT not in err and COUNT_FAILS in err
+    dump = json.loads(err.split("\n", 1)[1])
+    assert (dump["side"], int(dump["closed_form"])) == ("C n A", int(dump["counted"]) + 1)
+
+
+@st.composite
+def h_edits(draw, max_points=5):
+    """(A, B, M) on at most max_points points with h edited at one to three
+    contexts, each to any product element or to one componentwise coarser
+    than h(C), which the refinement test alone does not reject."""
+    pair = AlgebraPair(*draw(fibered_inputs(max_points=max_points)))
+    source, target, h, g = descent_tables(pair)
+    elements = target.elements
+    edited = list(h)
+    for k in draw(st.lists(st.integers(0, len(h) - 1), min_size=1, max_size=3)):
+        x1, x2 = elements[h[k]]
+        coarser = [q for q, (y1, y2) in enumerate(elements)
+                   if is_coarser(y1, x1) and is_coarser(y2, x2)]
+        edited[k] = draw(st.sampled_from(coarser) | st.integers(0, len(target) - 1))
+    return pair, source, target, edited, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(h_edits())
+def test_block_count_rejects_what_the_union_find_walk_rejects(inputs):
+    pair, source, target, h, g = inputs
+    walk = netsheaf.descent._first_inexact(pair, source, target, h)
+    assert certificate_rejects(pair, source, target, h, g) == (walk is not None)
+    assert (walk is None) == (h == oracle_h_table(pair, source, target))
+
+
+def test_h_table_traps_a_pair_outside_the_product(monkeypatch, capsys):
+    # C n A and C n B resolved to strings that are not restricted-growth,
+    # so the pair is no element of C_A x_M C_B: exit 3 naming the context
+    def reversed_labels(masks, width):
+        return tuple(range(width))[::-1]
+
+    monkeypatch.setattr(netsheaf.descent, "_linked", reversed_labels)
+    assert main(["descent", str(FIXTURES / "square_pair.json")]) == 3
+    err = capsys.readouterr().err
+    assert "h(C) = (C n A, C n B) is not an element of the fibered context product" in err
+    assert '"context": "{a,b,c,d}"' in err and '"restrictions": "((1, 0), (1, 0))"' in err
+
+
+def test_g_table_traps_a_join_outside_the_contexts_of_the_join(monkeypatch, capsys):
+    # every join relabelled from 1, so no string of A v B matches: exit 3
+    # naming the first element of the product
+    canonical = netsheaf.descent._canonical_rgs
+    monkeypatch.setattr(
+        netsheaf.descent, "_canonical_rgs", lambda labels: tuple(x + 1 for x in canonical(labels))
+    )
+    assert main(["descent", str(FIXTURES / "square_pair.json")]) == 3
+    err = capsys.readouterr().err
+    assert "g(C1, C2) = C1 v C2 is not a context of A v B" in err
+    assert '"target_element": "({a,b,c,d}, {a,b,c,d})"' in err
+
+
 def test_unit_law_trap_fires_on_a_forced_mismatch(monkeypatch, tmp_path, capsys, square_pair):
     # the unit-law decision says "comparable", though h's unit is strict
     monkeypatch.setattr(netsheaf.independence, "unit_law", lambda pair, max_bell=None: True)
@@ -860,8 +987,7 @@ def test_stability_trap_fires_on_a_comparable_cover_with_a_violation(monkeypatch
     # every meet made the bottom context, so the comparable cover (bottom, B)
     # of the square pair reports its top context B as a violation; every meet
     # that `descent` takes before the sweep is over A n B, the scalars, so
-    # stays right, and the exactness check of h takes its meets through
-    # `descent`'s own binding of `_overlap_rgs`, which the patch leaves alone
+    # stays right, and the exactness check of h takes no meets
     monkeypatch.setattr(netsheaf.partitions, "_overlap_rgs", lambda x, y: (0,) * len(x))
     assert main(["descent", str(FIXTURES / "square_pair.json")]) == 3
     err = capsys.readouterr().err

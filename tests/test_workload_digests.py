@@ -1,7 +1,8 @@
 """Byte-identity of the CLI on the large partition workloads: the sha256 of
 stdout, in text and --json, for `descent` on grids 2x3 and 2x4, `check-net`
-on grid 2x4, `contexts` on the full 7-point algebra, `descent` on the discrete
-5-point self-pair and `check-net` on the discrete 7-point self-pair.
+on grids 2x4 and 3x3 (a Bell(9) join with three blocks on each side),
+`contexts` on the full 7-point algebra, `descent` on the discrete 5-point
+self-pair and `check-net` on the discrete 7-point self-pair.
 
 The documents are built here, written as ``json.dumps(document,
 sort_keys=True)`` (the input digest in every envelope reads those bytes),
@@ -19,7 +20,7 @@ import sys
 import pytest
 
 from netsheaf.cli import main
-from netsheaf.partitions import overlap_join
+from netsheaf.partitions import bell_number, overlap_join
 
 
 def square_net(assignment: dict) -> dict:
@@ -77,6 +78,11 @@ CASES = {
         "67e9585350ec315aa61c2a517921f3c681ce70e462787f7098d03f71b25272c7",
         "4530e3768119f2e30e11f95543a068e87c6360dd4676a97ce6afda645f445e75",
     ),
+    "check-net:grid3x3": (
+        lambda: grid_document(3, 3), ["check-net"],
+        "fd3766c2336d6d9a0b2d968321fcf85a9c7e09deae2ecf2343081c74529d3818",
+        "17aa5f6261dce163829e5f7ff4d53788dd0dcb68d8b47a27b9e63aec03013658",
+    ),
     "contexts:full7": (
         lambda: discrete_document(7), ["contexts", "--algebra", "full"],
         "3732b33deccc9d5ab161150b7f6d1021249e88e29fd862b66b2061067b65097e",
@@ -132,3 +138,23 @@ def test_json_runs_build_no_partition_per_context_of_the_join(case, tmp_path, ca
     assert overlap_join.cache_info().currsize <= 3
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == json_digest
+
+
+def test_passing_check_net_takes_no_union_find_per_context_of_the_join(tmp_path, capsys,
+                                                                       monkeypatch):
+    # h is certified by counting: on grid 2x4, with Bell(8) = 4,140 contexts
+    # of A v B, the union-finds are the fibered product's restrictions to M,
+    # one per context of A and of B, and one overlap join of the net check
+    calls = []
+    for module in [m for name, m in sys.modules.items() if name.startswith("netsheaf")]:
+        if hasattr(module, "_overlap_rgs"):
+            original = module._overlap_rgs
+            monkeypatch.setattr(module, "_overlap_rgs",
+                                lambda *args, f=original: calls.append(args) or f(*args))
+    build, argv, _, json_digest = CASES["check-net:grid2x4"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(build(), sort_keys=True), encoding="utf-8")
+    assert main([argv[0], str(path), *argv[1:], "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == json_digest
+    assert len(calls) <= bell_number(2) + bell_number(4) + 1 == 18
