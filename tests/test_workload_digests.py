@@ -144,7 +144,7 @@ def test_passing_check_net_takes_no_union_find_per_context_of_the_join(tmp_path,
                                                                        monkeypatch):
     # h is certified by counting: on grid 2x4, with Bell(8) = 4,140 contexts
     # of A v B, the union-finds are the fibered product's restrictions to M,
-    # one per context of A and of B, and one overlap join of the net check
+    # one per context of A and of B, and one overlap join in `analyze_net`
     calls = []
     for module in [m for name, m in sys.modules.items() if name.startswith("netsheaf")]:
         if hasattr(module, "_overlap_rgs"):
