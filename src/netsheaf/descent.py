@@ -330,7 +330,8 @@ def _trap(pair: AlgebraPair, message: str, **dump) -> NoReturn:
 def _certify_adjunction(pair: AlgebraPair, source: Contexts,
                         target: FiberedContextProduct, h: list[int], g: list[int]) -> None:
     """Certify g -| h by two exactness checks, each linear in its table, or
-    raise InternalConsistencyError: h(C) = (C n A, C n B) at every context
+    raise InternalConsistencyError (also for an entry that names no element
+    of the table's target): h(C) = (C n A, C n B) at every context
     C of A v B, certified by counting, and g(q) = q1 v q2 at every q (g(q)
     refines q1 and q2, with one block per distinct (q1, q2) label pair).
     Every string is read over A v B's blocks.
@@ -358,9 +359,17 @@ def _certify_adjunction(pair: AlgebraPair, source: Contexts,
     # each side's coordinate of every product element
     sides = [lefts[i] for i, _ in target.pairs], [rights[j] for _, j in target.pairs]
     firsts, seconds = sides
+    if not 0 <= min(h) <= max(h) < len(target):
+        k = next(k for k, q in enumerate(h) if not 0 <= q < len(target))
+        _trap(pair, "h names no element of the fibered product",
+              context=_label(source, k), h=h[k], product_size=len(target))
+    if not 0 <= min(g) <= max(g) < len(source):
+        q = next(q for q, k in enumerate(g) if not 0 <= k < len(source))
+        _trap(pair, "g names no context of A v B",
+              target_element=target.elements[q], g=g[q], contexts=len(source))
     named, keys = set(g), {}  # the strings of the contexts that g names
-    refined = 0 <= min(h) and max(h) < len(target)
-    for k, (key, q) in enumerate(zip(source.strings(), h) if refined else ()):
+    refined = True
+    for k, (key, q) in enumerate(zip(source.strings(), h)):
         # C refines both coordinates iff each of its groups meets one label pair
         if len(set(zip(key, firsts[q], seconds[q]))) != max(key) + 1:
             refined = False

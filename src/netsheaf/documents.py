@@ -18,9 +18,11 @@ from .partitions import AmbientSet, Partition
 from .scalars import scalar_from_json
 from .staralg import StarAlgebra, generated_star_algebra
 
-# The largest n whose slowest measured `check-pair` fits 60 s / 2 GB: a dense
-# conjugate of full M_7 against the scalars took 31.7 s / 39 MB, of M_8 over
-# 100 s; full M_10 in matrix units took 4.8 s / 38 MB.
+# Set when a dense conjugate of full M_8 against the scalars took over 100 s.
+# On the Gaussian-integer kernels a dense conjugate of full M_n takes 0.53 s
+# at n = 8 and 2.0 s / 23 MB at n = 10, and full M_10 in matrix units 0.31 s
+# (2 vCPUs), so each of these fits 60 s / 2 GB up to n = 10; the guard
+# stays at 7 because raising it changes which inputs exit 1.
 DEFAULT_MAX_DIM = 7
 
 

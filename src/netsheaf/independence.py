@@ -43,9 +43,9 @@ from .partitions import (
 )
 from .staralg import (
     StarAlgebra,
+    _commuting_kernel_dim,
     commuting_witness,
     intersection_algebra,
-    multiplication_kernel_dim,
 )
 
 UNDETERMINED = "undetermined"
@@ -226,7 +226,7 @@ def _matrix_facts(pair: AlgebraPair) -> _PairFacts:
             False, False, UNDETERMINED, False, False, {"microcausality": witness}
         )
     inter = intersection_algebra(a, b)
-    kernel = multiplication_kernel_dim(a, b)
+    kernel = _commuting_kernel_dim(a, b)
     witnesses: dict = {}
     if inter.dim != 1:
         nonscalar = next((m for m in inter.basis if not _is_scalar_matrix(m)), None)

@@ -1,8 +1,10 @@
 """Exact complexified-rational scalars.
 
-Every number in the matrix engine is a Gaussian rational re + im*i with
-``fractions.Fraction`` components, so all linear algebra is exact and no
-norm/completion machinery is ever needed at this scale.
+Every number that enters or leaves the matrix engine is a Gaussian rational
+re + im*i with ``fractions.Fraction`` components, so all linear algebra is
+exact and no norm/completion machinery is ever needed at this scale.  The
+kernels themselves (``linalg``) work on Gaussian-integer rows and form a
+GaussianRational only for a result; its hash is formed when first asked for.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class GaussianRational(Immutable):
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", _as_fraction(re))
         object.__setattr__(self, "im", _as_fraction(im))
-        object.__setattr__(self, "_hash", hash((self.re, self.im)))
+        object.__setattr__(self, "_hash", None)  # formed when first asked for
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -114,6 +116,8 @@ class GaussianRational(Immutable):
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.re, self.im)))
         return self._hash
 
     def __repr__(self):

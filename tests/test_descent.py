@@ -670,6 +670,35 @@ def test_certificate_traps_a_failed_counit(monkeypatch, tmp_path, capsys, square
     assert H_NOT_EXACT not in err and G_NOT_JOIN in err
 
 
+def grid_net(p, q):
+    """A on the rows of a p x q grid, B on its columns, over the scalars."""
+    amb = AmbientSet([f"x{i}y{j}" for i in range(p) for j in range(q)])
+    a = Partition(amb, [i for i in range(p) for _ in range(q)])
+    b = Partition(amb, [j for _ in range(p) for j in range(q)])
+    return a, b, Partition.trivial(amb)
+
+
+def test_certificate_traps_an_h_entry_past_the_fibered_product(monkeypatch, tmp_path, capsys):
+    # h(last context) := len(target), an index one past the product
+    sabotage_table(monkeypatch, "_h_table",
+                   lambda table, source, target: table.__setitem__(-1, len(target)))
+    code, err = run_net(tmp_path, capsys, *grid_net(2, 3))
+    assert code == 3
+    assert "h names no element of the fibered product" in err
+    assert '"context": "{x0y0}{x0y1}{x0y2}{x1y0}{x1y1}{x1y2}"' in err
+    assert '"h": "10"' in err and '"product_size": "10"' in err
+
+
+def test_certificate_traps_a_g_entry_past_the_contexts_of_the_join(monkeypatch, tmp_path,
+                                                                  capsys):
+    # g(last product element) := len(source), an index one past C_{A v B}
+    sabotage_table(monkeypatch, "_g_table",
+                   lambda table, source, target: table.__setitem__(-1, len(source)))
+    code, err = run_net(tmp_path, capsys, *grid_net(2, 3))
+    assert code == 3
+    assert "g names no context of A v B" in err and '"contexts": "203"' in err
+
+
 def test_exactness_trap_fires_on_swapped_join_strings(monkeypatch, capsys):
     # the first and last block strings of A v B swapped as `_h_table` reads
     # them: h(C*1) becomes (A, B), which the certificate's own route, one

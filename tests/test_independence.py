@@ -520,6 +520,19 @@ def test_matrix_report_sweeps_commutators_at_most_twice(monkeypatch, square_pair
         assert 1 <= len(calls) <= 2
 
 
+def test_commuting_matrix_pair_sweeps_commutators_once(monkeypatch):
+    # the kernel dimension is taken from the commutation already established,
+    # not from a second sweep inside multiplication_kernel_dim
+    calls = []
+    sweep = netsheaf.staralg.commuting_witness
+    for module in (netsheaf.staralg, netsheaf.independence):
+        monkeypatch.setattr(module, "commuting_witness",
+                            lambda a, b: calls.append((a, b)) or sweep(a, b))
+    report = hierarchy_report(block_diagonal_pair())
+    assert report.microcausality is True and report.schlieder is False
+    assert len(calls) == 1
+
+
 def test_disagreeing_block_scan_is_trapped(monkeypatch, square_pair, halves_pair):
     # the scan is the second route for the partition engine's product-sense
     # decision; a wrong answer from it in either direction must be trapped

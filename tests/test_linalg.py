@@ -14,11 +14,16 @@ from netsheaf.linalg import (
     kernel_basis,
     mat_mul,
     rank,
+    row_adjoint,
+    row_commutator,
+    row_of,
+    row_product,
     rref,
     span_intersection,
     unflatten,
+    vector_of,
 )
-from netsheaf.scalars import GaussianRational, I, ONE, ZERO
+from netsheaf.scalars import GaussianRational, I, ZERO
 
 from conftest import (
     gaussian_matrices,
@@ -168,37 +173,113 @@ def test_span_intersection_equals_the_dense_reference(data):
     assert span_intersection(a, b, ncols) == oracle_span_intersection(a, b, ncols)
 
 
-# -- only nonzero entries cost a scalar multiplication ---------------------------
+# -- the Gaussian-integer kernels against the dense references --------------------
 
-def _count_scalar_products(monkeypatch):
+def scaled_rows(data, m):
+    """The Gaussian-integer rows of m, each times a drawn nonzero Gaussian
+    integer: a row stands for its vector only up to a scale."""
+    rows = []
+    for v in m:
+        (re, im), _ = row_of(v)
+        a, b = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+        rows.append((
+            [a * x - b * y for x, y in zip(re, im)], [a * y + b * x for x, y in zip(re, im)]
+        ))
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_integer_echelon_of_scaled_rows_equals_the_dense_rref(data):
+    ncols = data.draw(st.integers(1, 5))
+    m = data.draw(gaussian_matrices(st.integers(0, 5), ncols))
+    span = Span((), ncols)
+    for k, row in enumerate(scaled_rows(data, m)):
+        grows = len(oracle_rref(m[: k + 1])[0]) > len(oracle_rref(m[:k])[0])
+        assert (span.add_row(row) is not None) == grows
+        assert span.holds(row)
+    assert (span.rows, span.pivots) == oracle_rref(m)
+    assert Span.of_rows(scaled_rows(data, m), ncols) == span
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_null_rows_are_the_dense_kernel_basis(data):
+    ncols = data.draw(st.integers(1, 5))
+    m = data.draw(gaussian_matrices(st.integers(0, 5), ncols))
+    den, null = Span.of_rows(scaled_rows(data, m), ncols).null_rows()
+    assert tuple(vector_of(row, den) for row in null) == oracle_kernel_basis(m, ncols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_integer_span_intersection_equals_the_dense_reference(data):
+    ncols = data.draw(st.integers(1, 5))
+    shared = data.draw(gaussian_matrices(st.integers(0, 2), ncols))
+    a = shared + data.draw(gaussian_matrices(st.integers(0, 3), ncols))
+    b = data.draw(gaussian_matrices(st.integers(0, 3), ncols)) + shared
+    left = Span.of_rows(scaled_rows(data, a), ncols)
+    right = Span.of_rows(scaled_rows(data, b), ncols)
+    assert left.intersection(right).rows == oracle_span_intersection(a, b, ncols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_row_kernels_equal_the_dense_products(data):
+    r, k, c = data.draw(SIZES), data.draw(SIZES), data.draw(SIZES)
+    a = data.draw(gaussian_matrices(r, k))
+    b = data.draw(gaussian_matrices(k, c))
+    (x, dx), (y, dy) = row_of(flatten(a)), row_of(flatten(b))
+    assert vector_of(row_product(x, y, r, k, c), dx * dy) == flatten(oracle_mat_mul(a, b))
+    square, other = data.draw(gaussian_matrices(k, k)), data.draw(gaussian_matrices(k, k))
+    (z, dz), (w, dw) = row_of(flatten(square)), row_of(flatten(other))
+    assert vector_of(row_adjoint(z, k), dz) == flatten(adjoint(square))
+    ab, ba = flatten(oracle_mat_mul(square, other)), flatten(oracle_mat_mul(other, square))
+    assert vector_of(row_commutator(z, w, k), dz * dw) == tuple(x - y for x, y in zip(ab, ba))
+
+
+# -- only nonzero entries cost a multiplication -------------------------------------
+
+def _counting_ints():
+    """An int type that records every multiplication it takes part in."""
     calls = []
-    product = GaussianRational.__mul__
 
-    def counted(self, other):
-        calls.append(None)
-        return product(self, other)
+    class Counted(int):
+        def __mul__(self, other):
+            calls.append(None)
+            return int(self) * int(other)
 
-    monkeypatch.setattr(GaussianRational, "__mul__", counted)
-    return calls
+        __rmul__ = __mul__
+
+    return Counted, calls
 
 
 def _unit(n, i, j):
     return as_matrix([[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
 
 
-def test_product_of_matrix_units_costs_one_scalar_multiplication(monkeypatch):
-    a, b = _unit(6, 0, 1), _unit(6, 1, 2)
-    calls = _count_scalar_products(monkeypatch)
-    product = mat_mul(a, b)
-    assert len(calls) == 1  # a dense product makes 6^3 = 216
-    assert product == _unit(6, 0, 2)
+def _unit_row(n, i, j, kind=int):
+    return [kind(int(k == i * n + j)) for k in range(n * n)], [kind(0)] * (n * n)
 
 
-def test_elimination_on_a_unit_pivot_row_costs_one_scalar_multiplication(monkeypatch):
-    e0 = (ONE,) + (ZERO,) * 5
-    ones = (ONE,) * 6
-    calls = _count_scalar_products(monkeypatch)
-    reduced, pivots = rref([e0, ones])
-    assert len(calls) == 1  # a dense row update makes 6
-    assert reduced == (e0, (ZERO,) + (ONE,) * 5)
-    assert pivots == (0, 1)
+def test_product_of_matrix_units_costs_one_gaussian_integer_product(monkeypatch):
+    counted, calls = _counting_ints()
+    product = row_product(_unit_row(6, 0, 1, counted), _unit_row(6, 1, 2, counted), 6, 6, 6)
+    assert len(calls) == 4  # one product in Z[i]; a dense product makes 6^3 = 216
+    assert product == _unit_row(6, 0, 2)
+    # at the interface, no arithmetic in Q[i] at all
+    for name in ("__mul__", "__add__", "__sub__", "__truediv__"):
+        monkeypatch.setattr(GaussianRational, name, None)
+    assert mat_mul(_unit(6, 0, 1), _unit(6, 1, 2)) == _unit(6, 0, 2)
+
+
+def test_elimination_updates_only_the_columns_of_the_pivot_row():
+    counted, calls = _counting_ints()
+    pivot_row = [counted(x) for x in (1, 0, 0, 0, 0, 2)], [counted(0)] * 6
+    span = Span.of_rows([pivot_row], 6)
+    added = span.add_row(([counted(1)] * 6, [counted(0)] * 6))
+    # one column in Z[i] and the coefficient v[p] * (s / d); a dense row update
+    # makes 4 x 6 + 2
+    assert len(calls) == 4 + 2
+    assert added == ([0, 1, 1, 1, 1, -1], [0] * 6)
+    assert span.pivots == (0, 1)

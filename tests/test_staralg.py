@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netsheaf.staralg
+
 from netsheaf import (
     InputError,
     Partition,
@@ -201,3 +203,63 @@ def test_closure_and_commutant_equal_the_dense_references(data):
                 equations.append(tuple(row))
     expected = oracle_rref(oracle_kernel_basis(equations, n * n))[0]
     assert tuple(flatten(m) for m in commutant(s).basis) == expected
+
+
+# -- the word-frontier closure -----------------------------------------------------
+
+def unit(n, i, j):
+    return [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)]
+
+
+def test_full_m5_from_the_superdiagonal_units_needs_long_words():
+    # E_04 = E_01 E_12 E_23 E_34 is a word of length 4; the canonical basis of
+    # all of M_5 is its matrix units in order
+    s = generated_star_algebra(5, [unit(5, i, i + 1) for i in range(4)])
+    assert s.dim == 25
+    assert s.basis == tuple(as_matrix(unit(5, i, j)) for i in range(5) for j in range(5))
+    assert s.contains(as_matrix(unit(5, 0, 4))) and s.contains(as_matrix(unit(5, 4, 0)))
+
+
+def test_closure_with_dependent_letters_equals_the_dense_reference():
+    # a hermitian generator is its own adjoint, and the third generator is a
+    # combination of the first two: the letters are fewer than 2 * 3
+    h = [[1, GaussianRational(0, 1), 0], [GaussianRational(0, -1), 0, 0], [0, 0, 2]]
+    e = [[0, 0, Fraction(1, 2)], [0, 0, 0], [0, 0, 0]]
+    both = [[x + 3 * y for x, y in zip(r, q)] for r, q in zip(h, e)]
+    gens = [as_matrix(g) for g in (h, e, both)]
+    s = generated_star_algebra(3, gens)
+    assert tuple(flatten(m) for m in s.basis) == oracle_star_closure(3, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_closure_with_a_drawn_dependent_letter_equals_the_dense_reference(data):
+    n = data.draw(st.integers(1, 3))
+    gens = data.draw(st.lists(gaussian_matrices(n, n), min_size=1, max_size=2))
+    c = data.draw(gaussian_matrices(1, 1))[0][0]
+    extra = tuple(
+        tuple(c * x + y.conjugate() for x, y in zip(r, q))
+        for r, q in zip(gens[0], zip(*gens[-1]))
+    )
+    s = generated_star_algebra(n, gens + [extra])
+    assert tuple(flatten(m) for m in s.basis) == oracle_star_closure(n, gens + [extra])
+
+
+def test_verify_rejects_a_closure_stopped_one_frontier_early(monkeypatch):
+    gens = [unit(5, i, i + 1) for i in range(4)]
+    grow, rounds = netsheaf.staralg._grow, []
+    monkeypatch.setattr(netsheaf.staralg, "_grow",
+                        lambda *args: rounds.append(None) or grow(*args))
+    generated_star_algebra(5, gens)
+    assert len(rounds) >= 3  # the last round adds nothing
+    calls = []
+
+    def stopped(*args):
+        # the last round that adds to the span returns an empty frontier
+        # without adding anything
+        calls.append(None)
+        return [] if len(calls) == len(rounds) - 1 else grow(*args)
+
+    monkeypatch.setattr(netsheaf.staralg, "_grow", stopped)
+    with pytest.raises(InputError, match="^span not closed under "):
+        generated_star_algebra(5, gens)

@@ -2,7 +2,9 @@
 stdout, in text and --json, for `descent` on grids 2x3 and 2x4, `check-net`
 on grids 2x4 and 3x3 (a Bell(9) join with three blocks on each side),
 `contexts` on the full 7-point algebra, `descent` on the discrete 5-point
-self-pair and `check-net` on the discrete 7-point self-pair.
+self-pair, `check-net` on the discrete 7-point self-pair, and `check-pair`
+on a dense, complex, non-commuting matrix pair, whose commutator witness
+prints fractions and i terms.
 
 The documents are built here, written as ``json.dumps(document,
 sort_keys=True)`` (the input digest in every envelope reads those bytes),
@@ -16,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -61,6 +64,60 @@ def discrete_document(n: int) -> dict:
     }
 
 
+def _times(a: list, b: list) -> list:
+    """Product of square matrices whose entries are (re, im) Fraction pairs."""
+    return [
+        [
+            (
+                sum(x[0] * y[0] - x[1] * y[1] for x, y in zip(row, col)),
+                sum(x[0] * y[1] + x[1] * y[0] for x, y in zip(row, col)),
+            )
+            for col in zip(*b)
+        ]
+        for row in a
+    ]
+
+
+def _entry(x: tuple) -> dict:
+    out = {"re": [x[0].numerator, x[0].denominator]}
+    if x[1]:
+        out["im"] = [x[1].numerator, x[1].denominator]
+    return out
+
+
+def dense_matrix_document() -> dict:
+    """U E_01 U* in M_3 against the algebra of a Gaussian-rational hermitian
+    H, with U the product of two Cayley rotations (I - iK)(I + iK)^-1 of
+    K = (E_{k,k+1} + E_{k+1,k}) / 2, that is [[3/5, -4/5 i], [-4/5 i, 3/5]] on
+    coordinates k, k+1.  Both bases are dense and complex; [U E_01 U*, H]
+    is not zero."""
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+
+    def rotation(k: int) -> list:
+        m = [[one if i == j else zero for j in range(3)] for i in range(3)]
+        m[k][k] = m[k + 1][k + 1] = (Fraction(3, 5), Fraction(0))
+        m[k][k + 1] = m[k + 1][k] = (Fraction(0), Fraction(-4, 5))
+        return m
+
+    u = _times(rotation(0), rotation(1))
+    u_star = [[(x[0], -x[1]) for x in col] for col in zip(*u)]
+    e01 = [[one if (i, j) == (0, 1) else zero for j in range(3)] for i in range(3)]
+    left = _times(_times(u, e01), u_star)
+    f = Fraction
+    right = [
+        [(f(1), f(0)), (f(0), f(1, 2)), (f(0), f(0))],
+        [(f(0), f(-1, 2)), (f(2), f(0)), (f(1, 3), f(0))],
+        [(f(0), f(0)), (f(1, 3), f(0)), (f(-1), f(0))],
+    ]
+    return {
+        "algebras": {
+            name: {"dimension": 3, "generators": [[[_entry(x) for x in row] for row in m]]}
+            for name, m in (("L", left), ("R", right))
+        },
+        "pair": {"left": "L", "right": "R"},
+    }
+
+
 # case -> (document, argv after the document, sha256 of text stdout, of --json stdout)
 CASES = {
     "descent:grid2x3": (
@@ -98,7 +155,20 @@ CASES = {
         "70b3e5300880618d340815673c4fe91caa57c1ff30f551fcf7da83e963d80c13",
         "c2c7b3080ffcdee4be66d0ce2231d5b0d8b3289126eb897e8c3a8b1754f511cd",
     ),
+    "check-pair:dense3": (
+        dense_matrix_document, ["check-pair"],
+        "51292f21dbe98108330c5cedc2c2bc4fd77db53fbcfc6c0445cfc6d11802965b",
+        "4c7f92f477b17d1928de48bf5040e4cc440400b898352ff118ec6f9c3436e966",
+    ),
 }
+
+
+def test_dense_matrix_witness_prints_fractions_and_i_terms(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dense_matrix_document(), sort_keys=True), encoding="utf-8")
+    assert main(["check-pair", str(path)]) == 0
+    witness = next(line for line in capsys.readouterr().out.splitlines() if "commutator" in line)
+    assert "/" in witness and "i" in witness.split('"commutator"')[1]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
