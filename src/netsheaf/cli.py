@@ -224,8 +224,8 @@ def cmd_descent(args) -> int:
     doc, digest = _load(args.input, args)
     pair = doc.build_pair()
     max_bell = doc.options.max_bell
-    guard_descent(pair, max_bell=max_bell)
-    report = sheaf_report(pair, max_bell=max_bell)
+    target = guard_descent(pair, max_bell=max_bell)
+    report = sheaf_report(pair, max_bell=max_bell, target=target)
     contexts, violations = stability_rows(pair, max_bell=max_bell)
     result = {
         "descent": report.to_json(),
@@ -407,7 +407,38 @@ def cmd_contexts(args) -> int:
 
 # -- entry point ---------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+# Each command: its help line, its handler, and the options it adds to the
+# common ones, as (flag, add_argument keywords).
+_COMMANDS = {
+    "check-pair": ("run the independence hierarchy on the pair", cmd_check_pair, [
+        ("--require", {"metavar": "CONDITION",
+                       "help": "exit 2 unless this condition holds (e.g. unit-law, schlieder)"}),
+    ]),
+    "descent": ("descent map, sheaf condition, stability axiom", cmd_descent, [
+        ("--dot", {"metavar": "PATH", "help": "write the descent map as a DOT diagram"}),
+    ]),
+    "check-net": ("validate and analyze the net section", cmd_check_net, []),
+    "valuations": ("product valuations and the independence test", cmd_valuations, [
+        ("--mu1", {"help": "weights on the left context, e.g. '1/2,1/2'"}),
+        ("--mu2", {"help": "weights on the right context"}),
+        ("--context1", {"help": "name of a context of the left algebra"}),
+        ("--context2", {"help": "name of a context of the right algebra"}),
+        ("--seed", {"type": int, "help": "valuation sampling seed"}),
+    ]),
+    "contexts": ("enumerate the context poset of an algebra", cmd_contexts, [
+        ("--algebra", {"help": "name of the algebra to enumerate"}),
+        ("--dot", {"metavar": "PATH", "help": "write the Hasse diagram as DOT"}),
+    ]),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with every command's subparser, or with only
+    `command`'s.  argparse spends most of a small command's time adding
+    options, so a run builds only the subparser it parses with; --help, a
+    missing or an unknown command get the whole tree.  With one subparser
+    the choices are spelled out as its metavar, so the top-level usage line
+    of an unrecognised option reads as it does with all five."""
     parser = argparse.ArgumentParser(
         prog="netsheaf",
         description=(
@@ -416,51 +447,27 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"netsheaf {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # argparse names the subparsers by their metavar in the errors that only
+    # a missing or unknown command raises, so it is set only for one command
+    metavar = "{%s}" % ",".join(_COMMANDS) if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, func, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("input", type=Path, help="JSON input document")
         p.add_argument("--json", action="store_true", help="emit the JSON envelope")
         p.add_argument("--max-bell", type=int, default=None, help="context poset size guard")
         p.add_argument("--max-dim", type=int, default=None, help="matrix dimension guard")
-
-    p = sub.add_parser("check-pair", help="run the independence hierarchy on the pair")
-    common(p)
-    p.add_argument(
-        "--require",
-        metavar="CONDITION",
-        help="exit 2 unless this condition holds (e.g. unit-law, schlieder)",
-    )
-    p.set_defaults(func=cmd_check_pair)
-
-    p = sub.add_parser("descent", help="descent map, sheaf condition, stability axiom")
-    common(p)
-    p.add_argument("--dot", metavar="PATH", help="write the descent map as a DOT diagram")
-    p.set_defaults(func=cmd_descent)
-
-    p = sub.add_parser("check-net", help="validate and analyze the net section")
-    common(p)
-    p.set_defaults(func=cmd_check_net)
-
-    p = sub.add_parser("valuations", help="product valuations and the independence test")
-    common(p)
-    p.add_argument("--mu1", help="weights on the left context, e.g. '1/2,1/2'")
-    p.add_argument("--mu2", help="weights on the right context")
-    p.add_argument("--context1", help="name of a context of the left algebra")
-    p.add_argument("--context2", help="name of a context of the right algebra")
-    p.add_argument("--seed", type=int, default=None, help="valuation sampling seed")
-    p.set_defaults(func=cmd_valuations)
-
-    p = sub.add_parser("contexts", help="enumerate the context poset of an algebra")
-    common(p)
-    p.add_argument("--algebra", help="name of the algebra to enumerate")
-    p.add_argument("--dot", metavar="PATH", help="write the Hasse diagram as DOT")
-    p.set_defaults(func=cmd_contexts)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     return _dispatch(args)
 

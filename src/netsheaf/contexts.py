@@ -209,19 +209,58 @@ class Contexts(Immutable):
         blocks = block_map(self.algebra, j)
         return (tuple([s[b] for b in blocks]) for s in self.strings())
 
+    def prefixes(self, bits: Sequence[int]) -> Iterator[list[int]]:
+        """The contexts in canonical order, a shared prefix at a time: each
+        block string's prefix (all but its last entry) once, as the OR of
+        `bits` (one int per block of the algebra) over each of its groups,
+        then a 0 for the group that the last block alone opens.  The
+        contexts with that prefix follow in order, the last block joining
+        group v for each v.  The walk is depth first: a prefix's masks are
+        its parent's, copied, with one bit ORed into the group it joins."""
+        *head, _ = bits
+        stack = [(0, [0])]
+        while stack:
+            depth, masks = stack.pop()
+            if depth == len(head):
+                yield masks
+                continue
+            bit, opened = head[depth], len(masks) - 1
+            # pushed last to first, so the children pop in lexicographic order
+            child = masks.copy()
+            child[opened] = bit
+            child.append(0)
+            stack.append((depth + 1, child))
+            for v in range(opened - 1, -1, -1):
+                child = masks.copy()
+                child[v] |= bit
+                stack.append((depth + 1, child))
+
+    def block_counts(self) -> Iterator[int]:
+        """Each context's block count, read off the width of its prefix."""
+        for prefix in _set_partition_rgs(self.algebra.num_blocks - 1):
+            width = max(prefix, default=-1) + 1
+            yield from [width] * width
+            yield width + 1
+
     def labels(self) -> Iterator[str]:
         """Each context's label, as str() of its Partition writes it, made
         from its block string: the points of each group of blocks, in point
-        order, with the groups in order of least point.  A group's text is
+        order, with the groups in order of least point.  The texts of a
+        prefix's groups are read once (`prefixes`) and each context only
+        replaces the group that its last block joins.  A group's text is
         made once, on first use."""
         names, rgs = self.algebra.ambient.points, self.algebra.rgs
         texts = _Memo(lambda mask: ",".join([x for x, b in zip(names, rgs) if mask >> b & 1]))
-        bits = [1 << b for b in range(self.algebra.num_blocks)]
-        for key in self.strings():
-            masks = [0] * (max(key) + 1)
-            for group, bit in zip(key, bits):
-                masks[group] |= bit
-            yield "{%s}" % "}{".join([texts[m] for m in masks])
+        n = self.algebra.num_blocks
+        last = 1 << (n - 1)
+        for masks in self.prefixes([1 << b for b in range(n)]):
+            *head, _ = masks
+            groups = [texts[m] for m in head]
+            for v, m in enumerate(head):
+                text, groups[v] = groups[v], texts[m | last]
+                yield "{%s}" % "}{".join(groups)
+                groups[v] = text
+            yield "{%s}" % "}{".join(groups + [texts[last]])
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction, in FinitePoset.covers() order."""

@@ -22,7 +22,6 @@ is injective iff the spectrum map is surjective and vice versa.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import NoReturn, Optional, Sequence
@@ -44,8 +43,11 @@ from .jsontext import rendered_object
 from .partitions import (
     BlockStringTables,
     Partition,
+    _Memo,
     _canonical_rgs,
     _overlap_rgs,
+    _rgs_completions,
+    _rgs_rank,
     bell_number,
     common_refinement,
     is_coarser,
@@ -70,11 +72,11 @@ class FiberedContextProduct(Immutable):
     """Pairs (C1, C2) of contexts with C1 n M = C2 n M, ordered componentwise
     by refinement, held as index pairs (i, j) into the canonical orders of
     the factors, which are plain Contexts.  Each restriction C n M is read
-    once, as a block string over M's blocks, the one labelling that both
-    sides share; `restrictions[i]` keeps it for left context i.  Neither the
-    factors nor the product carry order masks, which only the DOT export's
-    covers() builds, and no context becomes a Partition unless `elements`
-    is read."""
+    once (`_restrictions`), as a block string over M's blocks, the one
+    labelling that both sides share; `restrictions[i]` keeps it for left
+    context i.  Neither the factors nor the product carry order masks, which
+    only the DOT export's covers() builds, and no context becomes a
+    Partition unless `elements` is read."""
 
     __slots__ = ("left_poset", "right_poset", "meet", "pairs", "restrictions")
 
@@ -82,7 +84,7 @@ class FiberedContextProduct(Immutable):
         left_algebra, right_algebra = left_poset.algebra, right_poset.algebra
         if not (is_coarser(meet, left_algebra) and is_coarser(meet, right_algebra)):
             raise InputError(f"meet algebra {meet} is not contained in both members")
-        left, right = (_meet_strings(meet, f) for f in (left_poset, right_poset))
+        left, right = (_restrictions(f, meet) for f in (left_poset, right_poset))
         by_restriction: dict[tuple[int, ...], list[int]] = {}
         for j, key in enumerate(right):
             by_restriction.setdefault(key, []).append(j)
@@ -116,17 +118,6 @@ class FiberedContextProduct(Immutable):
         above = [_above(p, [e[k] for e in self.pairs]) for k, p in enumerate(posets)]
         up = [above[0][i] & above[1][j] for i, j in self.pairs]
         return FinitePoset(self.pairs, up_masks=up).covers()
-
-
-def _meet_strings(meet: Partition, contexts: Contexts) -> list[tuple[int, ...]]:
-    """C n M for each context C, in canonical order, as its block string over
-    M's blocks.  Each block of the algebra lies in one block of M, so C n M
-    is the overlap join of C and M over the algebra's blocks, read at the
-    first of them in each block of M, which keeps its labels canonical."""
-    meets = block_map(meet, contexts.algebra)
-    firsts = [meets.index(m) for m in range(meet.num_blocks)]
-    joins = (_overlap_rgs(s, meets) for s in contexts.strings())
-    return [tuple([r[k] for k in firsts]) for r in joins]
 
 
 def _above(poset: FinitePoset, components: Sequence[int]) -> list[int]:
@@ -274,10 +265,12 @@ class DescentReport:
         return out
 
 
-def descent_map(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> DescentReport:
+def descent_map(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL,
+                target: Optional[FiberedContextProduct] = None) -> DescentReport:
     """h and its left adjoint g(C1, C2) = C1 v C2 as two tables, every
     verdict read off them by equality, and g -| h certified on each input
-    (`_certify_adjunction`).
+    (`_certify_adjunction`).  C_A x_M C_B is built here unless it is given
+    as `target`, as `guard_descent` returns it.
 
     With g -| h, a fiber of h over q is nonempty iff it contains g(q), which
     is then its least element: h is a thickening iff a coreflector iff
@@ -290,7 +283,8 @@ def descent_map(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> DescentR
     # Every size guard, the product's before it is built, runs before
     # the hierarchy's witness searches.
     guard_contexts(max_bell, pair.left, pair.right, joined)
-    target = fibered_context_product(pair, max_bell)
+    if target is None:
+        target = fibered_context_product(pair, max_bell)
     hierarchy = hierarchy_report(pair, max_bell)
     source = Contexts(joined)
     h, g = _h_table(pair, source, target), _g_table(source, target)
@@ -454,29 +448,14 @@ def _label(source: Contexts, k: int) -> str:
 
 
 def _h_table(pair: AlgebraPair, source: Contexts, target: FiberedContextProduct) -> list[int]:
-    """h(C) = (C n A, C n B) for every context C of A v B, as target indices.
-
-    C is read as its block string over A v B's blocks, each of which lies in
-    one A-block and one B-block.  C n A is then the components of A's blocks
-    linked by C's groups: OR one mask of A-blocks per group, merge the masks
-    that overlap, and label the blocks in order of first occurrence, which is
-    C n A's block string over A's blocks.  Likewise for B.  Each side depends
-    only on the set of its group masks, so each set is resolved once.  A
-    pair of strings that is no element of the product is a bug, trapped
-    with C's label."""
-    a, b, joined = pair.left, pair.right, source.algebra
-    left_bits, right_bits = ([1 << k for k in block_map(p, joined)] for p in (a, b))
+    """h(C) = (C n A, C n B) for every context C of A v B, as target indices:
+    the restrictions of C to A and to B (`_restrictions`) looked up among
+    the product's pairs.  A pair of strings that is no element of the
+    product is a bug, trapped with C's label."""
     lefts, rights = (list(f.strings()) for f in (target.left_poset, target.right_poset))
     position = {lefts[i] + rights[j]: q for q, (i, j) in enumerate(target.pairs)}
-    linked = lru_cache(maxsize=None)(_linked)  # freed with this call
-    na, nb = a.num_blocks, b.num_blocks
     table = []
-    for key in source.strings():
-        left_masks, right_masks = [0] * len(key), [0] * len(key)
-        for group, left_bit, right_bit in zip(key, left_bits, right_bits):
-            left_masks[group] |= left_bit
-            right_masks[group] |= right_bit
-        left, right = linked(frozenset(left_masks), na), linked(frozenset(right_masks), nb)
+    for left, right in zip(_restrictions(source, pair.left), _restrictions(source, pair.right)):
         q = position.get(left + right)
         if q is None:
             _trap(pair, "h(C) = (C n A, C n B) is not an element of the fibered context product",
@@ -485,16 +464,44 @@ def _h_table(pair: AlgebraPair, source: Contexts, target: FiberedContextProduct)
     return table
 
 
+def _restrictions(contexts: Contexts, p: Partition) -> list[tuple[int, ...]]:
+    """C n P for every context C of X = contexts.algebra, in canonical
+    order, as its block string over the blocks of P, which is coarser
+    than X: the restriction kernel of h and of the fibered product.
+
+    Each block of X lies in one block of P, so C n P is the components of
+    P's blocks linked by C's groups.  The contexts are walked by their
+    shared prefixes (`Contexts.prefixes`): the groups of a prefix are ORed
+    once, as masks of P-blocks, and each context only ORs the P-block of X's
+    last block into the group that it joins.  The components are labelled
+    in order of least block (`_linked`), once per set of prefix masks and
+    group joined: the memo goes with this call."""
+    bits = [1 << b for b in block_map(p, contexts.algebra)]
+    last, width = bits[-1], p.num_blocks
+    # Adding m | last to a prefix's masks links as replacing m by it does,
+    # m being a subset of it, so a context's restriction depends on the set
+    # of its prefix's masks and the mask of the group its last block joins.
+    by_prefix = _Memo(lambda key: _Memo(lambda m: _linked(key | {m | last}, width)))
+    out = []
+    for masks in contexts.prefixes(bits):
+        out += map(by_prefix[frozenset(masks)].__getitem__, masks)
+    return out
+
+
 def _linked(masks: frozenset[int], width: int) -> tuple[int, ...]:
     """The restricted-growth string over `width` blocks whose groups are the
     connected unions of the masks (a 0 mask stands for an unused group)."""
     components: list[int] = []
-    for m in masks - {0}:
-        apart = [x for x in components if not x & m]
-        for x in components:
-            if x & m:
-                m |= x
-        components = apart + [m]
+    for m in masks:
+        if m:  # merged with every component it meets, in one pass
+            apart = []
+            for x in components:
+                if x & m:
+                    m |= x
+                else:
+                    apart.append(x)
+            apart.append(m)
+            components = apart
     labels = [0] * width
     for label, m in enumerate(sorted(components, key=lambda x: x & -x)):
         while m:
@@ -507,19 +514,22 @@ def _linked(masks: frozenset[int], width: int) -> tuple[int, ...]:
 def _g_table(source: Contexts, target: FiberedContextProduct) -> list[int]:
     """g(C1, C2) = C1 v C2 for every element of the product, as source
     indices: the join of C1's and C2's block strings over A v B's blocks,
-    looked up among the source's strings.  A join that is not among them
-    is a bug, trapped with its element of the product."""
-    position = {key: p for p, key in enumerate(source.strings())}
+    ranked among the restricted-growth strings in canonical order
+    (`_rgs_rank`), so no string of A v B is looked up.  A join that is not
+    such a string is a bug, trapped with its element of the product."""
+    completions = _rgs_completions(source.algebra.num_blocks)
     factors = target.left_poset, target.right_poset
     lefts, rights = (list(f.over(source.algebra)) for f in factors)
-    joins = (_canonical_rgs(tuple(zip(lefts[i], rights[j]))) for i, j in target.pairs)
-    table = list(map(position.get, joins))
-    if None in table:
-        c1, c2 = target.elements[table.index(None)]
-        raise InternalConsistencyError(
-            "g(C1, C2) = C1 v C2 is not a context of A v B",
-            dump={"target_element": f"({c1}, {c2})", "join": str(common_refinement(c1, c2))},
-        )
+    table = []
+    for i, j in target.pairs:
+        p = _rgs_rank(_canonical_rgs(tuple(zip(lefts[i], rights[j]))), completions)
+        if p is None:
+            c1, c2 = target.elements[len(table)]
+            raise InternalConsistencyError(
+                "g(C1, C2) = C1 v C2 is not a context of A v B",
+                dump={"target_element": f"({c1}, {c2})", "join": str(common_refinement(c1, c2))},
+            )
+        table.append(p)
     return table
 
 
@@ -544,14 +554,16 @@ def _thickening(h: MonotoneMap, adjunction: AdjunctionReport) -> ThickeningRepor
     )
 
 
-def sheaf_report(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> DescentReport:
-    """Decide the sheaf condition twice and insist the answers agree.
+def sheaf_report(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL,
+                 target: Optional[FiberedContextProduct] = None) -> DescentReport:
+    """Decide the sheaf condition twice and insist the answers agree; the
+    product `target`, if given, is passed on to `descent_map`.
 
     Direct route (no hypotheses): h is a poset isomorphism and every ring
     component is an isomorphism.  Characterized route (meaningful under
     extended locality): C*-independence together with the unit law.
     """
-    base = descent_map(pair, max_bell)
+    base = descent_map(pair, max_bell, target)
     hierarchy = base.hierarchy
     components = _ring_components(base)
     direct = base.adjunction.is_iso and all(rc.is_isomorphism for rc in components)
@@ -581,17 +593,18 @@ def _ring_components(report: DescentReport) -> tuple[RingComponent, ...]:
     """Every ring component, read off h's table.  The image of blocks(C) is
     the pair (C n A, C n B) of containing blocks of each block of A v B, so
     it depends only on q = h(C), as does the fibered block set; both are
-    computed once per q, and C's block count is read off its string.  Since
-    M <= A, the amalgam C n M is (C n A) n M: the product keeps it, as the
-    block string over M's blocks of each left factor, and it is read here
-    at M's block holding each block of A v B."""
+    computed once per q, and C's block count is read off the width of its
+    prefix (`Contexts.block_counts`).  Since M <= A, the amalgam C n M is
+    (C n A) n M: the product keeps it, as the block string over M's blocks
+    of each left factor, and it is read here at M's block holding each
+    block of A v B."""
     target, source = report.target, report.source
     lefts, rights = (list(f.over(source.algebra)) for f in (target.left_poset, target.right_poset))
     meets = block_map(report.pair.meet_algebra, source.algebra)
     spectra: dict[int, tuple[bool, int]] = {}
     kinds: dict[tuple[bool, bool], RingComponent] = {}
     components = []
-    for k, (key, q) in enumerate(zip(source.strings(), report.h.table)):
+    for k, (blocks, q) in enumerate(zip(source.block_counts(), report.h.table)):
         if q not in spectra:
             i, j = target.pairs[q]
             amalgam = [target.restrictions[i][m] for m in meets]
@@ -603,7 +616,7 @@ def _ring_components(report: DescentReport) -> tuple[RingComponent, ...]:
             _check_spectrum(image, fibered, lambda: _label(source, k))
             spectra[q] = image == fibered, len(image)
         injective, size = spectra[q]
-        kind = injective, size == max(key) + 1
+        kind = injective, size == blocks
         if kind not in kinds:
             kinds[kind] = RingComponent(*kind)
         components.append(kinds[kind])
@@ -620,14 +633,16 @@ class StabilityViolation:
     generated: Partition
 
 
-def guard_descent(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> None:
+def guard_descent(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL) -> FiberedContextProduct:
     """Every guard of sheaf_report and then of stability_rows, in the
     order they raise, so the `descent` command refuses before any descent
-    table is built; the product's guard runs by building the product."""
+    table is built.  The product's guard runs by building the product,
+    which is returned for `sheaf_report` to use."""
     pair.require_partition_engine("the descent map")
     guard_contexts(max_bell, common_refinement(pair.left, pair.right))
-    fibered_context_product(pair, max_bell)
+    target = fibered_context_product(pair, max_bell)
     _guard_stability(pair)
+    return target
 
 
 def _guard_stability(pair: AlgebraPair) -> None:

@@ -280,6 +280,36 @@ def _set_partition_rgs(k: int) -> Iterator[tuple[int, ...]]:
             digits[j], tops[j] = 0, top
 
 
+def _rgs_completions(n: int) -> list[list[int]]:
+    """D[r][m], the restricted-growth strings' completions of length r once
+    m groups are open, for r + m <= n: D[0][m] = 1 and
+    D[r][m] = m D[r - 1][m] + D[r - 1][m + 1] (reuse one of the m groups,
+    or open group m)."""
+    table = [[1] * (n + 1)]
+    for _ in range(1, n):
+        prev = table[-1]
+        table.append([m * prev[m] + prev[m + 1] for m in range(len(prev) - 1)])
+    return table
+
+
+def _rgs_rank(s: Sequence[int], completions: list[list[int]]) -> int | None:
+    """The index of s among the restricted-growth strings of length
+    n = len(completions), in lexicographic order, or None if s is not one:
+    rank(s) = sum over i of s_i D[n - 1 - i][1 + max(s_0 .. s_(i-1))] (the
+    max being -1 at i = 0), since each smaller value at i reuses one of the
+    groups already open."""
+    n = len(completions)
+    if len(s) != n:
+        return None
+    rank = opened = 0
+    for i, v in enumerate(s):
+        if not 0 <= v <= opened:
+            return None
+        rank += v * completions[n - 1 - i][opened]
+        opened += v == opened
+    return rank
+
+
 class _Memo(dict):
     """A table whose value at a missing key is computed once, on first use."""
 

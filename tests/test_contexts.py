@@ -405,8 +405,12 @@ def escaped_partitions(draw, max_points=7):
 @given(random_partitions(1, 7) | escaped_partitions())
 @example(Partition.discrete(ambient(7)))
 @example(Partition(AmbientSet(ESCAPED_POINTS), (0, 1, 0, 2, 1, 3, 0)))
+@example(Partition.trivial(ambient(1)))
+@example(Partition.trivial(ambient(5)))
 def test_context_labels_equal_str_of_each_context(p):
+    # each label made from its prefix's group texts (`Contexts.prefixes`)
     assert list(Contexts(p).labels()) == [str(c) for c in coarsenings(p)]
+    assert list(Contexts(p).block_counts()) == [c.num_blocks for c in coarsenings(p)]
 
 
 def test_context_labels_build_no_partition(monkeypatch):

@@ -44,6 +44,9 @@ from netsheaf.jsontext import json_parts
 from netsheaf.contexts import _comparable_pairs, block_map
 from netsheaf.partitions import (
     _overlap_rgs,
+    _rgs_completions,
+    _rgs_rank,
+    _set_partition_rgs,
     all_partitions,
     bell_number,
     coarsenings,
@@ -700,22 +703,19 @@ def test_certificate_traps_a_g_entry_past_the_contexts_of_the_join(monkeypatch, 
 
 
 def test_exactness_trap_fires_on_swapped_join_strings(monkeypatch, capsys):
-    # the first and last block strings of A v B swapped as `_h_table` reads
-    # them: h(C*1) becomes (A, B), which the certificate's own route, one
-    # union-find per side on each context's point string, does not confirm
-    class Swapped(Contexts):
-        __slots__ = ()
+    # the restrictions of the first and last contexts of A v B swapped as
+    # the restriction kernel returns them to `_h_table`: h(C*1) becomes
+    # (A, B), which the certificate's own route, one union-find per side on
+    # each context's point string, does not confirm.  The product's
+    # restrictions to M, the scalars here, are all the same, so it is as built
+    kernel = netsheaf.descent._restrictions
 
-        def strings(self):
-            keys = list(super().strings())
-            keys[0], keys[-1] = keys[-1], keys[0]
-            return iter(keys)
+    def swapped(contexts, p):
+        rows = kernel(contexts, p)
+        rows[0], rows[-1] = rows[-1], rows[0]
+        return rows
 
-    original = netsheaf.descent._h_table
-    monkeypatch.setattr(
-        netsheaf.descent, "_h_table",
-        lambda pair, source, target: original(pair, Swapped(source.algebra), target),
-    )
+    monkeypatch.setattr(netsheaf.descent, "_restrictions", swapped)
     code = main(["descent", str(FIXTURES / "square_pair.json")])
     err = capsys.readouterr().err
     assert code == 3
@@ -882,6 +882,94 @@ def test_block_count_rejects_what_the_union_find_walk_rejects(inputs):
     walk = netsheaf.descent._first_inexact(pair, source, target, h)
     assert certificate_rejects(pair, source, target, h, g) == (walk is not None)
     assert (walk is None) == (h == oracle_h_table(pair, source, target))
+
+
+@st.composite
+def coarser_pairs(draw, max_points=7):
+    """(X, P) on one to max_points points with P coarser than X: X's blocks
+    regrouped by a drawn grouping, one block for either of them included."""
+    x = draw(random_partitions(1, max_points) | st.builds(
+        lambda n: Partition.trivial(ambient(n)), st.integers(1, max_points)))
+    k = x.num_blocks
+    grouping = draw(st.just((0,) * k) | st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    return x, Partition(x.ambient, [grouping[b] for b in x.rgs])
+
+
+@settings(max_examples=150, deadline=None)
+@given(coarser_pairs())
+@example((Partition.trivial(ambient(1)),) * 2)
+@example((Partition.discrete(ambient(7)), Partition.trivial(ambient(7))))
+@example((Partition.discrete(ambient(7)),) * 2)
+def test_restriction_kernel_equals_one_union_find_per_context(inputs):
+    # C n P over P's blocks for every context C of X, against the overlap
+    # join of C's point string with P's, read at the first point of each
+    # block of P
+    x, p = inputs
+    firsts = [block[0] for block in p.blocks]
+    expected = [tuple(_overlap_rgs(c.rgs, p.rgs)[f] for f in firsts) for c in coarsenings(x)]
+    assert netsheaf.descent._restrictions(Contexts(x), p) == expected
+
+
+def test_rank_of_each_restricted_growth_string_is_its_index_up_to_eight():
+    for n in range(1, 9):
+        completions = _rgs_completions(n)
+        assert [_rgs_rank(s, completions) for s in _set_partition_rgs(n)] == list(range(
+            bell_number(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-1, n), min_size=n - 1, max_size=n + 1))))
+def test_rank_refuses_exactly_the_strings_that_are_no_context(inputs):
+    n, s = inputs
+    rgs = len(s) == n and all(0 <= v <= max(s[:i], default=-1) + 1 for i, v in enumerate(s))
+    assert (_rgs_rank(s, _rgs_completions(n)) is not None) == rgs
+
+
+@settings(max_examples=60, deadline=None)
+@given(fibered_inputs(max_points=5), st.data())
+def test_g_table_traps_a_join_that_is_no_context_of_the_join(inputs, data):
+    # the join at one drawn element of the product replaced by a drawn
+    # string that is not a restricted-growth string of the right length:
+    # `_g_table` names that element
+    pair = AlgebraPair(*inputs)
+    source = Contexts(common_refinement(pair.left, pair.right))
+    target = fibered_context_product(pair)
+    n = source.algebra.num_blocks
+    q = data.draw(st.integers(0, len(target) - 1))
+    bad = data.draw(st.lists(st.integers(-1, n), min_size=n - 1, max_size=n + 1).filter(
+        lambda s: _rgs_rank(s, _rgs_completions(n)) is None))
+    canonical, calls = netsheaf.descent._canonical_rgs, []
+
+    def corrupted(labels):
+        calls.append(None)
+        return tuple(bad) if len(calls) == q + 1 else canonical(labels)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(netsheaf.descent, "_canonical_rgs", corrupted)
+        with pytest.raises(InternalConsistencyError) as err:
+            netsheaf.descent._g_table(source, target)
+    c1, c2 = target.elements[q]
+    assert "g(C1, C2) = C1 v C2 is not a context of A v B" in str(err.value)
+    assert err.value.dump["target_element"] == f"({c1}, {c2})"
+
+
+def test_descent_command_builds_the_fibered_product_once(monkeypatch, capsys):
+    # `guard_descent` builds C_A x_M C_B for its guard and hands it to
+    # `sheaf_report`, text and --json alike
+    built = []
+    init = FiberedContextProduct.__init__
+
+    def counted(self, *args):
+        built.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(FiberedContextProduct, "__init__", counted)
+    for extra in ([], ["--json"]):
+        built.clear()
+        assert main(["descent", str(FIXTURES / "square_pair.json"), *extra]) == 0
+        assert len(built) == 1
+    capsys.readouterr()
 
 
 def test_h_table_traps_a_pair_outside_the_product(monkeypatch, capsys):
@@ -1115,22 +1203,28 @@ def test_fibered_product_guard_refuses_before_any_poset(monkeypatch):
 
 def test_fibered_product_is_built_from_the_restrictions_its_guard_counted(monkeypatch):
     # one restriction to M per context of A and of B per product build, on
-    # block strings: the restrictions the guard counts are the ones that
-    # pair the contexts, and no overlap join of Partitions is taken
+    # block strings, from one call of the restriction kernel per factor: the
+    # restrictions the guard counts are the ones that pair the contexts, and
+    # no overlap join of Partitions is taken
     calls = []
-    overlap = netsheaf.descent._overlap_rgs
+    kernel = netsheaf.descent._restrictions
 
-    def counted(*args):
-        calls.append(args)
-        return overlap(*args)
+    def counted(contexts, p):
+        rows = kernel(contexts, p)
+        calls.append(len(rows))
+        return rows
 
-    monkeypatch.setattr(netsheaf.descent, "_overlap_rgs", counted)
+    def no_union_find(*_):
+        raise AssertionError("a union-find per context")
+
+    monkeypatch.setattr(netsheaf.descent, "_restrictions", counted)
+    monkeypatch.setattr(netsheaf.descent, "_overlap_rgs", no_union_find)
     a = Partition.discrete(ambient(4))
     b = Partition.from_blocks(ambient(4), [["a", "b"], ["c"], ["d"]])
     pair = AlgebraPair(a, b)
     overlap_join.cache_clear()
     product = fibered_context_product(pair)
-    assert len(calls) == len(Contexts(a)) + len(Contexts(b)) == 15 + 5
+    assert calls == [len(Contexts(a)), len(Contexts(b))] == [15, 5]
     assert overlap_join.cache_info().currsize == 0
     meet = pair.meet_algebra
     assert set(product.elements) == {

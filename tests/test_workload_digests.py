@@ -213,8 +213,10 @@ def test_json_runs_build_no_partition_per_context_of_the_join(case, tmp_path, ca
 def test_passing_check_net_takes_no_union_find_per_context_of_the_join(tmp_path, capsys,
                                                                        monkeypatch):
     # h is certified by counting: on grid 2x4, with Bell(8) = 4,140 contexts
-    # of A v B, the union-finds are the fibered product's restrictions to M,
-    # one per context of A and of B, and one overlap join in `analyze_net`
+    # of A v B, the one union-find is an overlap join in `analyze_net`; the
+    # bound also admits one per context of A and of B, which the fibered
+    # product's restrictions to M took before they came from the restriction
+    # kernel
     calls = []
     for module in [m for name, m in sys.modules.items() if name.startswith("netsheaf")]:
         if hasattr(module, "_overlap_rgs"):
