@@ -105,17 +105,16 @@ def _parse_weights(text: str) -> list[Fraction]:
 
 # -- rendering -----------------------------------------------------------------
 
-def _violation_rows(contexts, rows) -> Rendered:
+def _violation_rows(labels, rows) -> Rendered:
     """The covering-stability violations (`descent.stability_rows`) as the
     list of dicts "covered", "left_context", "right_context", "generated"
-    that they name.  Each context's label is encoded once, and those of C_A
-    and C_B once more with the JSON text that follows them in a row, so a
-    row is one f-string of six pieces.  E and the generated context get no
-    such piece: on grid 3x3 nearly every row has its own E, and a piece per
-    E would hold a second copy of the rows' text."""
-    joined, lefts, rights = (
-        list(map(encode_basestring_ascii, side.labels())) for side in contexts
-    )
+    that they name, given the labels of C_{A v B}, C_A and C_B
+    (`DescentReport.labels`).  Each context's label is encoded once, and
+    those of C_A and C_B once more with the JSON text that follows them in a
+    row, so a row is one f-string of six pieces.  E and the generated
+    context get no such piece: on grid 3x3 nearly every row has its own E,
+    and a piece per E would hold a second copy of the rows' text."""
+    joined, lefts, rights = (list(map(encode_basestring_ascii, side)) for side in labels)
 
     def render(depth: int, out: list) -> None:
         if not rows:
@@ -226,11 +225,11 @@ def cmd_descent(args) -> int:
     max_bell = doc.options.max_bell
     target = guard_descent(pair, max_bell=max_bell)
     report = sheaf_report(pair, max_bell=max_bell, target=target)
-    contexts, violations = stability_rows(pair, max_bell=max_bell)
+    _, violations = stability_rows(pair, max_bell=max_bell)
     result = {
         "descent": report.to_json(),
         "covering_stability": {
-            "violations": _violation_rows(contexts, violations),
+            "violations": _violation_rows(report.labels, violations),
             "count": len(violations),
         },
     } if args.json else {}

@@ -6,9 +6,11 @@ inclusion.  A context's lower covers merge two of its blocks, so a k-block
 context has k(k-1)/2 of them, which ``hasse_edges`` sums in closed form,
 and the Hasse covers come from one walk over the block strings that
 ``Contexts`` makes.  The commands read contexts as those strings and their
-labels, the fibered product too; only a DOT export (``descent --dot``,
-``contexts --dot``) takes the walk, or builds the contexts of A v B, of A
-or of B as Partitions: through ``Contexts.covers()``, or through
+labels, the fibered product too, and every restriction C n P, for h, the
+fibered product, covering stability and the unit-law sweep, comes from one
+kernel, ``_restrictions``.  Only a DOT export (``descent --dot``,
+``contexts --dot``) takes the Hasse walk, or builds the contexts of A v B,
+of A or of B as Partitions: through ``Contexts.covers()``, or through
 ``ContextPoset``, which also stores the order as bitmasks, for the DOT
 export of a fibered product.
 
@@ -265,6 +267,54 @@ class Contexts(Immutable):
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction, in FinitePoset.covers() order."""
         return tuple(sorted(_merge_walk(tuple(self.strings()))))
+
+
+def _restrictions(contexts: Contexts, blocks: Sequence[int]) -> list[tuple[int, ...]]:
+    """C n P for every context C of X = contexts.algebra, in canonical
+    order, as its block string over the blocks of P, a partition coarser
+    than X given by `blocks`, the block of P holding each block of X: a
+    `block_map(P, X)`, or a context read over X's blocks (`Contexts.over`).
+
+    C n P is the components of P's blocks linked by C's groups.  The
+    contexts are walked by their shared prefixes (`Contexts.prefixes`): the
+    groups of a prefix are ORed once, as masks of P-blocks, and each
+    context only ORs the P-block of X's last block into the group that it
+    joins.  The components are labelled in order of least block
+    (`_linked`), once per set of prefix masks and group joined: the memo
+    goes with this call."""
+    bits = [1 << b for b in blocks]
+    last, width = bits[-1], max(blocks) + 1
+    # Adding m | last to a prefix's masks links as replacing m by it does,
+    # m being a subset of it, so a context's restriction depends on the set
+    # of its prefix's masks and the mask of the group its last block joins.
+    by_prefix = _Memo(lambda key: _Memo(lambda m: _linked(key | {m | last}, width)))
+    out = []
+    for masks in contexts.prefixes(bits):
+        out += map(by_prefix[frozenset(masks)].__getitem__, masks)
+    return out
+
+
+def _linked(masks: frozenset[int], width: int) -> tuple[int, ...]:
+    """The restricted-growth string over `width` blocks whose groups are the
+    connected unions of the masks (a 0 mask stands for an unused group)."""
+    components: list[int] = []
+    for m in masks:
+        if m:  # merged with every component it meets, in one pass
+            apart = []
+            for x in components:
+                if x & m:
+                    m |= x
+                else:
+                    apart.append(x)
+            apart.append(m)
+            components = apart
+    labels = [0] * width
+    for label, m in enumerate(sorted(components, key=lambda x: x & -x)):
+        while m:
+            low = m & -m
+            labels[low.bit_length() - 1] = label
+            m ^= low
+    return tuple(labels)
 
 
 def _stirling_row(n: int) -> list[int]:

@@ -22,6 +22,7 @@ is injective iff the spectrum map is surjective and vice versa.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import NoReturn, Optional, Sequence
@@ -34,6 +35,7 @@ from .contexts import (
     FinitePoset,
     MonotoneMap,
     ThickeningReport,
+    _restrictions,
     block_map,
     guard_contexts,
 )
@@ -41,13 +43,13 @@ from .errors import Immutable, InputError, InternalConsistencyError, guard
 from .independence import AlgebraPair, HierarchyReport, hierarchy_report
 from .jsontext import rendered_object
 from .partitions import (
-    BlockStringTables,
     Partition,
     _Memo,
     _canonical_rgs,
     _overlap_rgs,
     _rgs_completions,
     _rgs_rank,
+    _set_partition_rgs,
     bell_number,
     common_refinement,
     is_coarser,
@@ -84,7 +86,8 @@ class FiberedContextProduct(Immutable):
         left_algebra, right_algebra = left_poset.algebra, right_poset.algebra
         if not (is_coarser(meet, left_algebra) and is_coarser(meet, right_algebra)):
             raise InputError(f"meet algebra {meet} is not contained in both members")
-        left, right = (_restrictions(f, meet) for f in (left_poset, right_poset))
+        left, right = (_restrictions(f, block_map(meet, f.algebra))
+                       for f in (left_poset, right_poset))
         by_restriction: dict[tuple[int, ...], list[int]] = {}
         for j, key in enumerate(right):
             by_restriction.setdefault(key, []).append(j)
@@ -218,15 +221,21 @@ class DescentReport:
     sheaf: Optional[bool] = None
     sheaf_by_characterization: Optional[bool] = None
 
+    @cached_property
+    def labels(self) -> tuple[list[str], list[str], list[str]]:
+        """The labels of C_{A v B}, C_A and C_B (`Contexts.labels`), made
+        once per report: `to_json` and the stability rows read them."""
+        factors = self.target.left_poset, self.target.right_poset
+        return tuple(list(f.labels()) for f in (self.source, *factors))
+
     def to_json(self) -> dict:
         """The report as JSON.  Its five maps keyed by contexts of A v B or
         by fibered pairs are templates (`jsontext.rendered_object`) filled
-        with labels made from block strings (`Contexts.labels`) and encoded
-        once, so no context of A v B becomes a Partition."""
+        with labels made from block strings (`labels`) and encoded once, so
+        no context of A v B becomes a Partition."""
         target, adjunction = self.target, self.adjunction
-        labels = list(self.source.labels())
+        labels, lefts, rights = self.labels
         keys = list(map(encode_basestring_ascii, labels))
-        lefts, rights = (list(f.labels()) for f in (target.left_poset, target.right_poset))
         pairs = [(lefts[i], rights[j]) for i, j in target.pairs]
         pair_keys = [encode_basestring_ascii(f"({x}, {y})") for x, y in pairs]
         flags = (False, True)
@@ -454,61 +463,15 @@ def _h_table(pair: AlgebraPair, source: Contexts, target: FiberedContextProduct)
     product is a bug, trapped with C's label."""
     lefts, rights = (list(f.strings()) for f in (target.left_poset, target.right_poset))
     position = {lefts[i] + rights[j]: q for q, (i, j) in enumerate(target.pairs)}
-    table = []
-    for left, right in zip(_restrictions(source, pair.left), _restrictions(source, pair.right)):
+    joined, table = source.algebra, []
+    for left, right in zip(_restrictions(source, block_map(pair.left, joined)),
+                           _restrictions(source, block_map(pair.right, joined))):
         q = position.get(left + right)
         if q is None:
             _trap(pair, "h(C) = (C n A, C n B) is not an element of the fibered context product",
                   context=_label(source, len(table)), restrictions=(left, right))
         table.append(q)
     return table
-
-
-def _restrictions(contexts: Contexts, p: Partition) -> list[tuple[int, ...]]:
-    """C n P for every context C of X = contexts.algebra, in canonical
-    order, as its block string over the blocks of P, which is coarser
-    than X: the restriction kernel of h and of the fibered product.
-
-    Each block of X lies in one block of P, so C n P is the components of
-    P's blocks linked by C's groups.  The contexts are walked by their
-    shared prefixes (`Contexts.prefixes`): the groups of a prefix are ORed
-    once, as masks of P-blocks, and each context only ORs the P-block of X's
-    last block into the group that it joins.  The components are labelled
-    in order of least block (`_linked`), once per set of prefix masks and
-    group joined: the memo goes with this call."""
-    bits = [1 << b for b in block_map(p, contexts.algebra)]
-    last, width = bits[-1], p.num_blocks
-    # Adding m | last to a prefix's masks links as replacing m by it does,
-    # m being a subset of it, so a context's restriction depends on the set
-    # of its prefix's masks and the mask of the group its last block joins.
-    by_prefix = _Memo(lambda key: _Memo(lambda m: _linked(key | {m | last}, width)))
-    out = []
-    for masks in contexts.prefixes(bits):
-        out += map(by_prefix[frozenset(masks)].__getitem__, masks)
-    return out
-
-
-def _linked(masks: frozenset[int], width: int) -> tuple[int, ...]:
-    """The restricted-growth string over `width` blocks whose groups are the
-    connected unions of the masks (a 0 mask stands for an unused group)."""
-    components: list[int] = []
-    for m in masks:
-        if m:  # merged with every component it meets, in one pass
-            apart = []
-            for x in components:
-                if x & m:
-                    m |= x
-                else:
-                    apart.append(x)
-            apart.append(m)
-            components = apart
-    labels = [0] * width
-    for label, m in enumerate(sorted(components, key=lambda x: x & -x)):
-        while m:
-            low = m & -m
-            labels[low.bit_length() - 1] = label
-            m ^= low
-    return tuple(labels)
 
 
 def _g_table(source: Contexts, target: FiberedContextProduct) -> list[int]:
@@ -680,14 +643,13 @@ def stability_rows(
     That requirement is the unit law of the pair (C, D): C <= A and D <= B
     give C v D <= A v B, so the E below C v D are the contexts of C v D.
     Every context involved is a context of A v B, named by its index in the
-    canonical order of C_{A v B}'s block strings: C_A and C_B are read over
-    A v B's blocks (`Contexts.over`) and looked up once.  Each cover is
-    swept by one call-local `BlockStringTables`, the sweep that the
-    unit-law witnesses of a pair also take: it builds no Partition per
-    visit and adds no entry to the partition caches.  Each row goes into
-    the bucket of its E, so the rows come out in order with no sort.  The
-    unit law of a pair holds iff the pair is comparable (see `unit_law`),
-    so a cover has failures iff C v D is neither C nor D; a cover whose
+    canonical order of C_{A v B}'s block strings; C_A and C_B are read over
+    A v B's blocks (`Contexts.over`).  Each C, and each D, has its meets
+    E n C from one walk of the restriction kernel, and the joins and the
+    contexts below each C v D are call-local memos of indices, so no
+    Partition is built per visit.  Each row goes into the bucket of its E,
+    so the rows come out in order with no sort.  A cover has failures iff
+    C and D are incomparable (the closed form of `unit_law`): a cover whose
     sweep disagrees is a bug.
 
     The sweep visits sum over (C, D) of Bell(|C v D|) contexts, at most
@@ -698,18 +660,33 @@ def stability_rows(
     joined = common_refinement(pair.left, pair.right)
     guard_contexts(max_bell, joined, pair.left, pair.right)
     contexts = source, left, right = Contexts(joined), Contexts(pair.left), Contexts(pair.right)
-    tables = BlockStringTables(source.strings())
-    n, position = len(tables.strings), tables.position
-    lefts = [position[c] for c in left.over(joined)]
-    rights = [position[d] for d in right.over(joined)]
+    strings = list(source.strings())
+    position = {s: k for k, s in enumerate(strings)}
+    n = len(strings)
+    joins = _Memo(
+        lambda xy: position[_canonical_rgs(tuple(zip(strings[xy // n], strings[xy % n])))]
+    )
+    # the contexts of K: its groups regrouped by each restricted-growth string over them
+    below = _Memo(lambda k: [position[tuple(map(g.__getitem__, strings[k]))]
+                             for g in _set_partition_rgs(max(strings[k]) + 1)])
+
+    def meets(c: tuple[int, ...]) -> tuple[int, list[int]]:
+        # C's index, and E n C's for every E: each distinct restriction, a
+        # string over C's blocks, is read back over A v B's blocks once
+        index = _Memo(lambda r: position[tuple(map(r.__getitem__, c))])
+        return position[c], list(map(index.__getitem__, _restrictions(source, c)))
+
+    lefts, rights = (list(map(meets, f.over(joined))) for f in (left, right))
     # One bucket per E: the rows are found in (C, D) order, so each bucket
     # is in that order and the buckets laid end to end are in (E, C, D) order.
     buckets = [[] for _ in range(n)]
-    for i, c in enumerate(lefts):
-        for j, d in enumerate(rights):
-            failing = list(tables.unit_law_failures(c, d))
+    for i, (c, left_meets) in enumerate(lefts):
+        for j, (d, right_meets) in enumerate(rights):
+            top = joins[c * n + d]
+            failing = [(e, g) for e in below[top]
+                       if (g := joins[left_meets[e] * n + right_meets[e]]) != e]
             # The closed form of the unit law of (C, D): failures iff incomparable.
-            comparable = tables.joins[c * n + d] in (c, d)
+            comparable = top in (c, d)
             if bool(failing) == comparable:
                 raise InternalConsistencyError(
                     "covering stability disagrees with the unit law's closed form on a cover",

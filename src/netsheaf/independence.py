@@ -28,11 +28,10 @@ from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import Iterator, NamedTuple, Optional, Union
 
-from .contexts import DEFAULT_MAX_BELL, Contexts, block_map, guard_contexts
+from .contexts import DEFAULT_MAX_BELL, Contexts, _restrictions, block_map, guard_contexts
 from .errors import EngineError, Immutable, InputError, InternalConsistencyError
 from .linalg import mat_str
 from .partitions import (
-    BlockStringTables,
     Partition,
     _canonical_rgs,
     bell_number,
@@ -354,21 +353,23 @@ def _unit_law_failures(a: Partition, b: Partition) -> tuple[int, tuple[Partition
 
 
 def _sweep_failures(a: Partition, b: Partition) -> tuple[int, tuple[Partition, ...]]:
-    """The contexts C of A v B with (C n A) v (C n B) != C: their number, and
+    """The contexts E of A v B with (E n A) v (E n B) != E: their number, and
     the first WITNESS_LIMIT of them in canonical order, from one sweep of
-    the unit law of (A, B) over the contexts of A v B, indexed in the
-    canonical order of their block strings: the sweep that covering
-    stability runs on each of its covers.  Only the witnesses listed
-    become Partitions."""
+    C_{A v B} that reads E n A and E n B from the restriction kernel
+    (`contexts._restrictions`), each at the block of A, or of B, holding
+    each block of A v B.  E refines both restrictions, so E refines their
+    join, and E fails iff that join has fewer blocks than E.  Only the
+    witnesses listed become Partitions."""
     joined = common_refinement(a, b)
-    tables = BlockStringTables(Contexts(joined).strings())
-    strings, position = tables.strings, tables.position
-    failures = tables.unit_law_failures(
-        position[block_map(a, joined)], position[block_map(b, joined)]
-    )
+    source = Contexts(joined)
+    over_a, over_b = block_map(a, joined), block_map(b, joined)
+    restricted = zip(source.strings(), _restrictions(source, over_a),
+                     _restrictions(source, over_b))
+    failures = (e for e, x, y in restricted
+                if len(set(zip(map(x.__getitem__, over_a), map(y.__getitem__, over_b)))) <= max(e))
     first = tuple(
-        Partition._canonical(joined.ambient, tuple(strings[e][k] for k in joined.rgs))
-        for e, _ in islice(failures, WITNESS_LIMIT)
+        Partition._canonical(joined.ambient, tuple([e[k] for k in joined.rgs]))
+        for e in islice(failures, WITNESS_LIMIT)
     )
     return len(first) + sum(1 for _ in failures), first
 

@@ -321,46 +321,6 @@ class _Memo(dict):
         return value
 
 
-def _strings_below(k: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every block string coarser than k, in canonical order: k's groups
-    regrouped by each restricted-growth string over them."""
-    return [tuple(map(g.__getitem__, k)) for g in _set_partition_rgs(max(k) + 1)]
-
-
-class BlockStringTables:
-    """The contexts of one partition J, given as their block strings over J's
-    blocks in canonical order (`contexts.Contexts.strings`) and named by
-    their index k in that list, with three tables of indices filled on first
-    use: `joins[x * n + y]` (X v Y, for n contexts), `meets[c][e]` (E n C)
-    and `below[k]` (the contexts of k, through `_strings_below`).  Each
-    string is read back to its index once per table entry, through
-    `position`, so a visit hashes integers and not tuples.  An instance
-    lives for one sweep, so its tables go with it: it builds no Partition
-    and adds no entry to this module's caches."""
-
-    def __init__(self, strings: Iterable[tuple[int, ...]]):
-        self.strings = strings = list(strings)
-        self.position = position = {s: k for k, s in enumerate(strings)}
-        n = len(strings)
-        self.joins = _Memo(
-            lambda xy: position[_canonical_rgs(tuple(zip(strings[xy // n], strings[xy % n])))]
-        )
-        self.meets = _Memo(
-            lambda c: _Memo(lambda e: position[_overlap_rgs(strings[e], strings[c])])
-        )
-        self.below = _Memo(lambda k: [position[s] for s in _strings_below(strings[k])])
-
-    def unit_law_failures(self, c: int, d: int) -> Iterator[tuple[int, int]]:
-        """Each context E of C v D with (E n C) v (E n D) != E, paired with
-        that join, in canonical order: where the unit law of (C, D) fails.
-        C, D, E and the join are indices into `strings`."""
-        n, joins, left, right = len(self.strings), self.joins, self.meets[c], self.meets[d]
-        for e in self.below[joins[c * n + d]]:
-            g = joins[left[e] * n + right[e]]
-            if g != e:
-                yield e, g
-
-
 def iter_coarsenings(p: Partition) -> Iterator[Partition]:
     """The partitions coarser than p, in canonical order, one at a time."""
     ambient, rgs = p.ambient, p.rgs

@@ -16,7 +16,7 @@ from netsheaf.partitions import (
     _Memo,
     _canonical_rgs,
     _overlap_rgs,
-    _strings_below,
+    _set_partition_rgs,
     coarsenings,
     common_refinement,
     is_coarser,
@@ -346,10 +346,15 @@ def oracle_unit_law_failures(c: tuple, d: tuple):
     """Each context E of C v D with (E n C) v (E n D) != E, paired with that
     join, in canonical order, for contexts C, D given as block strings over
     one partition's blocks: the sweep keyed by the strings themselves, each
-    visit hashing tuples, that the indexed `BlockStringTables` replaced."""
+    meet one union-find on E's string, and each E below C v D picked out of
+    all the strings of that length by testing that it groups each block of
+    C v D together.  Covering stability, by the restriction kernel and
+    memos of indices, replaced it."""
     joins = _Memo(lambda xy: _canonical_rgs(tuple(zip(*xy))))
     left, right = (_Memo(lambda e, x=x: _overlap_rgs(e, x)) for x in (c, d))
-    for e in _strings_below(joins[c, d]):
+    top = joins[c, d]
+    below = (e for e in _set_partition_rgs(len(top)) if len(set(zip(top, e))) == max(top) + 1)
+    for e in below:
         g = joins[left[e], right[e]]
         if g != e:
             yield e, g

@@ -779,7 +779,8 @@ def test_violation_rows_render_as_json_dumps_of_the_violation_dicts(monkeypatch)
     c_encoder = netsheaf.jsontext.c_make_encoder
     for pair in pairs:
         expected = violation_dicts(pair)
-        rendered = _violation_rows(*stability_rows(pair))
+        contexts, rows = stability_rows(pair)
+        rendered = _violation_rows([list(c.labels()) for c in contexts], rows)
         for wrap in wraps:
             text = json.dumps(wrap(expected, len(expected)), indent=2)
             for encoder in (c_encoder, None):

@@ -2,6 +2,7 @@ import inspect
 import json
 import sys
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -635,6 +636,24 @@ def sabotage_table(monkeypatch, name, change):
     monkeypatch.setattr(netsheaf.descent, name, sabotaged)
 
 
+def sabotage_kernel(monkeypatch, module, caller, change):
+    """The restriction kernel, as the function `caller` of `module` calls
+    it, returns its rows passed through change(rows); every other caller,
+    in that module too, reads them as made."""
+    kernel = module._restrictions
+
+    def sabotaged(contexts, blocks):
+        rows = kernel(contexts, blocks)
+        return change(rows) if sys._getframe(1).f_code.co_name == caller else rows
+
+    monkeypatch.setattr(module, "_restrictions", sabotaged)
+
+
+def swap_ends(rows):
+    rows[0], rows[-1] = rows[-1], rows[0]
+    return rows
+
+
 H_NOT_EXACT = "descent map has no left adjoint: h(C) != (C n A, C n B)"
 G_NOT_JOIN = "computed left adjoint differs from the algebraic join"
 
@@ -706,16 +725,8 @@ def test_exactness_trap_fires_on_swapped_join_strings(monkeypatch, capsys):
     # the restrictions of the first and last contexts of A v B swapped as
     # the restriction kernel returns them to `_h_table`: h(C*1) becomes
     # (A, B), which the certificate's own route, one union-find per side on
-    # each context's point string, does not confirm.  The product's
-    # restrictions to M, the scalars here, are all the same, so it is as built
-    kernel = netsheaf.descent._restrictions
-
-    def swapped(contexts, p):
-        rows = kernel(contexts, p)
-        rows[0], rows[-1] = rows[-1], rows[0]
-        return rows
-
-    monkeypatch.setattr(netsheaf.descent, "_restrictions", swapped)
+    # each context's point string, does not confirm
+    sabotage_kernel(monkeypatch, netsheaf.descent, "_h_table", swap_ends)
     code = main(["descent", str(FIXTURES / "square_pair.json")])
     err = capsys.readouterr().err
     assert code == 3
@@ -896,18 +907,24 @@ def coarser_pairs(draw, max_points=7):
 
 
 @settings(max_examples=150, deadline=None)
-@given(coarser_pairs())
-@example((Partition.trivial(ambient(1)),) * 2)
-@example((Partition.discrete(ambient(7)), Partition.trivial(ambient(7))))
-@example((Partition.discrete(ambient(7)),) * 2)
-def test_restriction_kernel_equals_one_union_find_per_context(inputs):
+@given(coarser_pairs(), st.integers(0, bell_number(7) - 1))
+@example((Partition.trivial(ambient(1)),) * 2, 0)
+@example((Partition.discrete(ambient(7)), Partition.trivial(ambient(7))), 0)
+@example((Partition.discrete(ambient(7)),) * 2, 0)
+@example((Partition.discrete(ambient(7)),) * 2, bell_number(7) - 1)
+def test_restriction_kernel_equals_one_union_find_per_context(inputs, k):
     # C n P over P's blocks for every context C of X, against the overlap
     # join of C's point string with P's, read at the first point of each
-    # block of P
+    # block of P.  P goes in as its block map over X, and so does the
+    # drawn context Q of P, read over X's blocks (`Contexts.over`), as
+    # covering stability passes each context of A to the kernel
     x, p = inputs
-    firsts = [block[0] for block in p.blocks]
-    expected = [tuple(_overlap_rgs(c.rgs, p.rgs)[f] for f in firsts) for c in coarsenings(x)]
-    assert netsheaf.descent._restrictions(Contexts(x), p) == expected
+    k %= bell_number(p.num_blocks)
+    q = coarsenings(p)[k]
+    for r, blocks in ((p, block_map(p, x)), (q, list(Contexts(p).over(x))[k])):
+        firsts = [block[0] for block in r.blocks]
+        expected = [tuple(_overlap_rgs(c.rgs, r.rgs)[f] for f in firsts) for c in coarsenings(x)]
+        assert netsheaf.contexts._restrictions(Contexts(x), blocks) == expected
 
 
 def test_rank_of_each_restricted_growth_string_is_its_index_up_to_eight():
@@ -973,12 +990,13 @@ def test_descent_command_builds_the_fibered_product_once(monkeypatch, capsys):
 
 
 def test_h_table_traps_a_pair_outside_the_product(monkeypatch, capsys):
-    # C n A and C n B resolved to strings that are not restricted-growth,
-    # so the pair is no element of C_A x_M C_B: exit 3 naming the context
-    def reversed_labels(masks, width):
-        return tuple(range(width))[::-1]
+    # C n A and C n B, as the restriction kernel returns them to `_h_table`,
+    # resolved to strings that are not restricted-growth, so the pair is no
+    # element of C_A x_M C_B: exit 3 naming the context
+    def reversed_labels(rows):
+        return [tuple(range(len(row)))[::-1] for row in rows]
 
-    monkeypatch.setattr(netsheaf.descent, "_linked", reversed_labels)
+    sabotage_kernel(monkeypatch, netsheaf.descent, "_h_table", reversed_labels)
     assert main(["descent", str(FIXTURES / "square_pair.json")]) == 3
     err = capsys.readouterr().err
     assert "h(C) = (C n A, C n B) is not an element of the fibered context product" in err
@@ -1074,24 +1092,26 @@ def test_unit_law_witness_trap_fires_on_an_empty_sweep(monkeypatch, tmp_path, ca
 
 
 def test_unit_law_witness_trap_fires_on_an_empty_shared_sweep(monkeypatch, capsys):
-    # the walk over the contexts below a block string stops after the
-    # bottom context, which never fails; `check-pair` runs no covering
-    # stability, so only the hierarchy's sweep branch sees it
-    walk = netsheaf.partitions._strings_below
-    monkeypatch.setattr(netsheaf.partitions, "_strings_below", lambda k: walk(k)[:1])
+    # the restrictions that the hierarchy's sweep branch reads stop after
+    # the bottom context, which never fails, so the sweep stops there too
+    sabotage_kernel(monkeypatch, netsheaf.independence, "_sweep_failures", lambda rows: rows[:1])
     assert main(["check-pair", str(FIXTURES / "adjacent_pairs.json")]) == 3
     err = capsys.readouterr().err
     assert "the unit law fails on an incomparable pair, but the witness search counts 0" in err
 
 
 def test_unit_law_count_trap_fires_on_a_shared_sweep_that_drops_a_context(monkeypatch, capsys):
-    # the shared sweep skips the first failing context {a,c,d}{b} of
-    # {a,b}{c}{d} | {a}{b,c}{d}: the hierarchy lists as many witnesses as it
-    # counts, but h's unit, read off the block tables, is strict at three
-    walk = netsheaf.partitions._strings_below
-    monkeypatch.setattr(
-        netsheaf.partitions, "_strings_below", lambda k: [e for e in walk(k) if e != (0, 1, 0, 0)]
-    )
+    # the hierarchy's sweep skips the first failing context {a,c,d}{b}
+    # (0, 1, 0, 0) of {a,b}{c}{d} | {a}{b,c}{d}, at index 5 of the 15
+    # contexts of A v B: it reads there the restrictions of the top context,
+    # whose join has more blocks than {a,c,d}{b}.  The hierarchy lists as
+    # many witnesses as it counts, but h's unit, read off the block tables,
+    # is strict at three
+    def skipped(rows):
+        rows[5] = rows[-1]
+        return rows
+
+    sabotage_kernel(monkeypatch, netsheaf.independence, "_sweep_failures", skipped)
     assert main(["descent", str(FIXTURES / "adjacent_pairs.json")]) == 3
     err = capsys.readouterr().err
     assert "unit-law witness count disagrees with the unit of the descent adjunction" in err
@@ -1101,11 +1121,11 @@ STABILITY_TRAP = "covering stability disagrees with the unit law's closed form o
 
 
 def test_stability_trap_fires_on_a_comparable_cover_with_a_violation(monkeypatch, capsys):
-    # every meet made the bottom context, so the comparable cover (bottom, B)
-    # of the square pair reports its top context B as a violation; every meet
-    # that `descent` takes before the sweep is over A n B, the scalars, so
-    # stays right, and the exactness check of h takes no meets
-    monkeypatch.setattr(netsheaf.partitions, "_overlap_rgs", lambda x, y: (0,) * len(x))
+    # every meet of the stability sweep made the bottom context, so the
+    # comparable cover (bottom, B) of the square pair reports its top
+    # context B as a violation
+    sabotage_kernel(monkeypatch, netsheaf.descent, "meets",
+                    lambda rows: [(0,) * len(row) for row in rows])
     assert main(["descent", str(FIXTURES / "square_pair.json")]) == 3
     err = capsys.readouterr().err
     assert STABILITY_TRAP in err and '"comparable": true' in err
@@ -1116,9 +1136,9 @@ def test_stability_trap_fires_on_an_incomparable_cover_without_violations(
 ):
     # the walk over the contexts of C v D stops after the bottom context,
     # which never fails, so the failures of the incomparable cover (A, B)
-    # are dropped
-    walk = netsheaf.partitions._strings_below
-    monkeypatch.setattr(netsheaf.partitions, "_strings_below", lambda k: walk(k)[:1])
+    # are dropped; in `descent.py` only that walk enumerates strings
+    walk = netsheaf.descent._set_partition_rgs
+    monkeypatch.setattr(netsheaf.descent, "_set_partition_rgs", lambda k: islice(walk(k), 1))
     assert main(["descent", str(FIXTURES / "square_pair.json")]) == 3
     err = capsys.readouterr().err
     assert STABILITY_TRAP in err and '"comparable": false' in err
@@ -1209,8 +1229,8 @@ def test_fibered_product_is_built_from_the_restrictions_its_guard_counted(monkey
     calls = []
     kernel = netsheaf.descent._restrictions
 
-    def counted(contexts, p):
-        rows = kernel(contexts, p)
+    def counted(contexts, blocks):
+        rows = kernel(contexts, blocks)
         calls.append(len(rows))
         return rows
 

@@ -3,9 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netsheaf import (
+    MAX_STABILITY_TRIPLES,
+    AlgebraPair,
     AmbientSet,
     InputError,
     Partition,
+    SizeGuardError,
     all_partitions,
     bell_number,
     coarsenings,
@@ -15,8 +18,8 @@ from netsheaf import (
     overlap_join,
 )
 from netsheaf.linalg import Span, flatten
-from netsheaf.contexts import Contexts
-from netsheaf.partitions import BlockStringTables, _canonical_rgs, _set_partition_rgs
+from netsheaf.descent import stability_rows
+from netsheaf.partitions import _canonical_rgs, _set_partition_rgs
 
 from conftest import (
     ambient,
@@ -257,11 +260,24 @@ def partitions_with_covers(draw):
 @settings(max_examples=200, deadline=None)
 @given(partitions_with_covers())
 def test_indexed_unit_law_sweep_equals_the_string_keyed_oracle(drawn):
-    # one instance sweeps every pair, so later sweeps read tables that
-    # earlier ones filled
+    # each cover (C, D) taken as a pair, whose covers covering stability
+    # sweeps with memos of indices that later covers read: its rows at the
+    # top cover, (C, D) itself, as point strings, against the oracle's
+    # strings over J's blocks read at J's points.  A pair that the sweep's
+    # guard refuses has more triples than the bound
     j, covers = drawn
-    tables = BlockStringTables(Contexts(j).strings())
-    strings, position = tables.strings, tables.position
     for c, d in covers:
-        swept = tables.unit_law_failures(position[c], position[d])
-        assert [(strings[e], strings[g]) for e, g in swept] == list(oracle_unit_law_failures(c, d))
+        over_j = [tuple([s[b] for b in j.rgs]) for s in (c, d)]
+        pair = AlgebraPair(*(Partition._canonical(j.ambient, s) for s in over_j))
+        expected = [tuple(tuple([s[b] for b in j.rgs]) for s in row)
+                    for row in oracle_unit_law_failures(c, d)]
+        try:
+            (source, left, right), rows = stability_rows(pair)
+        except SizeGuardError:
+            joined = common_refinement(pair.left, pair.right)
+            assert bell_number(joined.num_blocks) * bell_number(pair.left.num_blocks) * (
+                bell_number(pair.right.num_blocks)) > MAX_STABILITY_TRIPLES
+            continue
+        points = list(source.over(Partition.discrete(j.ambient)))
+        top = len(left) - 1, len(right) - 1
+        assert [(points[e], points[g]) for e, *cover, g in rows if tuple(cover) == top] == expected

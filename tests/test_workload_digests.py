@@ -1,10 +1,12 @@
 """Byte-identity of the CLI on the large partition workloads: the sha256 of
-stdout, in text and --json, for `descent` on grids 2x3 and 2x4, `check-net`
-on grids 2x4 and 3x3 (a Bell(9) join with three blocks on each side),
-`contexts` on the full 7-point algebra, `descent` on the discrete 5-point
-self-pair, `check-net` on the discrete 7-point self-pair, and `check-pair`
-on a dense, complex, non-commuting matrix pair, whose commutator witness
-prints fractions and i terms.
+stdout, in text and --json, for `descent` on grids 2x3, 2x4 and 3x3 (a
+Bell(9) join with three blocks on each side: 22,379 covering-stability
+violations), `check-net` on grids 2x4 and 3x3, `contexts` on the full
+7-point algebra, `descent` on the discrete 5-point self-pair, `check-net`
+on the discrete 7-point self-pair, `check-pair` on a 9-point pair whose
+unit-law witnesses take the sweep over C_{A v B} (`sweep_document`), and
+`check-pair` on a dense, complex, non-commuting matrix pair, whose
+commutator witness prints fractions and i terms.
 
 The documents are built here, written as ``json.dumps(document,
 sort_keys=True)`` (the input digest in every envelope reads those bytes),
@@ -23,6 +25,7 @@ from fractions import Fraction
 import pytest
 
 from netsheaf.cli import main
+from netsheaf.contexts import Contexts
 from netsheaf.partitions import bell_number, overlap_join
 
 
@@ -61,6 +64,21 @@ def discrete_document(n: int) -> dict:
         "algebras": {"full": [[pt] for pt in points]},
         "pair": {"left": "full", "right": "full"},
         "net": square_net({r: "full" for r in ("bottom", "O1", "O2", "top")}),
+    }
+
+
+def sweep_document(n: int) -> dict:
+    """{p0,p1}{p2}...{p(n-1)} against {p0}{p1,p2}{p3}...{p(n-1)}: the join is
+    the full algebra on n points, and Bell(n - 1)^2 > Bell(n), so the unit
+    law's witnesses come from the sweep over C_{A v B}."""
+    points = [f"p{i}" for i in range(n)]
+    return {
+        "ambient": points,
+        "algebras": {
+            "A": [points[:2]] + [[pt] for pt in points[2:]],
+            "B": [points[:1], points[1:3]] + [[pt] for pt in points[3:]],
+        },
+        "pair": {"left": "A", "right": "B"},
     }
 
 
@@ -130,6 +148,11 @@ CASES = {
         "07e3b36ccc618c08e266584016e40e1f791aa168b9a8561c233f41489b4a1b09",
         "73b886435b7bb878eebb898b30c35cf6f0eba6135e553e9b182f54732f4d4cef",
     ),
+    "descent:grid3x3": (
+        lambda: grid_document(3, 3), ["descent"],
+        "2bb3323768d012e31999aaf21fe3caec987d243fda358c5c9b24b6d8b4705ac4",
+        "30d29d65c2f5e405d658b62f76bfc56eb28082864ea01b14c6cfb5f92683c375",
+    ),
     "check-net:grid2x4": (
         lambda: grid_document(2, 4), ["check-net"],
         "67e9585350ec315aa61c2a517921f3c681ce70e462787f7098d03f71b25272c7",
@@ -154,6 +177,11 @@ CASES = {
         lambda: discrete_document(7), ["check-net"],
         "70b3e5300880618d340815673c4fe91caa57c1ff30f551fcf7da83e963d80c13",
         "c2c7b3080ffcdee4be66d0ce2231d5b0d8b3289126eb897e8c3a8b1754f511cd",
+    ),
+    "check-pair:sweep9": (
+        lambda: sweep_document(9), ["check-pair"],
+        "49f3465396356ad3b2f72479f08d8995b29ed9c08a97e910166219604f709683",
+        "63fc214eece4f08e4de7d9fd91462d0ad6bff6138019c9baa21565dbbc24eac9",
     ),
     "check-pair:dense3": (
         dense_matrix_document, ["check-pair"],
@@ -230,3 +258,23 @@ def test_passing_check_net_takes_no_union_find_per_context_of_the_join(tmp_path,
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == json_digest
     assert len(calls) <= bell_number(2) + bell_number(4) + 1 == 18
+
+
+def test_descent_json_labels_each_context_set_once(tmp_path, capsys, monkeypatch):
+    # C_{A v B}, C_A and C_B are labelled once each: the report's JSON and
+    # the covering-stability rows read the same labels
+    labelled = []
+    labels = Contexts.labels
+    monkeypatch.setattr(Contexts, "labels",
+                        lambda self: labelled.append(str(self.algebra)) or labels(self))
+    build, argv, _, json_digest = CASES["descent:grid2x3"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(build(), sort_keys=True), encoding="utf-8")
+    assert main([argv[0], str(path), *argv[1:], "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == json_digest
+    assert sorted(labelled) == [
+        "{x0y0,x0y1,x0y2}{x1y0,x1y1,x1y2}",
+        "{x0y0,x1y0}{x0y1,x1y1}{x0y2,x1y2}",
+        "{x0y0}{x0y1}{x0y2}{x1y0}{x1y1}{x1y2}",
+    ]
