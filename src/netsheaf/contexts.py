@@ -8,11 +8,12 @@ and the Hasse covers come from one walk over the block strings that
 ``Contexts`` makes.  The commands read contexts as those strings and their
 labels, the fibered product too, and every restriction C n P, for h, the
 fibered product, covering stability and the unit-law sweep, comes from one
-kernel, ``_restrictions``.  Only a DOT export (``descent --dot``,
-``contexts --dot``) takes the Hasse walk, or builds the contexts of A v B,
-of A or of B as Partitions: through ``Contexts.covers()``, or through
-``ContextPoset``, which also stores the order as bitmasks, for the DOT
-export of a fibered product.
+kernel, ``_restrictions``, which carries C n P down the tree of the
+strings' shared prefixes and keeps no memo.  Only a DOT export
+(``descent --dot``, ``contexts --dot``) takes the Hasse walk, or builds the
+contexts of A v B, of A or of B as Partitions: through
+``Contexts.covers()``, or through ``ContextPoset``, which also stores the
+order as bitmasks, for the DOT export of a fibered product.
 
 For a generic monotone map between finite posets, ``left_adjoint`` and
 ``thickening_report`` decide adjoints, unit/counit strictness, coreflectors
@@ -211,32 +212,6 @@ class Contexts(Immutable):
         blocks = block_map(self.algebra, j)
         return (tuple([s[b] for b in blocks]) for s in self.strings())
 
-    def prefixes(self, bits: Sequence[int]) -> Iterator[list[int]]:
-        """The contexts in canonical order, a shared prefix at a time: each
-        block string's prefix (all but its last entry) once, as the OR of
-        `bits` (one int per block of the algebra) over each of its groups,
-        then a 0 for the group that the last block alone opens.  The
-        contexts with that prefix follow in order, the last block joining
-        group v for each v.  The walk is depth first: a prefix's masks are
-        its parent's, copied, with one bit ORed into the group it joins."""
-        *head, _ = bits
-        stack = [(0, [0])]
-        while stack:
-            depth, masks = stack.pop()
-            if depth == len(head):
-                yield masks
-                continue
-            bit, opened = head[depth], len(masks) - 1
-            # pushed last to first, so the children pop in lexicographic order
-            child = masks.copy()
-            child[opened] = bit
-            child.append(0)
-            stack.append((depth + 1, child))
-            for v in range(opened - 1, -1, -1):
-                child = masks.copy()
-                child[v] |= bit
-                stack.append((depth + 1, child))
-
     def block_counts(self) -> Iterator[int]:
         """Each context's block count, read off the width of its prefix."""
         for prefix in _set_partition_rgs(self.algebra.num_blocks - 1):
@@ -247,74 +222,76 @@ class Contexts(Immutable):
     def labels(self) -> Iterator[str]:
         """Each context's label, as str() of its Partition writes it, made
         from its block string: the points of each group of blocks, in point
-        order, with the groups in order of least point.  The texts of a
-        prefix's groups are read once (`prefixes`) and each context only
-        replaces the group that its last block joins.  A group's text is
-        made once, on first use."""
+        order, with the groups in order of least point.  The contexts are
+        walked depth first by their shared prefixes (all but the last entry
+        of each string), a prefix holding the mask of blocks in each of its
+        groups, its parent's with one bit ORed in.  A prefix's group texts
+        are read once and each context only replaces the group that its
+        last block joins.  A group's text is made once, on first use."""
         names, rgs = self.algebra.ambient.points, self.algebra.rgs
         texts = _Memo(lambda mask: ",".join([x for x, b in zip(names, rgs) if mask >> b & 1]))
-        n = self.algebra.num_blocks
-        last = 1 << (n - 1)
-        for masks in self.prefixes([1 << b for b in range(n)]):
-            *head, _ = masks
-            groups = [texts[m] for m in head]
-            for v, m in enumerate(head):
-                text, groups[v] = groups[v], texts[m | last]
-                yield "{%s}" % "}{".join(groups)
-                groups[v] = text
-            yield "{%s}" % "}{".join(groups + [texts[last]])
+        last = 1 << (self.algebra.num_blocks - 1)
+        stack = [(1, [])]  # a prefix: the bit of the block after it, its group masks
+        while stack:
+            bit, head = stack.pop()
+            if bit == last:
+                groups = [texts[m] for m in head]
+                for v, m in enumerate(head):
+                    text, groups[v] = groups[v], texts[m | last]
+                    yield "{%s}" % "}{".join(groups)
+                    groups[v] = text
+                yield "{%s}" % "}{".join(groups + [texts[last]])
+                continue
+            # pushed last to first, so the children pop in lexicographic order
+            stack.append((bit << 1, head + [bit]))
+            for v in range(len(head) - 1, -1, -1):
+                child = head.copy()
+                child[v] |= bit
+                stack.append((bit << 1, child))
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction, in FinitePoset.covers() order."""
         return tuple(sorted(_merge_walk(tuple(self.strings()))))
 
 
-def _restrictions(contexts: Contexts, blocks: Sequence[int]) -> list[tuple[int, ...]]:
-    """C n P for every context C of X = contexts.algebra, in canonical
-    order, as its block string over the blocks of P, a partition coarser
-    than X given by `blocks`, the block of P holding each block of X: a
-    `block_map(P, X)`, or a context read over X's blocks (`Contexts.over`).
+def _restrictions(blocks: Sequence[int]) -> list[tuple[int, ...]]:
+    """C n P for every context C of X, in canonical order, as its block
+    string over the blocks of P, a partition coarser than X given by
+    `blocks`, the block of P holding each block of X: a `block_map(P, X)`,
+    or a context read over X's blocks (`Contexts.over`).
 
-    C n P is the components of P's blocks linked by C's groups.  The
-    contexts are walked by their shared prefixes (`Contexts.prefixes`): the
-    groups of a prefix are ORed once, as masks of P-blocks, and each
-    context only ORs the P-block of X's last block into the group that it
-    joins.  The components are labelled in order of least block
-    (`_linked`), once per set of prefix masks and group joined: the memo
-    goes with this call."""
-    bits = [1 << b for b in blocks]
-    last, width = bits[-1], max(blocks) + 1
-    # Adding m | last to a prefix's masks links as replacing m by it does,
-    # m being a subset of it, so a context's restriction depends on the set
-    # of its prefix's masks and the mask of the group its last block joins.
-    by_prefix = _Memo(lambda key: _Memo(lambda m: _linked(key | {m | last}, width)))
-    out = []
-    for masks in contexts.prefixes(bits):
-        out += map(by_prefix[frozenset(masks)].__getitem__, masks)
+    C n P is the components of P's blocks linked by C's groups.  X's
+    contexts are walked depth first down the tree of their shared prefixes
+    (Knuth, TAOCP 4A 7.2.1.5), each prefix carrying its own restriction, a
+    restricted-growth string over P's blocks in which the blocks that no
+    group reaches yet stand alone, and the P-block of one block of each of
+    its groups.  Adding X's next block to a group links two labels: the
+    higher becomes the lower and every label above it moves down by one,
+    and a child whose two labels already agree shares its parent's string."""
+    out, leaf = [], len(blocks) - 1
+
+    def walk(depth: int, rest: tuple[int, ...], reps: list[int]) -> None:
+        # X's block `depth`, in P-block p, joins each group in turn (the
+        # group whose block lies in P-block r), then opens one of its own
+        p = blocks[depth]
+        q, children = rest[p], []
+        for r in reps:
+            lo = rest[r]
+            if lo == q:
+                children.append(rest)
+                continue
+            lo, hi = (lo, q) if lo < q else (q, lo)
+            children.append(tuple([lo if x == hi else x - (x > hi) for x in rest]))
+        if depth == leaf:
+            out.extend(children)
+            out.append(rest)
+            return
+        for child in children:
+            walk(depth + 1, child, reps)
+        walk(depth + 1, rest, reps + [p])
+
+    walk(0, tuple(range(max(blocks) + 1)), [])
     return out
-
-
-def _linked(masks: frozenset[int], width: int) -> tuple[int, ...]:
-    """The restricted-growth string over `width` blocks whose groups are the
-    connected unions of the masks (a 0 mask stands for an unused group)."""
-    components: list[int] = []
-    for m in masks:
-        if m:  # merged with every component it meets, in one pass
-            apart = []
-            for x in components:
-                if x & m:
-                    m |= x
-                else:
-                    apart.append(x)
-            apart.append(m)
-            components = apart
-    labels = [0] * width
-    for label, m in enumerate(sorted(components, key=lambda x: x & -x)):
-        while m:
-            low = m & -m
-            labels[low.bit_length() - 1] = label
-            m ^= low
-    return tuple(labels)
 
 
 def _stirling_row(n: int) -> list[int]:

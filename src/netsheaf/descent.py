@@ -86,7 +86,7 @@ class FiberedContextProduct(Immutable):
         left_algebra, right_algebra = left_poset.algebra, right_poset.algebra
         if not (is_coarser(meet, left_algebra) and is_coarser(meet, right_algebra)):
             raise InputError(f"meet algebra {meet} is not contained in both members")
-        left, right = (_restrictions(f, block_map(meet, f.algebra))
+        left, right = (_restrictions(block_map(meet, f.algebra))
                        for f in (left_poset, right_poset))
         by_restriction: dict[tuple[int, ...], list[int]] = {}
         for j, key in enumerate(right):
@@ -464,8 +464,8 @@ def _h_table(pair: AlgebraPair, source: Contexts, target: FiberedContextProduct)
     lefts, rights = (list(f.strings()) for f in (target.left_poset, target.right_poset))
     position = {lefts[i] + rights[j]: q for q, (i, j) in enumerate(target.pairs)}
     joined, table = source.algebra, []
-    for left, right in zip(_restrictions(source, block_map(pair.left, joined)),
-                           _restrictions(source, block_map(pair.right, joined))):
+    for left, right in zip(_restrictions(block_map(pair.left, joined)),
+                           _restrictions(block_map(pair.right, joined))):
         q = position.get(left + right)
         if q is None:
             _trap(pair, "h(C) = (C n A, C n B) is not an element of the fibered context product",
@@ -645,12 +645,13 @@ def stability_rows(
     Every context involved is a context of A v B, named by its index in the
     canonical order of C_{A v B}'s block strings; C_A and C_B are read over
     A v B's blocks (`Contexts.over`).  Each C, and each D, has its meets
-    E n C from one walk of the restriction kernel, and the joins and the
-    contexts below each C v D are call-local memos of indices, so no
-    Partition is built per visit.  Each row goes into the bucket of its E,
-    so the rows come out in order with no sort.  A cover has failures iff
-    C and D are incomparable (the closed form of `unit_law`): a cover whose
-    sweep disagrees is a bug.
+    E n C from one walk of the restriction kernel (`_restrictions`) down the
+    prefix tree of C_{A v B}, given C as the block of C holding each block
+    of A v B; the joins and the contexts below each C v D are call-local
+    memos of indices, so no Partition is built per visit.  Each row goes
+    into the bucket of its E, so the rows come out in order with no sort.
+    A cover has failures iff C and D are incomparable (the closed form of
+    `unit_law`): a cover whose sweep disagrees is a bug.
 
     The sweep visits sum over (C, D) of Bell(|C v D|) contexts, at most
     |C_{A v B}|*|C_A|*|C_B|; more than MAX_STABILITY_TRIPLES of those
@@ -674,7 +675,7 @@ def stability_rows(
         # C's index, and E n C's for every E: each distinct restriction, a
         # string over C's blocks, is read back over A v B's blocks once
         index = _Memo(lambda r: position[tuple(map(r.__getitem__, c))])
-        return position[c], list(map(index.__getitem__, _restrictions(source, c)))
+        return position[c], list(map(index.__getitem__, _restrictions(c)))
 
     lefts, rights = (list(map(meets, f.over(joined))) for f in (left, right))
     # One bucket per E: the rows are found in (C, D) order, so each bucket

@@ -355,16 +355,15 @@ def _unit_law_failures(a: Partition, b: Partition) -> tuple[int, tuple[Partition
 def _sweep_failures(a: Partition, b: Partition) -> tuple[int, tuple[Partition, ...]]:
     """The contexts E of A v B with (E n A) v (E n B) != E: their number, and
     the first WITNESS_LIMIT of them in canonical order, from one sweep of
-    C_{A v B} that reads E n A and E n B from the restriction kernel
-    (`contexts._restrictions`), each at the block of A, or of B, holding
-    each block of A v B.  E refines both restrictions, so E refines their
-    join, and E fails iff that join has fewer blocks than E.  Only the
-    witnesses listed become Partitions."""
+    C_{A v B} that reads E n A and E n B from two walks of the restriction
+    kernel (`contexts._restrictions`) down the prefix tree of C_{A v B},
+    given the block of A, or of B, holding each block of A v B.  E refines
+    both restrictions, so E refines their join, and E fails iff that join
+    has fewer blocks than E.  Only the witnesses listed become Partitions."""
     joined = common_refinement(a, b)
     source = Contexts(joined)
     over_a, over_b = block_map(a, joined), block_map(b, joined)
-    restricted = zip(source.strings(), _restrictions(source, over_a),
-                     _restrictions(source, over_b))
+    restricted = zip(source.strings(), _restrictions(over_a), _restrictions(over_b))
     failures = (e for e, x, y in restricted
                 if len(set(zip(map(x.__getitem__, over_a), map(y.__getitem__, over_b)))) <= max(e))
     first = tuple(

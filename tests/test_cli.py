@@ -869,6 +869,35 @@ def test_installed_entry_point_round_trip():
     assert proc.stdout == proc2.stdout  # byte-identical across processes
 
 
+def test_commands_import_only_the_standard_library():
+    # the package is stdlib-only at runtime: in a fresh interpreter, every
+    # module that importing the CLI and running each command adds is either
+    # in the standard library or part of netsheaf
+    script = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "import contextlib, io, json",
+        "from netsheaf.cli import main",
+        "codes = []",
+        "for argv in json.loads(sys.argv[1]):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        codes.append(main(argv))",
+        "print(json.dumps([codes, sorted(set(sys.modules) - before)]))",
+    ])
+    runs = [[name, SQUARE] for name in ("check-pair", "check-net", "descent", "valuations")]
+    runs += [["contexts", SQUARE, "--algebra", "A"], ["check-pair", PAULI]]
+    package_root = str(Path(netsheaf.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    codes, added = json.loads(proc.stdout)
+    assert codes == [0] * len(runs)
+    assert "netsheaf.cli" in added
+    assert [name for name in added if name.split(".")[0] not in sys.stdlib_module_names
+            and name.split(".")[0] != "netsheaf"] == []
+
+
 def descent_process(tmp_path, *flags, stdout, unbuffered=True):
     """`descent` on the discrete 5-point self-pair in a child process."""
     doc = {

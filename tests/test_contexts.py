@@ -408,7 +408,7 @@ def escaped_partitions(draw, max_points=7):
 @example(Partition.trivial(ambient(1)))
 @example(Partition.trivial(ambient(5)))
 def test_context_labels_equal_str_of_each_context(p):
-    # each label made from its prefix's group texts (`Contexts.prefixes`)
+    # each label made from its prefix's group texts, walked depth first
     assert list(Contexts(p).labels()) == [str(c) for c in coarsenings(p)]
     assert list(Contexts(p).block_counts()) == [c.num_blocks for c in coarsenings(p)]
 

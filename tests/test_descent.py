@@ -642,8 +642,8 @@ def sabotage_kernel(monkeypatch, module, caller, change):
     in that module too, reads them as made."""
     kernel = module._restrictions
 
-    def sabotaged(contexts, blocks):
-        rows = kernel(contexts, blocks)
+    def sabotaged(blocks):
+        rows = kernel(blocks)
         return change(rows) if sys._getframe(1).f_code.co_name == caller else rows
 
     monkeypatch.setattr(module, "_restrictions", sabotaged)
@@ -912,19 +912,22 @@ def coarser_pairs(draw, max_points=7):
 @example((Partition.discrete(ambient(7)), Partition.trivial(ambient(7))), 0)
 @example((Partition.discrete(ambient(7)),) * 2, 0)
 @example((Partition.discrete(ambient(7)),) * 2, bell_number(7) - 1)
+@example((Partition.discrete(ambient(4)), Partition(ambient(4), (0, 0, 0, 1))), 0)
 def test_restriction_kernel_equals_one_union_find_per_context(inputs, k):
     # C n P over P's blocks for every context C of X, against the overlap
     # join of C's point string with P's, read at the first point of each
     # block of P.  P goes in as its block map over X, and so does the
     # drawn context Q of P, read over X's blocks (`Contexts.over`), as
-    # covering stability passes each context of A to the kernel
+    # covering stability passes each context of A to the kernel.  In the
+    # last example only X's last block reaches P's second block, so a
+    # context links, at its last block, a label that no prefix touched
     x, p = inputs
     k %= bell_number(p.num_blocks)
     q = coarsenings(p)[k]
     for r, blocks in ((p, block_map(p, x)), (q, list(Contexts(p).over(x))[k])):
         firsts = [block[0] for block in r.blocks]
         expected = [tuple(_overlap_rgs(c.rgs, r.rgs)[f] for f in firsts) for c in coarsenings(x)]
-        assert netsheaf.contexts._restrictions(Contexts(x), blocks) == expected
+        assert netsheaf.contexts._restrictions(blocks) == expected
 
 
 def test_rank_of_each_restricted_growth_string_is_its_index_up_to_eight():
@@ -1229,8 +1232,8 @@ def test_fibered_product_is_built_from_the_restrictions_its_guard_counted(monkey
     calls = []
     kernel = netsheaf.descent._restrictions
 
-    def counted(contexts, blocks):
-        rows = kernel(contexts, blocks)
+    def counted(blocks):
+        rows = kernel(blocks)
         calls.append(len(rows))
         return rows
 

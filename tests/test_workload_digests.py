@@ -3,9 +3,11 @@ stdout, in text and --json, for `descent` on grids 2x3, 2x4 and 3x3 (a
 Bell(9) join with three blocks on each side: 22,379 covering-stability
 violations), `check-net` on grids 2x4 and 3x3, `contexts` on the full
 7-point algebra, `descent` on the discrete 5-point self-pair, `check-net`
-on the discrete 7-point self-pair, `check-pair` on a 9-point pair whose
-unit-law witnesses take the sweep over C_{A v B} (`sweep_document`), and
-`check-pair` on a dense, complex, non-commuting matrix pair, whose
+on the discrete 7-point self-pair, `check-pair` on a 9-point and a
+10-point pair whose unit-law witnesses take the sweep over C_{A v B}
+(`sweep_document`; the 10-point join has Bell(10) = 115,975 contexts, the
+default `max_bell`, the deepest walk any command takes), and `check-pair`
+on a dense, complex, non-commuting matrix pair, whose
 commutator witness prints fractions and i terms.
 
 The documents are built here, written as ``json.dumps(document,
@@ -182,6 +184,11 @@ CASES = {
         lambda: sweep_document(9), ["check-pair"],
         "49f3465396356ad3b2f72479f08d8995b29ed9c08a97e910166219604f709683",
         "63fc214eece4f08e4de7d9fd91462d0ad6bff6138019c9baa21565dbbc24eac9",
+    ),
+    "check-pair:sweep10": (
+        lambda: sweep_document(10), ["check-pair"],
+        "a686e2fb0d42e47a8edb093f7132bb044c36ae13e3a3c58e3452ec84df1bdc27",
+        "1f4b3f0adc921153d8f62537b4eadef53f3e76ee7da4e51f8e2f684ab933b041",
     ),
     "check-pair:dense3": (
         dense_matrix_document, ["check-pair"],
