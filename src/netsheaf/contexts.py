@@ -185,7 +185,9 @@ def block_map(p: Partition, j: Partition) -> tuple[int, ...]:
 class Contexts(Immutable):
     """The contexts of a partition in canonical order: block strings and
     labels made on each call, Partitions only when ``elements`` is read.  No
-    order masks are built, and the Hasse covers only for the DOT export."""
+    order masks are built, and the Hasse covers only for the DOT export.
+    Restrictions come from ``_restrictions`` and surjectivity of ring
+    components from the descent adjunction's unit, not from a walk here."""
 
     __slots__ = ("algebra",)
 
@@ -211,13 +213,6 @@ class Contexts(Immutable):
         """Each context read at the first point of each block of a refinement j."""
         blocks = block_map(self.algebra, j)
         return (tuple([s[b] for b in blocks]) for s in self.strings())
-
-    def block_counts(self) -> Iterator[int]:
-        """Each context's block count, read off the width of its prefix."""
-        for prefix in _set_partition_rgs(self.algebra.num_blocks - 1):
-            width = max(prefix, default=-1) + 1
-            yield from [width] * width
-            yield width + 1
 
     def labels(self) -> Iterator[str]:
         """Each context's label, as str() of its Partition writes it, made

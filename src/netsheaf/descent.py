@@ -16,7 +16,8 @@ C, the multiplication map (C n A) (x)_E (C n B) -> C is an isomorphism, where
 E is the amalgam C n M.  Ring components are decided on spectra: by finite
 Gelfand duality the amalgamated tensor product of function algebras is the
 function algebra on the fibered product of block sets, and the algebra map
-is injective iff the spectrum map is surjective and vice versa.
+is injective iff the spectrum map is surjective and vice versa.  The spectrum
+map's image is the block set of g(h(C)), so the map at C is onto iff g(h(C)) = C.
 """
 
 from __future__ import annotations
@@ -553,22 +554,22 @@ def sheaf_report(pair: AlgebraPair, max_bell: int = DEFAULT_MAX_BELL,
 
 
 def _ring_components(report: DescentReport) -> tuple[RingComponent, ...]:
-    """Every ring component, read off h's table.  The image of blocks(C) is
-    the pair (C n A, C n B) of containing blocks of each block of A v B, so
-    it depends only on q = h(C), as does the fibered block set; both are
-    computed once per q, and C's block count is read off the width of its
-    prefix (`Contexts.block_counts`).  Since M <= A, the amalgam C n M is
-    (C n A) n M: the product keeps it, as the block string over M's blocks
-    of each left factor, and it is read here at M's block holding each
-    block of A v B."""
+    """Every ring component, read off h's table and the adjunction's unit.
+    The image of blocks(C) is the pair (C n A, C n B) of containing blocks
+    of each block of A v B, the block set of g(h(C)), which C refines: the
+    map at C is surjective iff the unit at C is not strict.  Injectivity
+    depends only on q = h(C), as does the fibered block set, and is decided
+    once per q.  Since M <= A, the amalgam C n M is (C n A) n M: the product
+    keeps it, as the block string over M's blocks of each left factor, read
+    here at M's block holding each block of A v B."""
     target, source = report.target, report.source
     lefts, rights = (list(f.over(source.algebra)) for f in (target.left_poset, target.right_poset))
     meets = block_map(report.pair.meet_algebra, source.algebra)
-    spectra: dict[int, tuple[bool, int]] = {}
-    kinds: dict[tuple[bool, bool], RingComponent] = {}
+    injective: dict[int, bool] = {}
+    kinds = {(x, y): RingComponent(x, y) for x in (False, True) for y in (False, True)}
     components = []
-    for k, (blocks, q) in enumerate(zip(source.block_counts(), report.h.table)):
-        if q not in spectra:
+    for k, (q, strict) in enumerate(zip(report.h.table, report.adjunction.unit_strict)):
+        if q not in injective:
             i, j = target.pairs[q]
             amalgam = [target.restrictions[i][m] for m in meets]
             image = set(zip(lefts[i], rights[j]))
@@ -577,12 +578,8 @@ def _ring_components(report: DescentReport) -> tuple[RingComponent, ...]:
             left, right = (list(dict(zip(s, amalgam)).values()) for s in (lefts[i], rights[j]))
             fibered = _fibered_blocks(left, right)
             _check_spectrum(image, fibered, lambda: _label(source, k))
-            spectra[q] = image == fibered, len(image)
-        injective, size = spectra[q]
-        kind = injective, size == blocks
-        if kind not in kinds:
-            kinds[kind] = RingComponent(*kind)
-        components.append(kinds[kind])
+            injective[q] = image == fibered
+        components.append(kinds[injective[q], not strict])
     return tuple(components)
 
 
@@ -642,15 +639,15 @@ def stability_rows(
 
     That requirement is the unit law of the pair (C, D): C <= A and D <= B
     give C v D <= A v B, so the E below C v D are the contexts of C v D.
-    Every context involved is a context of A v B, named by its index in the
-    canonical order of C_{A v B}'s block strings; C_A and C_B are read over
-    A v B's blocks (`Contexts.over`).  Each C, and each D, has its meets
-    E n C from one walk of the restriction kernel (`_restrictions`) down the
-    prefix tree of C_{A v B}, given C as the block of C holding each block
-    of A v B; the joins and the contexts below each C v D are call-local
-    memos of indices, so no Partition is built per visit.  Each row goes
-    into the bucket of its E, so the rows come out in order with no sort.
-    A cover has failures iff C and D are incomparable (the closed form of
+    C <= A also gives E n C = (E n A) n C.  So one walk of the restriction
+    kernel (`_restrictions`) down C_{A v B}'s prefix tree names each E n A
+    in C_A, and each C has its meets with every context of A from one walk
+    of C_A's own tree, given C's block string; likewise for B and D.  The
+    joins, keyed by C_A x C_B (C's own index is its join with B's bottom
+    context), and the contexts below each C v D are call-local memos of
+    indices, so no Partition is built per visit.  Each row goes into the
+    bucket of its E, so the rows come out in order with no sort.  A cover
+    has failures iff C and D are incomparable (the closed form of
     `unit_law`): a cover whose sweep disagrees is a bug.
 
     The sweep visits sum over (C, D) of Bell(|C v D|) contexts, at most
@@ -663,31 +660,36 @@ def stability_rows(
     contexts = source, left, right = Contexts(joined), Contexts(pair.left), Contexts(pair.right)
     strings = list(source.strings())
     position = {s: k for k, s in enumerate(strings)}
-    n = len(strings)
-    joins = _Memo(
-        lambda xy: position[_canonical_rgs(tuple(zip(strings[xy // n], strings[xy % n])))]
-    )
+    n, width = len(strings), len(right)
+    cs, ds = (list(f.over(joined)) for f in (left, right))
+    joins = _Memo(lambda x: position[_canonical_rgs(tuple(zip(cs[x // width], ds[x % width])))])
     # the contexts of K: its groups regrouped by each restricted-growth string over them
     below = _Memo(lambda k: [position[tuple(map(g.__getitem__, strings[k]))]
                              for g in _set_partition_rgs(max(strings[k]) + 1)])
 
-    def meets(c: tuple[int, ...]) -> tuple[int, list[int]]:
-        # C's index, and E n C's for every E: each distinct restriction, a
-        # string over C's blocks, is read back over A v B's blocks once
-        index = _Memo(lambda r: position[tuple(map(r.__getitem__, c))])
-        return position[c], list(map(index.__getitem__, _restrictions(c)))
+    def meets(f: Contexts, scale: int) -> list[list[int]]:
+        # per context C of f, the index in f of E n C = (E n f) n C, times
+        # `scale`, for every E; each distinct F n C is read back once
+        factor = {s: k for k, s in enumerate(f.strings())}
+        ranks = [factor[r] for r in _restrictions(block_map(f.algebra, joined))]
+        out = []
+        for c in factor:
+            index = _Memo(lambda r: factor[tuple(map(r.__getitem__, c))] * scale)
+            inner = list(map(index.__getitem__, _restrictions(c)))
+            out.append(list(map(inner.__getitem__, ranks)))
+        return out
 
-    lefts, rights = (list(map(meets, f.over(joined))) for f in (left, right))
+    lefts, rights = meets(left, width), meets(right, 1)
     # One bucket per E: the rows are found in (C, D) order, so each bucket
     # is in that order and the buckets laid end to end are in (E, C, D) order.
     buckets = [[] for _ in range(n)]
-    for i, (c, left_meets) in enumerate(lefts):
-        for j, (d, right_meets) in enumerate(rights):
-            top = joins[c * n + d]
+    for i, left_meets in enumerate(lefts):
+        for j, right_meets in enumerate(rights):
+            top = joins[i * width + j]
             failing = [(e, g) for e in below[top]
-                       if (g := joins[left_meets[e] * n + right_meets[e]]) != e]
+                       if (g := joins[left_meets[e] + right_meets[e]]) != e]
             # The closed form of the unit law of (C, D): failures iff incomparable.
-            comparable = top in (c, d)
+            comparable = top in (joins[i * width], joins[j])
             if bool(failing) == comparable:
                 raise InternalConsistencyError(
                     "covering stability disagrees with the unit law's closed form on a cover",

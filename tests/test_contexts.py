@@ -410,7 +410,6 @@ def escaped_partitions(draw, max_points=7):
 def test_context_labels_equal_str_of_each_context(p):
     # each label made from its prefix's group texts, walked depth first
     assert list(Contexts(p).labels()) == [str(c) for c in coarsenings(p)]
-    assert list(Contexts(p).block_counts()) == [c.num_blocks for c in coarsenings(p)]
 
 
 def test_context_labels_build_no_partition(monkeypatch):

@@ -488,8 +488,20 @@ def test_sheaf_route_trap_names_every_context_by_its_label(monkeypatch):
     assert all(rc == failing.to_json() for rc in components.values())
 
 
+def amalgam_example(rgs_a, rgs_b, rgs_m):
+    """(A, B, M) on len(rgs_a) points, each given by its label string."""
+    amb = ambient(len(rgs_a))
+    return tuple(Partition(amb, rgs) for rgs in (rgs_a, rgs_b, rgs_m))
+
+
+# M strictly below A n B in both examples.  On 6 points, A n B =
+# {a,b}{c,d}{e,f} over M = {a,b,c,d}{e,f}: 14 isomorphisms, 32 components
+# surjective only and 6 injective only.  On 4 points, A n B = {a,b,c}{d}
+# over the scalars: all four kinds, neither injective nor surjective too.
 @settings(max_examples=60, deadline=None)
 @given(fibered_inputs(max_points=5))
+@example(amalgam_example((0, 1, 2, 2, 3, 3), (0, 0, 1, 2, 3, 3), (0, 0, 0, 0, 1, 1)))
+@example(amalgam_example((0, 0, 1, 2), (0, 1, 0, 2), (0, 0, 0, 0)))
 def test_ring_components_read_off_h_equal_the_public_route(inputs):
     a, b, meet = inputs
     pair = AlgebraPair(a, b, meet_algebra=meet)
@@ -917,8 +929,9 @@ def test_restriction_kernel_equals_one_union_find_per_context(inputs, k):
     # C n P over P's blocks for every context C of X, against the overlap
     # join of C's point string with P's, read at the first point of each
     # block of P.  P goes in as its block map over X, and so does the
-    # drawn context Q of P, read over X's blocks (`Contexts.over`), as
-    # covering stability passes each context of A to the kernel.  In the
+    # drawn context Q of P, read over X's blocks (`Contexts.over`), which
+    # is Q's block map over X.  Covering stability passes each context C
+    # of A as its own block string, the case X = A and P = C.  In the
     # last example only X's last block reaches P's second block, so a
     # context links, at its last block, a label that no prefix touched
     x, p = inputs

@@ -8,7 +8,10 @@ on the discrete 7-point self-pair, `check-pair` on a 9-point and a
 (`sweep_document`; the 10-point join has Bell(10) = 115,975 contexts, the
 default `max_bell`, the deepest walk any command takes), and `check-pair`
 on a dense, complex, non-commuting matrix pair, whose
-commutator witness prints fractions and i terms.
+commutator witness prints fractions and i terms, and `descent` on a 6-point
+pair with an explicit `meet_algebra` strictly coarser than A n B
+(`meet_document`: 52 contexts of A v B, 125 fibered pairs, ring components
+of all three kinds and 1,687 covering-stability violations).
 
 The documents are built here, written as ``json.dumps(document,
 sort_keys=True)`` (the input digest in every envelope reads those bytes),
@@ -26,6 +29,7 @@ from fractions import Fraction
 
 import pytest
 
+import netsheaf.descent
 from netsheaf.cli import main
 from netsheaf.contexts import Contexts
 from netsheaf.partitions import bell_number, overlap_join
@@ -81,6 +85,24 @@ def sweep_document(n: int) -> dict:
             "B": [points[:1], points[1:3]] + [[pt] for pt in points[3:]],
         },
         "pair": {"left": "A", "right": "B"},
+    }
+
+
+def meet_document() -> dict:
+    """A = {p0}{p1}{p2,p3}{p4,p5} against B = {p0,p1}{p2}{p3}{p4,p5} over
+    M = {p0,p1,p2,p3}{p4,p5}, strictly coarser than A n B =
+    {p0,p1}{p2,p3}{p4,p5}: h maps its 52 contexts onto 46 of the 125 fibered
+    pairs, and the ring components are 14 isomorphisms, 32 surjective only
+    and 6 injective only."""
+    points = [f"p{i}" for i in range(6)]
+    return {
+        "ambient": points,
+        "algebras": {
+            "A": [["p0"], ["p1"], ["p2", "p3"], ["p4", "p5"]],
+            "B": [["p0", "p1"], ["p2"], ["p3"], ["p4", "p5"]],
+            "M": [["p0", "p1", "p2", "p3"], ["p4", "p5"]],
+        },
+        "pair": {"left": "A", "right": "B", "meet_algebra": "M"},
     }
 
 
@@ -154,6 +176,11 @@ CASES = {
         lambda: grid_document(3, 3), ["descent"],
         "2bb3323768d012e31999aaf21fe3caec987d243fda358c5c9b24b6d8b4705ac4",
         "30d29d65c2f5e405d658b62f76bfc56eb28082864ea01b14c6cfb5f92683c375",
+    ),
+    "descent:meet6": (
+        meet_document, ["descent"],
+        "437583ebea7ff6f74af2db3faed2bafe3c65aac165f8deef986893f3b30819ef",
+        "7be3dd1ebaba7b1458489376bcf2e8dcca19ab90c4491404c0da7fc8d9457773",
     ),
     "check-net:grid2x4": (
         lambda: grid_document(2, 4), ["check-net"],
@@ -285,3 +312,26 @@ def test_descent_json_labels_each_context_set_once(tmp_path, capsys, monkeypatch
         "{x0y0,x1y0}{x0y1,x1y1}{x0y2,x1y2}",
         "{x0y0}{x0y1}{x0y2}{x1y0}{x1y1}{x1y2}",
     ]
+
+
+def test_descent_walks_the_contexts_of_the_join_four_times(tmp_path, capsys, monkeypatch):
+    # grid 3x3: the restriction kernel walks the Bell(9) = 21,147 contexts of
+    # A v B twice for h (C n A and C n B) and twice for covering stability
+    # (E n A and E n B), however many contexts A and B have; every other
+    # walk is of C_A's or C_B's own tree
+    walks = []
+    kernel = netsheaf.descent._restrictions
+
+    def counted(blocks):
+        walks.append(len(blocks))
+        return kernel(blocks)
+
+    monkeypatch.setattr(netsheaf.descent, "_restrictions", counted)
+    build, argv, _, json_digest = CASES["descent:grid3x3"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(build(), sort_keys=True), encoding="utf-8")
+    assert main([argv[0], str(path), *argv[1:], "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == json_digest
+    assert walks.count(9) == 4
+    assert set(walks) == {3, 9}
