@@ -1,6 +1,8 @@
 """Golden argparse texts: `--help` of the top level and of every command,
-`--version`, and the usage errors for no command, an unknown command, a
-missing input and an unrecognised option, each with COLUMNS fixed, compared
+`--version`, the usage errors for no command, an unknown command, a missing
+input and an unrecognised option, and the argv forms that only argparse
+reads (an abbreviated option, `--opt=value`, a bad int, a repeated flag, a
+stray positional, `--`, a dash-led value), each with COLUMNS fixed, compared
 byte for byte with tests/fixtures/golden/help.json.
 
 Regenerate (only when a text is meant to change) with
@@ -34,6 +36,15 @@ CASES = {
     "unknown-option": ["check-pair", "in.json", "--frobnicate"],
     **{f"{command}.help": [command, "--help"] for command in COMMANDS},
     **{f"{command}.missing-input": [command] for command in COMMANDS},
+    # forms that argparse reads and the command table does not; the input
+    # file is missing, so a run that argparse accepts ends in one error line
+    "abbreviated-option": ["check-pair", "missing.json", "--js"],
+    "option-equals-value": ["contexts", "missing.json", "--max-bell=5"],
+    "invalid-int": ["descent", "missing.json", "--max-bell", "x"],
+    "repeated-flag": ["check-net", "missing.json", "--json", "--json"],
+    "extra-positional": ["check-pair", "missing.json", "extra.json"],
+    "double-dash": ["descent", "--", "missing.json"],
+    "dash-led-value": ["valuations", "missing.json", "--mu2", "-1/2,3/2"],
 }
 
 
