@@ -2,14 +2,14 @@
 
 Commands: check-pair, descent, check-net, valuations, contexts.  Exit codes:
 0 = analysis ran, 1 = input error (malformed document, size guard, wrong
-engine), 2 = a --require condition failed or net validation found
-violations, 3 = internal-consistency trap.  Output is deterministic:
-identical input and command produce byte-identical stdout.
+engine), 2 = a --require condition failed, net validation found
+violations, or argparse printed a usage error (unknown command or option,
+missing input, bad option value), 3 = internal-consistency trap.  Output is
+deterministic: identical input and command produce byte-identical stdout.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .contexts import Contexts, dot_export, guard_contexts, hasse_edges
@@ -406,8 +407,15 @@ def cmd_contexts(args) -> int:
 
 # -- entry point ---------------------------------------------------------------
 
-# Each command: its help line, its handler, and the options it adds to the
-# common ones, as (flag, add_argument keywords).
+# The arguments every command takes, and each command's help line, handler
+# and the options it adds to them, all as (name or flag, add_argument
+# keywords).  `_read_argv` and `_build_parser` both read these tables.
+_COMMON = [
+    ("input", {"type": Path, "help": "JSON input document"}),
+    ("--json", {"action": "store_true", "default": False, "help": "emit the JSON envelope"}),
+    ("--max-bell", {"type": int, "default": None, "help": "context poset size guard"}),
+    ("--max-dim", {"type": int, "default": None, "help": "matrix dimension guard"}),
+]
 _COMMANDS = {
     "check-pair": ("run the independence hierarchy on the pair", cmd_check_pair, [
         ("--require", {"metavar": "CONDITION",
@@ -431,13 +439,56 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that `_build_parser(argv[0]).parse_args(argv)` gives,
+    read straight off the tables, or None unless argv has the one form read
+    here: a command, one input that does not start with "-", and that
+    command's flags spelled out in full, each at most once, a valued one
+    followed by a value that does not start with "-" and that its type
+    accepts.  Every other argv (help, version, an abbreviation, --opt=value,
+    "--", a repeat, a stray positional, a bad value) is left to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    (name, positional), *common = _COMMON
+    flags = dict(common + options)
+    values = {flag: keywords.get("default") for flag, keywords in flags.items()}
+    inputs, rest = [], iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            inputs.append(arg)
+            continue
+        # popped, so that a repeated flag is declined
+        keywords = flags.pop(arg, None)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            values[arg] = True
+            continue
+        value = next(rest, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            values[arg] = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+    if len(inputs) != 1:
+        return None
+    values[name] = positional["type"](inputs[0])
+    return SimpleNamespace(command=argv[0], func=func,
+                           **{key.lstrip("-").replace("-", "_"): v for key, v in values.items()})
+
+
+def _build_parser(command: str | None = None):
     """The argument parser with every command's subparser, or with only
-    `command`'s.  argparse spends most of a small command's time adding
-    options, so a run builds only the subparser it parses with; --help, a
-    missing or an unknown command get the whole tree.  With one subparser
-    the choices are spelled out as its metavar, so the top-level usage line
-    of an unrecognised option reads as it does with all five."""
+    `command`'s.  It is built only for an argv that `_read_argv` declines,
+    and only then is argparse imported.  A run with one command builds only
+    its subparser; --help, a missing or an unknown command get the whole
+    tree.  With one subparser the choices are spelled out as its metavar, so
+    the top-level usage line of an unrecognised option reads as it does with
+    all five."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="netsheaf",
         description=(
@@ -454,11 +505,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name in names:
         help_text, func, options = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", type=Path, help="JSON input document")
-        p.add_argument("--json", action="store_true", help="emit the JSON envelope")
-        p.add_argument("--max-bell", type=int, default=None, help="context poset size guard")
-        p.add_argument("--max-dim", type=int, default=None, help="matrix dimension guard")
-        for flag, keywords in options:
+        for flag, keywords in _COMMON + options:
             p.add_argument(flag, **keywords)
         p.set_defaults(func=func)
     return parser
@@ -466,8 +513,9 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
     return _dispatch(args)
 
 

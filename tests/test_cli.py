@@ -896,6 +896,8 @@ def test_commands_import_only_the_standard_library():
     assert "netsheaf.cli" in added
     assert [name for name in added if name.split(".")[0] not in sys.stdlib_module_names
             and name.split(".")[0] != "netsheaf"] == []
+    # a well-formed command is read off the command table, not by argparse
+    assert {"argparse", "gettext", "locale"}.isdisjoint(added)
 
 
 def descent_process(tmp_path, *flags, stdout, unbuffered=True):
